@@ -2257,8 +2257,9 @@ def oracle_sql() -> dict[str, str]:
             "w AS (SELECT doc_id, n_tokens, SUM(n_tokens) OVER "
             "(ORDER BY doc_id ROWS UNBOUNDED PRECEDING) - n_tokens AS tok_start FROM s) "
             "SELECT doc_id, n_tokens, CAST(tok_start AS BIGINT) AS tok_start, "
-            "CASE WHEN n_tokens > 0 THEN tok_start // 2048 END AS seq_first, "
-            "CASE WHEN n_tokens > 0 THEN (tok_start + n_tokens - 1) // 2048 END AS seq_last "
+            "CAST(CASE WHEN n_tokens > 0 THEN tok_start // 2048 END AS BIGINT) AS seq_first, "
+            "CAST(CASE WHEN n_tokens > 0 THEN (tok_start + n_tokens - 1) // 2048 END AS BIGINT) "
+            "AS seq_last "
             "FROM w"
         ),
         "lm_score_documents": (

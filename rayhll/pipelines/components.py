@@ -657,73 +657,40 @@ def connected_components_checkpointed(
     stored result without touching ``pairs``.  Exhausting ``max_rounds``
     raises but KEEPS the completed rounds — rerun with a higher budget to
     continue.  Rounds are a pure function of the previous round, writes
-    are atomic (temp dir + rename; the manifest commits AFTER its round
-    directory, so an orphan round dir from a mid-write crash is replaced
-    on resume), and only the last two round dirs are retained.  Settings
-    changes under the same ``out_dir`` raise (stale-lineage guard)."""
-    import json
+    are atomic (``state.checkpoint.atomic_write``; the manifest commits
+    AFTER its round directory, so an orphan round dir from a mid-write
+    crash is replaced on resume), and only the last two round dirs are
+    retained.  Settings changes under the same ``out_dir`` raise
+    (``state.checkpoint.check_fingerprint``)."""
     import shutil
 
     import ray.data as rd
 
-    from rayhll.state.checkpoint import settings_fingerprint
+    from rayhll.state.checkpoint import atomic_write, check_fingerprint, settings_fingerprint
 
     if hot_degree_threshold is not None and hot_degree_threshold < 1:
         raise ValueError("hot_degree_threshold must be >= 1")
-    os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "cc_manifest.json")
-
-    def _settings_hash(nb: int) -> str:
-        return settings_fingerprint(
-            (
-                "cc-v1",
-                left_col,
-                right_col,
-                out_node_col,
-                out_comp_col,
-                nb,
-                hot_degree_threshold,
-            )
+    fingerprint = {
+        "settings_hash": settings_fingerprint(
+            ("cc-v1", left_col, right_col, out_node_col, out_comp_col, hot_degree_threshold)
         )
-
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as f:
-            man = json.load(f)
-        if man["settings_hash"] != _settings_hash(man["num_buckets"]) or (
-            num_buckets is not None and num_buckets != man["num_buckets"]
-        ):
-            raise ValueError(
-                f"connected_components_checkpointed: {out_dir} holds a run "
-                "with different settings; use a fresh out_dir"
-            )
-        num_buckets = man["num_buckets"]
-    else:
-        num_buckets = resolve_num_buckets(
-            pairs, num_buckets, rows_per_input_row=2.0, approx_rows=approx_edges
+    }
+    if num_buckets is not None:
+        fingerprint["num_buckets"] = num_buckets
+    man = check_fingerprint(
+        manifest_path, fingerprint, f"connected_components_checkpointed: {out_dir}"
+    )
+    if "num_buckets" not in man:
+        man["num_buckets"] = resolve_num_buckets(
+            pairs, None, rows_per_input_row=2.0, approx_rows=approx_edges
         )
-        man = {
-            "settings_hash": _settings_hash(num_buckets),
-            "num_buckets": num_buckets,
-            "rounds": [],
-            "converged": False,
-        }
+    man.setdefault("rounds", [])
+    man.setdefault("converged", False)
+    num_buckets = man["num_buckets"]
 
     def _round_dir(i: int) -> str:
         return os.path.join(out_dir, f"round-{i:04d}")
-
-    def _write_atomic(ds, path: str):
-        tmp = path + ".tmp"
-        for p in (tmp, path):
-            if os.path.exists(p):
-                shutil.rmtree(p)  # orphan from a mid-write crash
-        ds.write_parquet(tmp)
-        os.rename(tmp, path)
-
-    def _flush_manifest():
-        tmp = manifest_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(man, f)
-        os.replace(tmp, manifest_path)
 
     result_dir = os.path.join(out_dir, "result")
     if man["converged"]:
@@ -754,10 +721,10 @@ def connected_components_checkpointed(
         edges = pairs.map_batches(
             normalize, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
         ).materialize()
-        _write_atomic(edges, _round_dir(0))
+        atomic_write(_round_dir(0), edges)
         n, ck = _edge_stats(edges)
         man["rounds"].append({"round": 0, "n": n, "ck": ck})
-        _flush_manifest()
+        atomic_write(manifest_path, man)
     else:
         edges = rd.read_parquet(_round_dir(man["rounds"][-1]["round"])).materialize()
 
@@ -775,11 +742,11 @@ def connected_components_checkpointed(
                 "with a higher max_rounds to continue"
             )
         edges = _one_round(edges, num_buckets, hot_degree_threshold, round_stats)
-        _write_atomic(edges, _round_dir(r))
+        atomic_write(_round_dir(r), edges)
         n, ck = _edge_stats(edges)
         prev = man["rounds"][-1]
         man["rounds"].append({"round": r, "n": n, "ck": ck})
-        _flush_manifest()
+        atomic_write(manifest_path, man)
         stale = _round_dir(r - 2)
         if r >= 2 and os.path.exists(stale):
             shutil.rmtree(stale)
@@ -787,9 +754,9 @@ def connected_components_checkpointed(
             break
 
     labels = _emit_labels(edges, num_buckets, out_node_col, out_comp_col)
-    _write_atomic(labels, result_dir)
+    atomic_write(result_dir, labels)
     man["converged"] = True
-    _flush_manifest()
+    atomic_write(manifest_path, man)
     if stats_out is not None:
         stats_out["rounds"] = len(man["rounds"]) - 1
         stats_out["hot_nodes"] = round_stats.get("hot_nodes", 0)
@@ -821,9 +788,9 @@ def keep_representatives(
     ids — shuffles the corpus once but scales to any drop-set size.
 
     Input contract: the corpus ``id_col`` is non-null on the broadcast
-    path (the searchsorted filter raises on nulls — loud, matching the
-    other per-document pipelines); the join path keeps null-id rows
-    (anti-join null semantics: null keys never match).
+    path (a null id raises — loud, matching the other per-document
+    pipelines); the join path keeps null-id rows (anti-join null
+    semantics: null keys never match).
     """
     import ray
 
@@ -868,6 +835,13 @@ def keep_representatives(
     drops_ref = ray.put(drops)
 
     def keep(batch: pa.Table) -> pa.Table:
+        # a null would turn to_numpy() float64: nulls kept silently and
+        # ids above 2**53 rounded
+        if batch.column(id_col).null_count:
+            raise ValueError(
+                f"keep_representatives(method='broadcast'): {id_col} has null "
+                "ids; drop them first or use method='join'"
+            )
         arr = ray.get(drops_ref)  # per-worker deserialization cache
         if not len(arr) or not batch.num_rows:
             return batch

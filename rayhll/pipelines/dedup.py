@@ -451,32 +451,23 @@ def _write_or_validate_sig_store(signed, sig_store_dir: str, manifest: dict) -> 
     the parameters that determine signature CONTENT and reuse it (the
     signing pass is the expensive leg).  Any mismatch (including
     ``format_version``, which covers the hashing scheme itself) raises
-    instead of producing silently wrong candidate pairs."""
-    import glob as _glob
-    import json
+    instead of producing silently wrong candidate pairs.  The parquet and
+    its manifest land together (``state.checkpoint.atomic_write``), so an
+    interrupted build is rebuilt while a manifest-less store is refused."""
     import os
 
+    from rayhll.state.checkpoint import atomic_write, check_fingerprint
+
     manifest_path = os.path.join(sig_store_dir, "_MANIFEST.json")
-    if not _glob.glob(os.path.join(sig_store_dir, "*.parquet")):
-        signed.write_parquet(sig_store_dir)
-        with open(manifest_path, "w") as f:
-            json.dump(manifest, f)
+    if not (os.path.isdir(sig_store_dir) and os.listdir(sig_store_dir)):
+        atomic_write(sig_store_dir, signed, manifest=manifest)
+    elif not os.path.exists(manifest_path):
+        raise ValueError(
+            f"signature store {sig_store_dir} has no _MANIFEST.json "
+            "(pre-manifest store?) — delete the directory to rebuild"
+        )
     else:
-        try:
-            with open(manifest_path) as f:
-                found = json.load(f)
-        except FileNotFoundError:
-            raise ValueError(
-                f"signature store {sig_store_dir} has no _MANIFEST.json "
-                "(pre-manifest store?) — delete the directory to rebuild"
-            ) from None
-        if found != manifest:
-            raise ValueError(
-                f"signature store {sig_store_dir} was built with "
-                f"{found}, but this run needs {manifest} — delete the "
-                "directory to rebuild (reusing it would produce silently "
-                "wrong candidate pairs)"
-            )
+        check_fingerprint(manifest_path, manifest, f"signature store {sig_store_dir}")
 
 
 def build_minhash_sig_store(

@@ -61,7 +61,8 @@ def pack_sequences(
     ``seq_first``/``seq_last`` the first/last training sequence its
     tokens occupy (null for empty documents).  ``weight_col`` names a
     precomputed token-count column to skip the tokenize (any non-negative
-    int works — the operator packs generic weights)."""
+    int works — the operator packs generic weights; a negative weight
+    raises ``ValueError``)."""
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
 
@@ -87,6 +88,9 @@ def pack_sequences(
         project, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()
     total_rows = proj.count()
+    if weight_col is not None and total_rows and proj.min("_n") < 0:
+        # one negative weight would shift every later tok_start
+        raise ValueError(f"pack_sequences: weight_col {weight_col!r} has negative weights")
     if total_rows == 0:
         return proj.map_batches(
             lambda t: pa.table(

@@ -158,6 +158,33 @@ def shuffle_manifest(
     )
 
 
+def _manifest_digest(manifest, id_col: str) -> dict:
+    """What :func:`write_shards` output is a function of: the shuffle
+    manifest's row count and an order-free 64-bit sum of mixed
+    ``(id, rank)`` pairs.  Integer ids mix in directly, other ids
+    through sha256 (as the permutation key itself does)."""
+    from rayhll.functions.hashing import sha256_raw64, splitmix64
+
+    def digest(t: pa.Table) -> pa.Table:
+        ids = t.column(id_col)
+        h = ids.to_numpy().astype(np.int64) if pa.types.is_integer(ids.type) else sha256_raw64(ids)
+        mixed = splitmix64(h.view(np.uint64) ^ splitmix64(t.column("rank").to_numpy()))
+        return pa.table(
+            {
+                "_rows": [t.num_rows],
+                "_sum": pa.array([mixed.sum(dtype=np.uint64)], type=pa.uint64()),
+            }
+        )
+
+    rows = total = 0
+    parts = manifest.map_batches(digest, batch_format="pyarrow", batch_size=None)
+    for t in parts.iter_batches(batch_format="pyarrow", batch_size=None):
+        if "_rows" in t.column_names:  # empty blocks pass through unmapped
+            rows += sum(t.column("_rows").to_pylist())
+            total += sum(t.column("_sum").to_pylist())
+    return {"id_col": id_col, "rows": rows, "digest": f"{total % 2**64:016x}"}
+
+
 def write_shards(
     ds,
     manifest,
@@ -168,10 +195,16 @@ def write_shards(
     """Apply a :func:`shuffle_manifest` to the corpus and write ONE
     parquet file per shard, rows in exact permutation (``pos``) order —
     the resumable training-shard layout: a loader streams
-    ``shard-NNNN.parquet`` files round-robin and sees the global seeded
-    permutation; a crashed writer rerun skips finished shards (the
-    ``shards.json`` manifest is updated atomically after each shard file
-    lands, and shard files themselves are written temp-and-rename).
+    ``shard-NNNNN.parquet`` files round-robin and sees the global seeded
+    permutation.
+
+    Resume (the ``state.checkpoint`` contract): each shard file is written
+    temp-and-rename, then its ``shard-NNNNN.done.json`` receipt; a rerun
+    skips every shard with a receipt.  ``_MANIFEST.json`` records a digest
+    of ``manifest`` (row count, order-free hash of its ``(id, rank)``
+    pairs); a rerun under the same ``out_dir`` with another
+    manifest (a new seed, ``num_shards`` or corpus) raises ``ValueError``
+    instead of mixing two permutations.
 
     Shape: ONE bucketed equi-join attaches (rank, shard, pos) to the
     corpus, then a shard-keyed groupby sorts each shard locally by
@@ -186,8 +219,13 @@ def write_shards(
     import ray.data as rd
 
     from rayhll.functions.join import bucket_equi_join
+    from rayhll.state.checkpoint import atomic_write, check_fingerprint
 
-    os.makedirs(out_dir, exist_ok=True)
+    check_fingerprint(
+        os.path.join(out_dir, "_MANIFEST.json"),
+        _manifest_digest(manifest, id_col),
+        f"write_shards output {out_dir}",
+    )
 
     def _load_done() -> dict[int, dict]:
         # the per-shard .done.json receipts ARE the resume state: each is
@@ -234,16 +272,11 @@ def write_shards(
     joined = bucket_equi_join(ds, manifest, on=id_col, num_buckets=num_buckets)
 
     def write_shard(tbl: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
         shard = int(tbl.column("shard")[0].as_py())
         pos = tbl.column("pos").to_numpy()
         order = np.argsort(pos)
         tbl = tbl.take(pa.array(order)).drop_columns(["shard"])
-        path = os.path.join(out_dir, f"shard-{shard:05d}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(tbl, tmp)
-        os.replace(tmp, path)
+        atomic_write(os.path.join(out_dir, f"shard-{shard:05d}.parquet"), tbl)
         pos_sorted = pos[order]
         contiguous = bool(
             len(pos_sorted) == 0
@@ -257,10 +290,7 @@ def write_shards(
             "first": ids[0].as_py(),
             "last": ids[len(ids) - 1].as_py(),
         }
-        rpath = os.path.join(out_dir, f"shard-{shard:05d}.done.json")
-        with open(rpath + ".tmp", "w") as f:
-            json.dump(receipt, f)
-        os.replace(rpath + ".tmp", rpath)
+        atomic_write(os.path.join(out_dir, f"shard-{shard:05d}.done.json"), receipt)
         return pa.table(
             {
                 "shard": pa.array([shard], type=pa.int64()),

@@ -200,8 +200,10 @@ def duplicate_spans(
 
     Returns a Dataset of ``(id_col, span_start, span_end)`` rows — token
     indices, end-exclusive; documents with no duplicated window produce no
-    rows.  Input contract: ``id_col`` is UNIQUE (one row per document —
-    the same contract as :func:`rayhll.pipelines.crossdup.cross_doc_duplication`).
+    rows.  Input contract, for both methods: ``id_col`` is an integer
+    column and UNIQUE (one row per document — the same contract as
+    :func:`rayhll.pipelines.crossdup.cross_doc_duplication`); another id
+    type raises ``ValueError`` at entry.
 
     ``method="broadcast"`` raises ``ValueError`` when the duplicated-gram
     set exceeds ``max_broadcast_grams`` (switch to ``method="join"`` —
@@ -212,6 +214,13 @@ def duplicate_spans(
 
     if min_docs < 2:
         raise ValueError("min_docs must be >= 2 (cross-document duplication)")
+    schema = ds.schema()
+    if schema is not None:
+        id_type = dict(zip(schema.names, schema.types)).get(id_col)
+        if not (isinstance(id_type, pa.DataType) and pa.types.is_integer(id_type)):
+            raise ValueError(
+                f"duplicate_spans: {id_col!r} must be an integer id column, got {id_type}"
+            )
     if method == "broadcast":
         # pairs exchange carries ~distinct-grams-per-doc rows per input row
         buckets = resolve_num_buckets(ds, num_buckets, rows_per_input_row=50.0)

@@ -1,25 +1,55 @@
-"""Checkpointed, resumable pipeline runs with per-partition lineage + metrics.
+"""Checkpointed, resumable runs: the one resume primitive every resumable
+operator in the engine is built on.
 
-Layout under ``out_dir``::
+The contract, shared by all four on-disk layouts below:
 
-    manifest.json            # lineage: settings hash, partition table, status
-    partials/part-<id>.parquet   # one file per completed input partition
-    metrics/part-<id>.json       # rows_in, wall_s, bytes_out, attempt count
-    result/...                   # final merged output (last step)
+* **atomic write** (:func:`atomic_write`) — every unit of output (a
+  parquet file, a parquet directory, a JSON record) is written to
+  ``<path>.tmp`` and renamed into place, so a crash leaves the whole unit
+  or none of it; the next write removes a stale ``.tmp``;
+* **fingerprint** (:func:`check_fingerprint`) — the settings that
+  determine a run's output are recorded once next to it; a rerun under the
+  same directory with different settings raises ``ValueError`` instead of
+  mixing two runs' units;
+* **receipts** — a unit's done-receipt is written only after the unit's
+  output has landed, so a unit without a receipt is simply re-run.  Units
+  are pure functions of (input, settings), hence a resumed run is
+  byte-identical to a clean one wherever the previous run died (asserted in
+  tests/test_checkpoint.py).
 
-A *partition* is one input file (or one synthetic shard) — the unit of
-skip-on-resume.  Each partition's partial output is a pure function of
-(partition content, settings): partial sketches are deterministic and
-register-max is idempotent, so a partition that crashed mid-write is simply
-re-run; writes are atomic (temp file + rename).  ``resume`` reads the
-manifest, skips completed partitions, and re-merges — producing
-byte-identical final sketches regardless of where the previous run died
-(asserted in tests/test_checkpoint.py).
+The four layouts::
 
-This is the batch meaning of "resumable from checkpoint": at 100 TB the
-partition table is the file list, a rerun costs only the unfinished tail,
-and the merge input is partials/ (thousands of KB-scale sketch files), not
-the corpus.
+    run_checkpointed (flagship_checkpointed, *_dedup_checkpointed):
+      manifest.json                fingerprint (settings_hash) + per-partition
+                                   status / attempts — the receipts
+      partials/part-<id>.parquet   one file per completed partition
+      metrics/part-<id>.json       partition, rows_out, bytes_out, wall_s, attempts
+      result/result.parquet        final merged output
+
+    pipelines.components.connected_components_checkpointed:
+      cc_manifest.json             fingerprint (settings_hash, num_buckets) +
+                                   per-round (n, checksum) receipts, converged flag
+      round-NNNN/                  one round's edge multiset (last two kept)
+      result/                      final (node, component) labels
+
+    pipelines.shuffle.write_shards:
+      _MANIFEST.json               fingerprint: digest of the shuffle manifest
+      shard-NNNNN.parquet          one shard's rows in permutation order
+      shard-NNNNN.done.json        its receipt (shard, n_rows, pos_contiguous,
+                                   first, last)
+
+    pipelines.dedup signature stores (``<out_dir>/sigs`` for the runners here):
+      _MANIFEST.json               fingerprint: the signing parameters
+      *.parquet                    the signatures
+
+A signature store's parquet and ``_MANIFEST.json`` are renamed into place
+together, so a store directory without a manifest is foreign and refused,
+while an interrupted build leaves only ``sigs.tmp`` and is rebuilt.
+
+A *partition* of :func:`run_checkpointed` is one input file (or one pair
+bucket) — the unit of skip-on-resume.  At 100 TB the partition table is the
+file list, a rerun costs only the unfinished tail, and the merge input is
+partials/ (thousands of KB-scale sketch files), not the corpus.
 """
 
 from __future__ import annotations
@@ -27,13 +57,69 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
+
+import pyarrow as pa
+import pyarrow.parquet as pq
 
 
 def settings_fingerprint(obj) -> str:
     """Stable fingerprint of a settings-like object (repr-based)."""
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def atomic_write(path: str, data, manifest: dict | None = None) -> int:
+    """Write ``data`` to ``path`` all-or-nothing: into ``path + ".tmp"``,
+    then renamed into place.
+
+    ``data`` is a dict (one JSON file), a ``pyarrow.Table`` (one parquet
+    file) or a Ray Dataset (one parquet directory, replacing any directory
+    already at ``path`` — the orphan of a crash before its receipt).  For a
+    directory, ``manifest`` is written into it as ``_MANIFEST.json`` before
+    the rename, so the two land together.  Returns the bytes written for a
+    file, 0 for a directory."""
+    tmp = path + ".tmp"
+    if os.path.isdir(tmp):
+        shutil.rmtree(tmp)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    if isinstance(data, dict):
+        with open(tmp, "w") as f:
+            json.dump(data, f, indent=1)
+    elif isinstance(data, pa.Table):
+        pq.write_table(data, tmp)
+    else:
+        data.write_parquet(tmp)
+        os.makedirs(tmp, exist_ok=True)  # an empty dataset writes no file
+        if manifest is not None:
+            with open(os.path.join(tmp, "_MANIFEST.json"), "w") as f:
+                json.dump(manifest, f)
+        if os.path.isdir(path):
+            shutil.rmtree(path)
+    os.replace(tmp, path)
+    return 0 if os.path.isdir(path) else os.path.getsize(path)
+
+
+def check_fingerprint(path: str, fingerprint: dict, what: str) -> dict:
+    """Resume guard: the JSON record at ``path`` names the settings its
+    directory's output was built with.  If it exists, each key of
+    ``fingerprint`` must equal the record's, else ``ValueError`` — resuming
+    would silently mix two runs.  If not, ``fingerprint`` is recorded.
+    Returns the record (which may also hold the run's progress)."""
+    if not os.path.exists(path):
+        atomic_write(path, fingerprint)
+        return dict(fingerprint)
+    with open(path) as f:
+        record = json.load(f)
+    found = {k: record.get(k) for k in fingerprint}
+    if found != fingerprint:
+        raise ValueError(
+            f"settings mismatch: {what} holds a run with different settings — "
+            f"it was built with {found}, but this run needs {fingerprint}; use "
+            "a fresh directory, or delete it to rebuild"
+        )
+    return record
 
 
 @dataclass
@@ -49,29 +135,18 @@ class Manifest:
     @classmethod
     def load_or_create(cls, out_dir: str, settings_hash: str, partition_ids: list[str]) -> "Manifest":
         m = cls(out_dir=out_dir, settings_hash=settings_hash)
-        if os.path.exists(m.path):
-            with open(m.path) as f:
-                data = json.load(f)
-            if data.get("settings_hash") != settings_hash:
-                raise ValueError(
-                    "checkpoint settings mismatch: manifest was written with "
-                    f"settings {data.get('settings_hash')}, run asked for {settings_hash}; "
-                    "use a fresh out_dir"
-                )
-            m.partitions = data.get("partitions", {})
-        for pid in partition_ids:
-            m.partitions.setdefault(pid, {"status": "pending"})
-        m.flush()
+        record = check_fingerprint(
+            m.path, {"settings_hash": settings_hash}, f"checkpoint {out_dir}"
+        )
+        m.partitions = record.get("partitions", {})
+        new = [pid for pid in partition_ids if pid not in m.partitions]
+        if new:
+            m.partitions.update({pid: {"status": "pending"} for pid in new})
+            m.flush()
         return m
 
     def flush(self) -> None:
-        os.makedirs(self.out_dir, exist_ok=True)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(
-                {"settings_hash": self.settings_hash, "partitions": self.partitions}, f, indent=1
-            )
-        os.replace(tmp, self.path)  # atomic
+        atomic_write(self.path, {"settings_hash": self.settings_hash, "partitions": self.partitions})
 
     def pending(self) -> list[str]:
         return [p for p, st in self.partitions.items() if st.get("status") != "done"]
@@ -79,15 +154,6 @@ class Manifest:
     def mark_done(self, pid: str, **metrics) -> None:
         self.partitions[pid] = {"status": "done", **metrics}
         self.flush()
-
-
-def _atomic_write_parquet(table, path: str) -> int:
-    import pyarrow.parquet as pq
-
-    tmp = path + ".tmp"
-    pq.write_table(table, tmp)
-    os.replace(tmp, path)
-    return os.path.getsize(path)
 
 
 def run_checkpointed(
@@ -99,20 +165,18 @@ def run_checkpointed(
     fail_after: int | None = None,
 ):
     """Run ``partial_fn(partition_input) -> pyarrow.Table`` per pending
-    partition (each written atomically + metrics), then
-    ``merge_fn(list_of_partial_paths) -> pyarrow.Table`` over ALL partials,
-    written to ``result/result.parquet``.  Returns the final table.
+    partition (each written atomically, then its metrics, then its manifest
+    receipt), then ``merge_fn(list_of_partial_paths) -> pyarrow.Table`` over
+    ALL partials, written to ``result/result.parquet``.  A rerun that finds
+    every partition done and the result written returns the stored result.
+    Returns the final table.
 
     :param fail_after: test hook — raise after N partitions complete, to
         simulate a crash for resume testing.
     """
-    import pyarrow.parquet as pq
-
-    sh = settings_fingerprint(settings_obj)
     pids = sorted(partition_inputs)
-    manifest = Manifest.load_or_create(out_dir, sh, pids)
-    os.makedirs(os.path.join(out_dir, "partials"), exist_ok=True)
-    os.makedirs(os.path.join(out_dir, "metrics"), exist_ok=True)
+    manifest = Manifest.load_or_create(out_dir, settings_fingerprint(settings_obj), pids)
+    result_path = os.path.join(out_dir, "result", "result.parquet")
 
     completed_now = 0
     for pid in pids:
@@ -120,28 +184,25 @@ def run_checkpointed(
             continue
         t0 = time.perf_counter()
         table = partial_fn(partition_inputs[pid])
-        ppath = os.path.join(out_dir, "partials", f"part-{pid}.parquet")
-        size = _atomic_write_parquet(table, ppath)
-        wall = time.perf_counter() - t0
+        size = atomic_write(os.path.join(out_dir, "partials", f"part-{pid}.parquet"), table)
         metrics = {
             "rows_out": table.num_rows,
             "bytes_out": size,
-            "wall_s": round(wall, 4),
+            "wall_s": round(time.perf_counter() - t0, 4),
             "attempts": manifest.partitions[pid].get("attempts", 0) + 1,
         }
-        with open(os.path.join(out_dir, "metrics", f"part-{pid}.json"), "w") as f:
-            json.dump({"partition": pid, **metrics}, f)
+        atomic_write(
+            os.path.join(out_dir, "metrics", f"part-{pid}.json"), {"partition": pid, **metrics}
+        )
         manifest.mark_done(pid, **metrics)
         completed_now += 1
         if fail_after is not None and completed_now >= fail_after:
             raise RuntimeError(f"simulated crash after {completed_now} partitions")
 
-    partial_paths = [
-        os.path.join(out_dir, "partials", f"part-{pid}.parquet") for pid in pids
-    ]
-    final = merge_fn(partial_paths)
-    os.makedirs(os.path.join(out_dir, "result"), exist_ok=True)
-    _atomic_write_parquet(final, os.path.join(out_dir, "result", "result.parquet"))
+    if completed_now == 0 and os.path.exists(result_path):
+        return pq.read_table(result_path)
+    final = merge_fn([os.path.join(out_dir, "partials", f"part-{pid}.parquet") for pid in pids])
+    atomic_write(result_path, final)
     return final
 
 
@@ -152,9 +213,8 @@ def flagship_checkpointed(
 
     Partial = grouped multi-key sketch rows for that file; merge = bucketed
     vectorized merge over all partials' rows; result = per-(repo, lang)
-    estimates.  Byte-deterministic across resumes."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
+    estimates.  Byte-deterministic across resumes.  The fingerprint covers
+    the settings and the input file list (partition ids index it)."""
     import ray.data as rd
 
     from rayhll.pipelines import distinct
@@ -172,9 +232,7 @@ def flagship_checkpointed(
             zero_copy_batch=True,
             batch_size=262144,
         )
-        return pa.concat_tables(
-            [b for b in partials.iter_batches(batch_format="pyarrow", batch_size=None)]
-        )
+        return pa.concat_tables(partials.iter_batches(batch_format="pyarrow", batch_size=None))
 
     def merge_fn(paths: list[str]) -> pa.Table:
         all_parts = pa.concat_tables([pq.read_table(p) for p in paths])
@@ -188,9 +246,72 @@ def flagship_checkpointed(
         # canonical order for byte-stable output
         return merged.sort_by([("repo", "ascending"), ("lang", "ascending")])
 
-    inputs = {f"{i:05d}": p for i, p in enumerate(sorted(input_files))}
+    files = sorted(input_files)
+    inputs = {f"{i:05d}": p for i, p in enumerate(files)}
     return run_checkpointed(
-        out_dir, inputs, partial_fn, merge_fn, settings_obj=settings, fail_after=fail_after
+        out_dir, inputs, partial_fn, merge_fn, settings_obj=(settings, files), fail_after=fail_after
+    )
+
+
+def _pair_dedup_checkpointed(
+    input_files, out_dir, params, fail_after, read_cols, sign, build_store, store_cols,
+    explode, verify, score,
+):
+    """The checkpoint runner behind every ``*_dedup_checkpointed`` family.
+
+    Two-level resume:
+
+    * the SIGNATURE pass (``sign`` over ``read_cols`` of the inputs — the
+      expensive leg) runs once into the parquet store ``out_dir/sigs``
+      (``build_store(signed, sig_store_dir)``), fingerprinted by its
+      ``_MANIFEST.json`` and reused across runs;
+    * the PAIR output is partitioned by co-locating bucket
+      (``key % params["num_buckets"]``): ``explode(batch, bucket)`` keeps
+      the ``store_cols`` rows whose key lands in ``bucket`` and ``verify``
+      turns them into that bucket's ``(id_a, id_b, <score>)`` pairs — a
+      pure function of the store, written atomically, skipped on resume.
+
+    Merge = global pair dedup (a pair can surface from several buckets) +
+    canonical ``(id_a, id_b)`` sort, so the final pair set is byte-identical
+    no matter where a previous run died.  ``score`` = (name, type) of the
+    score column."""
+    import polars as pl
+    import ray.data as rd
+
+    sig_store_dir = os.path.join(out_dir, "sigs")
+    signed = rd.read_parquet(sorted(input_files), columns=read_cols).map_batches(
+        sign, batch_format="pyarrow", zero_copy_batch=True
+    )
+    build_store(signed, sig_store_dir)
+    empty = pa.table(
+        {
+            "id_a": pa.array([], type=pa.int64()),
+            "id_b": pa.array([], type=pa.int64()),
+            score[0]: pa.array([], type=score[1]),
+        }
+    )
+
+    def partial_fn(bucket: int) -> pa.Table:
+        rows = rd.read_parquet(sig_store_dir, columns=store_cols).map_batches(
+            lambda batch: explode(batch, bucket), batch_format="pyarrow"
+        )
+        tbl = pa.concat_tables(rows.iter_batches(batch_format="pyarrow", batch_size=None))
+        return verify(tbl) if len(tbl) else empty
+
+    def merge_fn(paths: list[str]) -> pa.Table:
+        all_pairs = pa.concat_tables([pq.read_table(p) for p in paths])
+        if len(all_pairs) == 0:
+            return all_pairs
+        return (
+            pl.from_arrow(all_pairs)
+            .unique(subset=["id_a", "id_b"])
+            .sort(["id_a", "id_b"])
+            .to_arrow()
+        )
+
+    inputs = {f"b{b:04d}": b for b in range(params["num_buckets"])}
+    return run_checkpointed(
+        out_dir, inputs, partial_fn, merge_fn, settings_obj=params, fail_after=fail_after
     )
 
 
@@ -204,24 +325,13 @@ def simhash_dedup_checkpointed(
     num_buckets: int = 16,
     fail_after: int | None = None,
 ):
-    """Checkpointed SimHash near-dup pair extraction — the same two-level
-    resume contract as :func:`minhash_dedup_checkpointed`:
-
-    * the SIGNATURE pass runs once into a manifested parquet store under
-      ``out_dir/sigs`` (``build_simhash_sig_store``) and is reused across
-      runs;
-    * the PAIR output is partitioned by co-locating chunk-key bucket
-      (``chunk_key % num_buckets``): each bucket's hamming-verified pairs
-      are a pure function of the store, written atomically, skipped on
-      resume;
-    * merge dedups pairs globally (a pair can surface from several of the
-      4 chunk keys) and sorts canonically — a crash-mid-run resume is
-      byte-identical to a clean run, and the final pair set matches the
-      streaming ``simhash_pairs`` on the same input (both pinned)."""
+    """Checkpointed SimHash near-dup pair extraction (see
+    :func:`_pair_dedup_checkpointed`): the signature store holds
+    ``SimHashStage`` rows, buckets co-locate the 4 chunk keys
+    (``chunk_key % num_buckets``) and pairs are hamming-verified.  The
+    final pair set matches the streaming ``simhash_pairs`` on the same
+    input (both pinned)."""
     import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
 
     from rayhll.pipelines.dedup import (
         SimHashStage,
@@ -229,7 +339,6 @@ def simhash_dedup_checkpointed(
         build_simhash_sig_store,
     )
 
-    sig_store_dir = os.path.join(out_dir, "sigs")
     params = {
         "max_hamming": max_hamming,
         "max_bucket_size": max_bucket_size,
@@ -239,67 +348,28 @@ def simhash_dedup_checkpointed(
         "inputs": sorted(input_files),
     }
 
-    def ensure_store() -> None:
-        ds = rd.read_parquet(sorted(input_files), columns=[id_col, text_col])
-        signed = ds.map_batches(
-            SimHashStage(text_col, id_col), batch_format="pyarrow", zero_copy_batch=True
-        )
-        build_simhash_sig_store(signed, sig_store_dir, text_col, id_col)
-
-    chunk_cols = [f"chunk_{c}" for c in range(4)]
-    kernel = _make_simhash_bucket_pairs_fn(id_col, max_hamming, max_bucket_size)
-
-    def partial_fn(bucket: int) -> pa.Table:
-        def explode_filter(batch: pa.Table) -> pa.Table:
-            keys, ids, sims = [], [], []
-            for c in range(4):
-                keys.append(batch.column(f"chunk_{c}").to_numpy())
-                ids.append(batch.column(id_col).to_numpy())
-                sims.append(batch.column("simhash64").to_numpy())
-            key = np.concatenate(keys)
-            keep = (key.view(np.uint64) % np.uint64(num_buckets)) == bucket
-            return pa.table(
-                {
-                    "chunk_key": pa.array(key[keep], type=pa.int64()),
-                    id_col: pa.array(np.concatenate(ids)[keep], type=pa.int64()),
-                    "simhash64": pa.array(
-                        np.concatenate(sims)[keep], type=pa.int64()
-                    ),
-                }
-            )
-
-        signed = rd.read_parquet(
-            sig_store_dir, columns=[id_col, "simhash64"] + chunk_cols
-        )
-        rows = signed.map_batches(explode_filter, batch_format="pyarrow")
-        tbl = pa.concat_tables(rows.iter_batches(batch_format="pyarrow", batch_size=None))
-        if len(tbl) == 0:
-            return pa.table(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                    "hamming": pa.array([], type=pa.int64()),
-                }
-            )
-        return kernel(tbl)
-
-    def merge_fn(paths: list[str]) -> pa.Table:
-        import polars as pl
-
-        all_pairs = pa.concat_tables([pq.read_table(p) for p in paths])
-        if len(all_pairs) == 0:
-            return all_pairs
-        return (
-            pl.from_arrow(all_pairs)
-            .unique(subset=["id_a", "id_b"])
-            .sort(["id_a", "id_b"])
-            .to_arrow()
+    def explode(batch: pa.Table, bucket: int) -> pa.Table:
+        key = np.concatenate([batch.column(f"chunk_{c}").to_numpy() for c in range(4)])
+        keep = (key.view(np.uint64) % np.uint64(num_buckets)) == bucket
+        return pa.table(
+            {
+                "chunk_key": pa.array(key[keep], type=pa.int64()),
+                id_col: pa.array(np.tile(batch.column(id_col).to_numpy(), 4)[keep], type=pa.int64()),
+                "simhash64": pa.array(
+                    np.tile(batch.column("simhash64").to_numpy(), 4)[keep], type=pa.int64()
+                ),
+            }
         )
 
-    ensure_store()
-    inputs = {f"b{b:04d}": b for b in range(num_buckets)}
-    return run_checkpointed(
-        out_dir, inputs, partial_fn, merge_fn, settings_obj=params, fail_after=fail_after
+    return _pair_dedup_checkpointed(
+        input_files, out_dir, params, fail_after,
+        read_cols=[id_col, text_col],
+        sign=SimHashStage(text_col, id_col),
+        build_store=lambda signed, d: build_simhash_sig_store(signed, d, text_col, id_col),
+        store_cols=[id_col, "simhash64"] + [f"chunk_{c}" for c in range(4)],
+        explode=explode,
+        verify=_make_simhash_bucket_pairs_fn(id_col, max_hamming, max_bucket_size),
+        score=("hamming", pa.int64()),
     )
 
 
@@ -317,18 +387,13 @@ def embedding_dedup_checkpointed(
     num_buckets: int = 16,
     fail_after: int | None = None,
 ):
-    """Checkpointed embedding near-dup pair extraction — the same two-level
-    resume contract as the minhash/simhash variants: one manifested
-    hyperplane-signature store (``out_dir/sigs``: id, float32 normalized
-    vector, per-table sigs) reused across runs; pair output partitioned by
-    co-locating sig bucket, each a pure function of the store, skipped on
-    resume; global pair dedup + canonical sort at merge.  Byte-identical
-    resume and parity with streaming ``embedding_near_dup_pairs`` pinned
-    in tests."""
+    """Checkpointed embedding near-dup pair extraction (see
+    :func:`_pair_dedup_checkpointed`): the signature store holds the id,
+    float32 normalized vector and per-table hyperplane sigs, buckets
+    co-locate sig values (``sig % num_buckets``) and pairs are
+    cosine-verified.  Parity with streaming ``embedding_near_dup_pairs`` is
+    pinned in tests."""
     import numpy as np
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import ray.data as rd
 
     from rayhll.pipelines.dedup import (
         HyperplaneStage,
@@ -336,7 +401,6 @@ def embedding_dedup_checkpointed(
         build_embedding_sig_store,
     )
 
-    sig_store_dir = os.path.join(out_dir, "sigs")
     params = {
         "threshold": threshold,
         "dim": dim,
@@ -350,72 +414,34 @@ def embedding_dedup_checkpointed(
         "inputs": sorted(input_files),
     }
 
-    def ensure_store() -> None:
-        ds = rd.read_parquet(sorted(input_files), columns=[id_col, vec_col])
-        signed = ds.map_batches(
-            HyperplaneStage(vec_col, id_col, dim, num_planes, num_tables),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        build_embedding_sig_store(
-            signed, sig_store_dir, vec_col, id_col, dim, num_planes, num_tables
-        )
-
-    sig_cols = [f"sig_{t}" for t in range(num_tables)]
-    kernel = _make_embedding_bucket_pairs_fn(
-        id_col, threshold, max_bucket_size, verify_block
-    )
-
-    def partial_fn(bucket: int) -> pa.Table:
-        def explode_filter(batch: pa.Table) -> pa.Table:
-            parts = []
-            for t in range(num_tables):
-                sig = batch.column(f"sig_{t}").to_numpy()
-                keep = (sig.view(np.uint64) % np.uint64(num_buckets)) == bucket
-                mask = pa.array(keep)
-                parts.append(
-                    pa.table(
-                        {
-                            "sig": batch.column(f"sig_{t}").filter(mask),
-                            id_col: batch.column(id_col).filter(mask),
-                            "norm_vec": batch.column("norm_vec").filter(mask),
-                        }
-                    )
+    def explode(batch: pa.Table, bucket: int) -> pa.Table:
+        parts = []
+        for t in range(num_tables):
+            sig = batch.column(f"sig_{t}")
+            mask = pa.array((sig.to_numpy().view(np.uint64) % np.uint64(num_buckets)) == bucket)
+            parts.append(
+                pa.table(
+                    {
+                        "sig": sig.filter(mask),
+                        id_col: batch.column(id_col).filter(mask),
+                        "norm_vec": batch.column("norm_vec").filter(mask),
+                    }
                 )
-            return pa.concat_tables(parts)
-
-        signed = rd.read_parquet(
-            sig_store_dir, columns=[id_col, "norm_vec"] + sig_cols
-        )
-        rows = signed.map_batches(explode_filter, batch_format="pyarrow")
-        tbl = pa.concat_tables(rows.iter_batches(batch_format="pyarrow", batch_size=None))
-        if len(tbl) == 0:
-            return pa.table(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                    "cosine": pa.array([], type=pa.float64()),
-                }
             )
-        return kernel(tbl.combine_chunks())
+        return pa.concat_tables(parts)
 
-    def merge_fn(paths: list[str]) -> pa.Table:
-        import polars as pl
-
-        all_pairs = pa.concat_tables([pq.read_table(p) for p in paths])
-        if len(all_pairs) == 0:
-            return all_pairs
-        return (
-            pl.from_arrow(all_pairs)
-            .unique(subset=["id_a", "id_b"])
-            .sort(["id_a", "id_b"])
-            .to_arrow()
-        )
-
-    ensure_store()
-    inputs = {f"b{b:04d}": b for b in range(num_buckets)}
-    return run_checkpointed(
-        out_dir, inputs, partial_fn, merge_fn, settings_obj=params, fail_after=fail_after
+    kernel = _make_embedding_bucket_pairs_fn(id_col, threshold, max_bucket_size, verify_block)
+    return _pair_dedup_checkpointed(
+        input_files, out_dir, params, fail_after,
+        read_cols=[id_col, vec_col],
+        sign=HyperplaneStage(vec_col, id_col, dim, num_planes, num_tables),
+        build_store=lambda signed, d: build_embedding_sig_store(
+            signed, d, vec_col, id_col, dim, num_planes, num_tables
+        ),
+        store_cols=[id_col, "norm_vec"] + [f"sig_{t}" for t in range(num_tables)],
+        explode=explode,
+        verify=lambda rows: kernel(rows.combine_chunks()),
+        score=("cosine", pa.float64()),
     )
 
 
@@ -434,31 +460,21 @@ def minhash_dedup_checkpointed(
     verify_text_hash: bool = False,
     fail_after: int | None = None,
 ):
-    """Checkpointed MinHash+LSH near-dup pair extraction (VERDICT r2 item 7).
+    """Checkpointed MinHash+LSH near-dup pair extraction (see
+    :func:`_pair_dedup_checkpointed`): buckets co-locate band keys
+    (``band_key % num_buckets``) and candidate pairs are verified against
+    the stored signatures.
 
-    Two-level resume:
-
-    * the SIGNATURE pass (the expensive leg) runs once into a parquet
-      store under ``out_dir/sigs`` and is reused across runs via its
-      parameter manifest (``build_minhash_sig_store``);
-    * the PAIR output is partitioned by co-locating band bucket
-      (``band_key % num_buckets``): each bucket's verified pairs are an
-      independent pure function of the store, written atomically and
-      skipped on resume — a crash mid-run re-runs only unfinished buckets.
-
-    Merge = global pair dedup (the same pair can surface from several band
-    buckets) + canonical (id_a, id_b) sort, so the final pair set is
-    byte-identical no matter where a previous run died.  Verification
-    truncates signature slots exactly like the streaming variants
-    (``sig_slot_bytes``), so the pair set matches ``minhash_lsh_pairs`` on
-    the same input.  ``verify_text_hash=True`` additionally requires the
-    64-bit text hashes to match (the exact-dedup shape at
-    ``threshold=1.0`` — same contract as the streaming variant): the sig
-    store then carries a ``texthash`` column, keyed in its manifest."""
+    Verification truncates signature slots exactly like the streaming
+    variants (``sig_slot_bytes``), so the pair set matches
+    ``minhash_lsh_pairs`` on the same input.  ``verify_text_hash=True``
+    additionally requires the 64-bit text hashes to match (the exact-dedup
+    shape at ``threshold=1.0`` — same contract as the streaming variant):
+    the sig store then carries a ``texthash`` column, keyed in its
+    manifest."""
     import numpy as np
-    import pyarrow as pa
+    import polars as pl
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from rayhll.pipelines.dedup import (
@@ -483,65 +499,34 @@ def minhash_dedup_checkpointed(
         "id_col": id_col,
         "inputs": sorted(input_files),
     }
-
-    def ensure_store() -> None:
-        ds = rd.read_parquet(sorted(input_files), columns=[id_col, text_col])
-        stage = MinHashStage(
-            text_col, id_col, num_perm, num_bands, gram,
-            emit_texthash=verify_text_hash,
-        )
-        signed = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
-        build_minhash_sig_store(
-            signed, sig_store_dir, text_col, id_col, num_perm, num_bands, gram,
-            texthash=verify_text_hash,
-        )
-
-    band_cols = [f"band_{b}" for b in range(num_bands)]
     slot = np.dtype(f"<u{sig_slot_bytes}")
+    candidate_pairs = _make_candidate_pairs_fn("band_key", id_col, max_bucket_size)
 
-    def partial_fn(bucket: int) -> pa.Table:
-        empty = pa.table(
+    def explode(batch: pa.Table, bucket: int) -> pa.Table:
+        band_key = np.concatenate(
+            [
+                splitmix64(batch.column(f"band_{b}").to_numpy().view(np.uint64) ^ np.uint64(b + 1))
+                .view(np.int64)
+                for b in range(num_bands)
+            ]
+        )
+        keep = (band_key.view(np.uint64) % np.uint64(num_buckets)) == bucket
+        return pa.table(
             {
-                "id_a": pa.array([], type=pa.int64()),
-                "id_b": pa.array([], type=pa.int64()),
-                "jaccard": pa.array([], type=pa.float64()),
+                "band_key": pa.array(band_key[keep], type=pa.int64()),
+                id_col: pa.array(
+                    np.tile(batch.column(id_col).to_numpy(), num_bands)[keep], type=pa.int64()
+                ),
             }
         )
 
-        def explode_filter(batch: pa.Table) -> pa.Table:
-            keys, ids = [], []
-            for b in range(num_bands):
-                bh = batch.column(f"band_{b}").to_numpy()
-                keys.append(
-                    splitmix64(bh.view(np.uint64) ^ np.uint64(b + 1)).view(np.int64)
-                )
-                ids.append(batch.column(id_col).to_numpy())
-            band_key = np.concatenate(keys)
-            keep = (band_key.view(np.uint64) % np.uint64(num_buckets)) == bucket
-            return pa.table(
-                {
-                    "band_key": pa.array(band_key[keep], type=pa.int64()),
-                    id_col: pa.array(np.concatenate(ids)[keep], type=pa.int64()),
-                }
-            )
-
-        signed = rd.read_parquet(sig_store_dir, columns=[id_col] + band_cols)
-        rows = signed.map_batches(explode_filter, batch_format="pyarrow")
-        tbl = pa.concat_tables(
-            rows.iter_batches(batch_format="pyarrow", batch_size=None)
-        )
-        if len(tbl) == 0:
-            return empty
-        cand = _make_candidate_pairs_fn("band_key", id_col, max_bucket_size)(tbl)
+    def verify(rows: pa.Table) -> pa.Table:
+        cand = candidate_pairs(rows)
         if len(cand) == 0:
-            return empty
-        import polars as pl
-
+            return cand.append_column("jaccard", pa.array([], type=pa.float64()))
         cand = pl.from_arrow(cand).unique(subset=["id_a", "id_b"]).to_arrow()
         ids_needed = pa.array(
-            np.union1d(
-                cand.column("id_a").to_numpy(), cand.column("id_b").to_numpy()
-            ),
+            np.union1d(cand.column("id_a").to_numpy(), cand.column("id_b").to_numpy()),
             type=pa.int64(),
         )
         sig_cols = [id_col, "signature"] + (["texthash"] if verify_text_hash else [])
@@ -570,21 +555,17 @@ def minhash_dedup_checkpointed(
             }
         )
 
-    def merge_fn(paths: list[str]) -> pa.Table:
-        import polars as pl
-
-        all_pairs = pa.concat_tables([pq.read_table(p) for p in paths])
-        if len(all_pairs) == 0:
-            return all_pairs
-        return (
-            pl.from_arrow(all_pairs)
-            .unique(subset=["id_a", "id_b"])
-            .sort(["id_a", "id_b"])
-            .to_arrow()
-        )
-
-    ensure_store()
-    inputs = {f"b{b:04d}": b for b in range(num_buckets)}
-    return run_checkpointed(
-        out_dir, inputs, partial_fn, merge_fn, settings_obj=params, fail_after=fail_after
+    return _pair_dedup_checkpointed(
+        input_files, out_dir, params, fail_after,
+        read_cols=[id_col, text_col],
+        sign=MinHashStage(
+            text_col, id_col, num_perm, num_bands, gram, emit_texthash=verify_text_hash
+        ),
+        build_store=lambda signed, d: build_minhash_sig_store(
+            signed, d, text_col, id_col, num_perm, num_bands, gram, texthash=verify_text_hash
+        ),
+        store_cols=[id_col] + [f"band_{b}" for b in range(num_bands)],
+        explode=explode,
+        verify=verify,
+        score=("jaccard", pa.float64()),
     )

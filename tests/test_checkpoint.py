@@ -80,6 +80,79 @@ def test_manifest_atomicity(tmp_path):
     assert m2.pending() == ["p2"]
 
 
+def _mtimes(root: str) -> dict[str, float]:
+    return {
+        os.path.relpath(os.path.join(d, f), root): os.path.getmtime(os.path.join(d, f))
+        for d, _, names in os.walk(root)
+        for f in names
+    }
+
+
+def _flagship_case(code_files, out):
+    from rayhll.core.settings import HllSettings
+
+    return lambda v: flagship_checkpointed(code_files, out, HllSettings(11 + v, 5))
+
+
+def _components_case(code_files, out):
+    import ray.data as rd
+
+    from rayhll.pipelines.components import connected_components_checkpointed
+
+    pairs = rd.from_arrow(
+        pa.table({"id_a": pa.array([1, 2, 5, 7, 8]), "id_b": pa.array([2, 3, 6, 8, 9])})
+    )
+    return lambda v: connected_components_checkpointed(pairs, out, num_buckets=4 + 4 * v)
+
+
+def _write_shards_case(code_files, out):
+    import ray.data as rd
+
+    from rayhll.pipelines.shuffle import shuffle_manifest, write_shards
+
+    corpus = rd.from_arrow(
+        pa.table({"doc_id": pa.array(range(60)), "text": [f"doc {i}" for i in range(60)]})
+    ).repartition(3)
+    # same corpus and shard count, another seed: another permutation
+    manifests = [shuffle_manifest(corpus, seed=s, num_shards=4).materialize() for s in (5, 6)]
+    return lambda v: write_shards(corpus, manifests[v], out)
+
+
+def _sig_store_case(code_files, out):
+    import ray.data as rd
+
+    from rayhll.pipelines.dedup import MinHashStage, build_minhash_sig_store
+
+    docs = rd.from_arrow(
+        pa.table({"doc_id": pa.array(range(40)), "text": [f"doc text {i % 10}" for i in range(40)]})
+    )
+
+    def run(v):
+        signed = docs.map_batches(MinHashStage("text", "doc_id", 64, 16, 3), batch_format="pyarrow")
+        build_minhash_sig_store(signed, out, "text", "doc_id", 64, 16, 3 + 2 * v)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "case", [_flagship_case, _components_case, _write_shards_case, _sig_store_case]
+)
+def test_resume_contract(ray_session, code_files, tmp_path, case):
+    """Every resumable operator keeps the one state.checkpoint contract: an
+    identical rerun under the same out_dir skips everything (writes no
+    file), and changed settings raise ValueError instead of mixing two
+    runs' output."""
+    out = str(tmp_path / "out")
+    run = case(code_files, out)
+    run(0)
+    before = _mtimes(out)
+    run(0)
+    assert _mtimes(out) == before
+    with pytest.raises(ValueError, match="settings"):
+        run(1)
+    assert _mtimes(out) == before
+
+
 @pytest.fixture()
 def dup_docs_file(tmp_path):
     """Documents with injected exact+near duplicates for dedup checkpointing."""
@@ -301,3 +374,34 @@ def test_embedding_checkpointed_crash_resume_and_streaming_parity(
         got[["id_a", "id_b"]].values.tolist()
         == stream[["id_a", "id_b"]].values.tolist()
     )
+
+
+def test_sig_store_build_interrupted_before_manifest(ray_session, dup_docs_file, tmp_path):
+    """A signature-store build that dies after its parquet landed and before
+    its _MANIFEST.json did is rebuilt by the rerun (it is not mistaken for
+    a foreign manifest-less store), and the pairs match a clean run."""
+    import ray.data as rd
+
+    from rayhll.pipelines.dedup import MinHashStage, build_minhash_sig_store
+    from rayhll.state.checkpoint import minhash_dedup_checkpointed
+
+    class CrashAfterWrite:
+        def __init__(self, ds):
+            self.ds = ds
+
+        def write_parquet(self, path):
+            self.ds.write_parquet(path)
+            raise RuntimeError("simulated crash")
+
+    clean = minhash_dedup_checkpointed([dup_docs_file], str(tmp_path / "clean"), num_buckets=8)
+
+    crash_dir = str(tmp_path / "crash")
+    signed = rd.read_parquet(dup_docs_file, columns=["doc_id", "text"]).map_batches(
+        MinHashStage("text", "doc_id", 128, 32, 3), batch_format="pyarrow"
+    )
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        build_minhash_sig_store(
+            CrashAfterWrite(signed), os.path.join(crash_dir, "sigs"), "text", "doc_id", 128, 32, 3
+        )
+    resumed = minhash_dedup_checkpointed([dup_docs_file], crash_dir, num_buckets=8)
+    assert resumed.equals(clean)

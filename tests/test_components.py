@@ -220,6 +220,21 @@ def test_keep_representatives(ray_session, method):
             keep_representatives(corpus, comps, method="broadcast", max_ids=1)
 
 
+def test_keep_representatives_broadcast_rejects_null_ids(ray_session):
+    """A null corpus id on the broadcast path raises instead of turning the
+    id column float64 (null rows kept silently, ids above 2**53 rounded)."""
+    big = 2**53 + 1
+    corpus = rd.from_arrow(
+        pa.table({"doc_id": pa.array([1, 2, big, None], type=pa.int64())})
+    )
+    comps = connected_components(_pairs_ds([(1, 2), (big - 1, big)]), method="driver")
+    with pytest.raises(Exception, match="null ids"):
+        keep_representatives(corpus, comps, method="broadcast").to_pandas()
+    non_null = rd.from_arrow(pa.table({"doc_id": pa.array([1, 2, big], type=pa.int64())}))
+    kept = keep_representatives(non_null, comps, method="broadcast").to_pandas()
+    assert kept["doc_id"].tolist() == [1]
+
+
 def test_composition_equals_exact_dedup(ray_session):
     """Cross-validation of two INDEPENDENT 'keep one per duplicate group'
     implementations: exact-duplicate pairs -> connected_components ->

@@ -75,6 +75,13 @@ def test_conservation_and_validation(ray_session):
         pack_sequences(rd.from_items([{"doc_id": 1, "text": "x"}]), 0)
 
 
+def test_negative_weight_raises(ray_session):
+    """One negative weight would shift every later tok_start: refused."""
+    rows = [{"doc_id": i, "w": w} for i, w in enumerate([3, -1, 4])]
+    with pytest.raises(ValueError, match="weight_col 'w'"):
+        _manifest(rows, 4, weight_col="w")
+
+
 def test_duckdb_mirror(ray_session):
     rng = np.random.default_rng(9)
     rows = [

@@ -111,6 +111,14 @@ def test_methods_and_sharding_agree(ray_session):
     assert _spans(ds, method="join", num_buckets=7) == base
 
 
+@pytest.mark.parametrize("method", ["broadcast", "join"])
+def test_string_ids_rejected_at_entry(ray_session, method):
+    """One id contract for both methods: integer ids, checked up front."""
+    ds = _corpus([{"doc_id": f"d{i}", "text": SHARED} for i in range(3)])
+    with pytest.raises(ValueError, match="'doc_id' must be an integer"):
+        duplicate_spans(ds, gram=GRAM, method=method)
+
+
 def test_broadcast_cap_raises(ray_session):
     ds = _corpus(_template_corpus(60))
     with pytest.raises(ValueError, match="method='join'"):
