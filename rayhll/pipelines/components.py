@@ -666,28 +666,27 @@ def connected_components_checkpointed(
 
     import ray.data as rd
 
-    from rayhll.state.checkpoint import atomic_write, check_fingerprint, settings_fingerprint
+    from rayhll.state import checkpoint
 
     if hot_degree_threshold is not None and hot_degree_threshold < 1:
         raise ValueError("hot_degree_threshold must be >= 1")
     manifest_path = os.path.join(out_dir, "cc_manifest.json")
-    fingerprint = {
-        "settings_hash": settings_fingerprint(
-            ("cc-v1", left_col, right_col, out_node_col, out_comp_col, hot_degree_threshold)
-        )
-    }
-    if num_buckets is not None:
-        fingerprint["num_buckets"] = num_buckets
-    man = check_fingerprint(
-        manifest_path, fingerprint, f"connected_components_checkpointed: {out_dir}"
+    if num_buckets is None:  # a resumed run keeps the fanout it started with
+        num_buckets = (checkpoint.read_record(manifest_path) or {}).get("num_buckets")
+    num_buckets = resolve_num_buckets(
+        pairs, num_buckets, rows_per_input_row=2.0, approx_rows=approx_edges
     )
-    if "num_buckets" not in man:
-        man["num_buckets"] = resolve_num_buckets(
-            pairs, None, rows_per_input_row=2.0, approx_rows=approx_edges
-        )
+    settings = ("cc-v1", left_col, right_col, out_node_col, out_comp_col, hot_degree_threshold)
+    fingerprint = {
+        "settings_hash": checkpoint.settings_fingerprint(settings), "num_buckets": num_buckets
+    }
+    # recorded with round 0: a run that dies before it claims nothing
+    man = checkpoint.check_fingerprint(
+        manifest_path, fingerprint, f"connected_components_checkpointed: {out_dir}",
+        progress=("rounds", "converged"), record=False,
+    )
     man.setdefault("rounds", [])
     man.setdefault("converged", False)
-    num_buckets = man["num_buckets"]
 
     def _round_dir(i: int) -> str:
         return os.path.join(out_dir, f"round-{i:04d}")
@@ -721,10 +720,10 @@ def connected_components_checkpointed(
         edges = pairs.map_batches(
             normalize, batch_format="pyarrow", zero_copy_batch=True, batch_size=None
         ).materialize()
-        atomic_write(_round_dir(0), edges)
+        checkpoint.atomic_write(_round_dir(0), edges)
         n, ck = _edge_stats(edges)
         man["rounds"].append({"round": 0, "n": n, "ck": ck})
-        atomic_write(manifest_path, man)
+        checkpoint.atomic_write(manifest_path, man)
     else:
         edges = rd.read_parquet(_round_dir(man["rounds"][-1]["round"])).materialize()
 
@@ -742,11 +741,11 @@ def connected_components_checkpointed(
                 "with a higher max_rounds to continue"
             )
         edges = _one_round(edges, num_buckets, hot_degree_threshold, round_stats)
-        atomic_write(_round_dir(r), edges)
+        checkpoint.atomic_write(_round_dir(r), edges)
         n, ck = _edge_stats(edges)
         prev = man["rounds"][-1]
         man["rounds"].append({"round": r, "n": n, "ck": ck})
-        atomic_write(manifest_path, man)
+        checkpoint.atomic_write(manifest_path, man)
         stale = _round_dir(r - 2)
         if r >= 2 and os.path.exists(stale):
             shutil.rmtree(stale)
@@ -754,9 +753,9 @@ def connected_components_checkpointed(
             break
 
     labels = _emit_labels(edges, num_buckets, out_node_col, out_comp_col)
-    atomic_write(result_dir, labels)
+    checkpoint.atomic_write(result_dir, labels)
     man["converged"] = True
-    atomic_write(manifest_path, man)
+    checkpoint.atomic_write(manifest_path, man)
     if stats_out is not None:
         stats_out["rounds"] = len(man["rounds"]) - 1
         stats_out["hot_nodes"] = round_stats.get("hot_nodes", 0)

@@ -149,10 +149,6 @@ class MinHashStage:
         return pa.table(out)
 
 
-def _sig_from_bytes(blob: bytes) -> np.ndarray:
-    return np.frombuffer(blob, dtype="<u8").astype(np.uint64)
-
-
 def _binary_fixed_matrix(col, width: int, dtype: str = "<u8") -> np.ndarray:
     """Zero-copy decode of a fixed-length binary column into a
     (n, width) matrix of ``dtype`` straight from the Arrow buffers.

@@ -37,7 +37,6 @@ builder-brief training-data-pipeline requirement (epoch shuffling).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 
 import numpy as np
@@ -158,31 +157,39 @@ def shuffle_manifest(
     )
 
 
-def _manifest_digest(manifest, id_col: str) -> dict:
+def _manifest_digest(manifest, id_col: str, finished: np.ndarray) -> tuple[dict, int]:
     """What :func:`write_shards` output is a function of: the shuffle
-    manifest's row count and an order-free 64-bit sum of mixed
-    ``(id, rank)`` pairs.  Integer ids mix in directly, other ids
-    through sha256 (as the permutation key itself does)."""
+    manifest's row count and an order-free 64-bit sum of its mixed
+    ``(id, rank, shard, pos)`` rows — ``shard``/``pos`` carry
+    ``num_shards``, which ``rank`` alone does not.  Integer ids mix in
+    directly, other ids through sha256 (as the permutation key itself
+    does).  The same pass counts the rows of shards not in ``finished``,
+    the ones a resume still has to write."""
     from rayhll.functions.hashing import sha256_raw64, splitmix64
 
     def digest(t: pa.Table) -> pa.Table:
         ids = t.column(id_col)
         h = ids.to_numpy().astype(np.int64) if pa.types.is_integer(ids.type) else sha256_raw64(ids)
-        mixed = splitmix64(h.view(np.uint64) ^ splitmix64(t.column("rank").to_numpy()))
+        mixed = h.view(np.uint64)
+        for col in ("rank", "shard", "pos"):
+            mixed = splitmix64(mixed ^ t.column(col).to_numpy().view(np.uint64))
+        pending = ~np.isin(t.column("shard").to_numpy(), finished)
         return pa.table(
             {
                 "_rows": [t.num_rows],
                 "_sum": pa.array([mixed.sum(dtype=np.uint64)], type=pa.uint64()),
+                "_pending": [int(pending.sum())],
             }
         )
 
-    rows = total = 0
+    rows = total = pending = 0
     parts = manifest.map_batches(digest, batch_format="pyarrow", batch_size=None)
     for t in parts.iter_batches(batch_format="pyarrow", batch_size=None):
         if "_rows" in t.column_names:  # empty blocks pass through unmapped
             rows += sum(t.column("_rows").to_pylist())
             total += sum(t.column("_sum").to_pylist())
-    return {"id_col": id_col, "rows": rows, "digest": f"{total % 2**64:016x}"}
+            pending += sum(t.column("_pending").to_pylist())
+    return {"id_col": id_col, "rows": rows, "digest": f"{total % 2**64:016x}"}, pending
 
 
 def write_shards(
@@ -201,10 +208,11 @@ def write_shards(
     Resume (the ``state.checkpoint`` contract): each shard file is written
     temp-and-rename, then its ``shard-NNNNN.done.json`` receipt; a rerun
     skips every shard with a receipt.  ``_MANIFEST.json`` records a digest
-    of ``manifest`` (row count, order-free hash of its ``(id, rank)``
-    pairs); a rerun under the same ``out_dir`` with another
+    of ``manifest`` (row count, order-free hash of its ``(id, rank, shard,
+    pos)`` rows); a rerun under the same ``out_dir`` with another
     manifest (a new seed, ``num_shards`` or corpus) raises ``ValueError``
-    instead of mixing two permutations.
+    instead of mixing two permutations.  ``manifest`` is materialized
+    once, for the digest, the resume filter and the join.
 
     Shape: ONE bucketed equi-join attaches (rank, shard, pos) to the
     corpus, then a shard-keyed groupby sorts each shard locally by
@@ -219,26 +227,15 @@ def write_shards(
     import ray.data as rd
 
     from rayhll.functions.join import bucket_equi_join
-    from rayhll.state.checkpoint import atomic_write, check_fingerprint
-
-    check_fingerprint(
-        os.path.join(out_dir, "_MANIFEST.json"),
-        _manifest_digest(manifest, id_col),
-        f"write_shards output {out_dir}",
-    )
+    from rayhll.state.checkpoint import atomic_write, check_fingerprint, read_record
 
     def _load_done() -> dict[int, dict]:
         # the per-shard .done.json receipts ARE the resume state: each is
         # written atomically by the worker AFTER its parquet landed, so a
         # crashed run's finished shards survive with no global state file
         # to lose
-        out: dict[int, dict] = {}
-        for name in os.listdir(out_dir):
-            if name.endswith(".done.json"):
-                with open(os.path.join(out_dir, name)) as f:
-                    r = json.load(f)
-                out[int(r["shard"])] = r
-        return out
+        names = [n for n in os.listdir(out_dir) if n.endswith(".done.json")]
+        return {int(r["shard"]): r for r in (read_record(os.path.join(out_dir, n)) for n in names)}
 
     def _receipt_table(done: dict[int, dict]) -> pa.Table:
         rows = [
@@ -253,21 +250,28 @@ def write_shards(
         ]
         return pa.Table.from_pylist(rows)
 
+    os.makedirs(out_dir, exist_ok=True)
     done = _load_done()
+    finished = np.fromiter(sorted(done), dtype=np.int64)
+    # one pass over the compact manifest both fingerprints it and counts
+    # what is left to write — a fully-finished rerun must not shuffle the
+    # corpus at all
+    manifest = manifest.materialize()
+    fingerprint, pending = _manifest_digest(manifest, id_col, finished)
+    check_fingerprint(
+        os.path.join(out_dir, "_MANIFEST.json"), fingerprint, f"write_shards output {out_dir}"
+    )
     if done:
-        # true partition resume: drop finished shards' manifest rows
-        # BEFORE the join, so their corpus rows never enter the exchange.
-        # The count() executes only the compact manifest projection — a
-        # fully-finished rerun must not shuffle the corpus at all.
-        finished = np.fromiter(sorted(done), dtype=np.int64)
+        if pending == 0:
+            return rd.from_arrow(_receipt_table(done))
 
+        # true partition resume: drop finished shards' manifest rows
+        # BEFORE the join, so their corpus rows never enter the exchange
         def pending_only(t: pa.Table) -> pa.Table:
             keep = ~np.isin(t.column("shard").to_numpy(), finished)
             return t.filter(pa.array(keep))
 
         manifest = manifest.map_batches(pending_only, batch_format="pyarrow")
-        if manifest.count() == 0:
-            return rd.from_arrow(_receipt_table(done))
 
     joined = bucket_equi_join(ds, manifest, on=id_col, num_buckets=num_buckets)
 

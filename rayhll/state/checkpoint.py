@@ -8,7 +8,8 @@ The contract, shared by all four on-disk layouts below:
   ``<path>.tmp`` and renamed into place, so a crash leaves the whole unit
   or none of it; the next write removes a stale ``.tmp``;
 * **fingerprint** (:func:`check_fingerprint`) — the settings that
-  determine a run's output are recorded once next to it; a rerun under the
+  determine a run's output are recorded once next to it and compared whole
+  (every recorded key but the run's progress); a rerun under the
   same directory with different settings raises ``ValueError`` instead of
   mixing two runs' units;
 * **receipts** — a unit's done-receipt is written only after the unit's
@@ -21,7 +22,8 @@ The four layouts::
 
     run_checkpointed (flagship_checkpointed, *_dedup_checkpointed):
       manifest.json                fingerprint (settings_hash) + per-partition
-                                   status / attempts — the receipts
+                                   status / attempts — the receipts — + result:
+                                   the partition ids result.parquet merges
       partials/part-<id>.parquet   one file per completed partition
       metrics/part-<id>.json       partition, rows_out, bytes_out, wall_s, attempts
       result/result.parquet        final merged output
@@ -34,6 +36,7 @@ The four layouts::
 
     pipelines.shuffle.write_shards:
       _MANIFEST.json               fingerprint: digest of the shuffle manifest
+                                   (its id, rank, shard, pos rows)
       shard-NNNNN.parquet          one shard's rows in permutation order
       shard-NNNNN.done.json        its receipt (shard, n_rows, pos_contiguous,
                                    first, last)
@@ -101,25 +104,34 @@ def atomic_write(path: str, data, manifest: dict | None = None) -> int:
     return 0 if os.path.isdir(path) else os.path.getsize(path)
 
 
-def check_fingerprint(path: str, fingerprint: dict, what: str) -> dict:
-    """Resume guard: the JSON record at ``path`` names the settings its
-    directory's output was built with.  If it exists, each key of
-    ``fingerprint`` must equal the record's, else ``ValueError`` — resuming
-    would silently mix two runs.  If not, ``fingerprint`` is recorded.
-    Returns the record (which may also hold the run's progress)."""
+def read_record(path: str) -> dict | None:
+    """The JSON record at ``path``, or None if there is none yet."""
     if not os.path.exists(path):
-        atomic_write(path, fingerprint)
-        return dict(fingerprint)
+        return None
     with open(path) as f:
-        record = json.load(f)
-    found = {k: record.get(k) for k in fingerprint}
-    if found != fingerprint:
+        return json.load(f)
+
+
+def check_fingerprint(path: str, fingerprint: dict, what: str, progress=(), record=True) -> dict:
+    """Resume guard: the JSON record at ``path`` names the settings its
+    directory's output was built with, next to the run's ``progress`` keys.
+    If it exists, everything in it except ``progress`` must equal
+    ``fingerprint``, else ``ValueError`` — resuming would silently mix two
+    runs.  If not, ``fingerprint`` is recorded, unless ``record=False``
+    (the caller commits it with its first unit).  Returns the record."""
+    found = read_record(path)
+    if found is None:
+        if record:
+            atomic_write(path, fingerprint)
+        return dict(fingerprint)
+    settings = {k: v for k, v in found.items() if k not in progress}
+    if settings != fingerprint:
         raise ValueError(
             f"settings mismatch: {what} holds a run with different settings — "
-            f"it was built with {found}, but this run needs {fingerprint}; use "
+            f"it was built with {settings}, but this run needs {fingerprint}; use "
             "a fresh directory, or delete it to rebuild"
         )
-    return record
+    return found
 
 
 @dataclass
@@ -127,6 +139,7 @@ class Manifest:
     out_dir: str
     settings_hash: str = ""
     partitions: dict[str, dict] = field(default_factory=dict)
+    result: list[str] | None = None  # partition ids result/result.parquet merges
 
     @property
     def path(self) -> str:
@@ -135,10 +148,10 @@ class Manifest:
     @classmethod
     def load_or_create(cls, out_dir: str, settings_hash: str, partition_ids: list[str]) -> "Manifest":
         m = cls(out_dir=out_dir, settings_hash=settings_hash)
-        record = check_fingerprint(
-            m.path, {"settings_hash": settings_hash}, f"checkpoint {out_dir}"
-        )
+        fingerprint, progress = {"settings_hash": settings_hash}, ("partitions", "result")
+        record = check_fingerprint(m.path, fingerprint, f"checkpoint {out_dir}", progress)
         m.partitions = record.get("partitions", {})
+        m.result = record.get("result")
         new = [pid for pid in partition_ids if pid not in m.partitions]
         if new:
             m.partitions.update({pid: {"status": "pending"} for pid in new})
@@ -146,13 +159,18 @@ class Manifest:
         return m
 
     def flush(self) -> None:
-        atomic_write(self.path, {"settings_hash": self.settings_hash, "partitions": self.partitions})
+        record = {"settings_hash": self.settings_hash, "partitions": self.partitions}
+        atomic_write(self.path, {**record, "result": self.result})
 
     def pending(self) -> list[str]:
         return [p for p, st in self.partitions.items() if st.get("status") != "done"]
 
     def mark_done(self, pid: str, **metrics) -> None:
         self.partitions[pid] = {"status": "done", **metrics}
+        self.flush()
+
+    def mark_result(self, pids: list[str] | None) -> None:
+        self.result = pids
         self.flush()
 
 
@@ -167,9 +185,11 @@ def run_checkpointed(
     """Run ``partial_fn(partition_input) -> pyarrow.Table`` per pending
     partition (each written atomically, then its metrics, then its manifest
     receipt), then ``merge_fn(list_of_partial_paths) -> pyarrow.Table`` over
-    ALL partials, written to ``result/result.parquet``.  A rerun that finds
-    every partition done and the result written returns the stored result.
-    Returns the final table.
+    ALL partials, written to ``result/result.parquet``.  The manifest's
+    ``result`` key names the partitions that file merges (cleared before
+    the file is replaced, set after it lands); a rerun over exactly those
+    partitions returns the stored result and writes nothing.  Returns the
+    final table.
 
     :param fail_after: test hook — raise after N partitions complete, to
         simulate a crash for resume testing.
@@ -177,6 +197,8 @@ def run_checkpointed(
     pids = sorted(partition_inputs)
     manifest = Manifest.load_or_create(out_dir, settings_fingerprint(settings_obj), pids)
     result_path = os.path.join(out_dir, "result", "result.parquet")
+    if manifest.result == pids and os.path.exists(result_path):
+        return pq.read_table(result_path)
 
     completed_now = 0
     for pid in pids:
@@ -199,10 +221,11 @@ def run_checkpointed(
         if fail_after is not None and completed_now >= fail_after:
             raise RuntimeError(f"simulated crash after {completed_now} partitions")
 
-    if completed_now == 0 and os.path.exists(result_path):
-        return pq.read_table(result_path)
     final = merge_fn([os.path.join(out_dir, "partials", f"part-{pid}.parquet") for pid in pids])
+    if manifest.result is not None:
+        manifest.mark_result(None)
     atomic_write(result_path, final)
+    manifest.mark_result(pids)
     return final
 
 
@@ -217,12 +240,11 @@ def flagship_checkpointed(
     the settings and the input file list (partition ids index it)."""
     import ray.data as rd
 
+    from rayhll.core.settings import HllSettings
     from rayhll.pipelines import distinct
     from rayhll.stages import build as bs
 
-    settings = settings or __import__(
-        "rayhll.core.settings", fromlist=["HllSettings"]
-    ).HllSettings(11, 5)
+    settings = settings or HllSettings(11, 5)
 
     def partial_fn(path: str) -> pa.Table:
         ds = rd.read_parquet(path)
@@ -283,13 +305,8 @@ def _pair_dedup_checkpointed(
         sign, batch_format="pyarrow", zero_copy_batch=True
     )
     build_store(signed, sig_store_dir)
-    empty = pa.table(
-        {
-            "id_a": pa.array([], type=pa.int64()),
-            "id_b": pa.array([], type=pa.int64()),
-            score[0]: pa.array([], type=score[1]),
-        }
-    )
+    empty = pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())})
+    empty = empty.append_column(score[0], pa.array([], score[1]))
 
     def partial_fn(bucket: int) -> pa.Table:
         rows = rd.read_parquet(sig_store_dir, columns=store_cols).map_batches(
@@ -339,14 +356,10 @@ def simhash_dedup_checkpointed(
         build_simhash_sig_store,
     )
 
-    params = {
-        "max_hamming": max_hamming,
-        "max_bucket_size": max_bucket_size,
-        "num_buckets": num_buckets,
-        "text_col": text_col,
-        "id_col": id_col,
-        "inputs": sorted(input_files),
-    }
+    params = dict(
+        max_hamming=max_hamming, max_bucket_size=max_bucket_size, num_buckets=num_buckets,
+        text_col=text_col, id_col=id_col, inputs=sorted(input_files),
+    )
 
     def explode(batch: pa.Table, bucket: int) -> pa.Table:
         key = np.concatenate([batch.column(f"chunk_{c}").to_numpy() for c in range(4)])
@@ -401,18 +414,11 @@ def embedding_dedup_checkpointed(
         build_embedding_sig_store,
     )
 
-    params = {
-        "threshold": threshold,
-        "dim": dim,
-        "num_planes": num_planes,
-        "num_tables": num_tables,
-        "max_bucket_size": max_bucket_size,
-        "verify_block": verify_block,
-        "num_buckets": num_buckets,
-        "vec_col": vec_col,
-        "id_col": id_col,
-        "inputs": sorted(input_files),
-    }
+    params = dict(
+        threshold=threshold, dim=dim, num_planes=num_planes, num_tables=num_tables,
+        max_bucket_size=max_bucket_size, verify_block=verify_block, num_buckets=num_buckets,
+        vec_col=vec_col, id_col=id_col, inputs=sorted(input_files),
+    )
 
     def explode(batch: pa.Table, bucket: int) -> pa.Table:
         parts = []
@@ -486,19 +492,12 @@ def minhash_dedup_checkpointed(
     )
 
     sig_store_dir = os.path.join(out_dir, "sigs")
-    params = {
-        "threshold": threshold,
-        "num_perm": num_perm,
-        "num_bands": num_bands,
-        "gram": gram,
-        "max_bucket_size": max_bucket_size,
-        "num_buckets": num_buckets,
-        "sig_slot_bytes": sig_slot_bytes,
-        "verify_text_hash": verify_text_hash,
-        "text_col": text_col,
-        "id_col": id_col,
-        "inputs": sorted(input_files),
-    }
+    params = dict(
+        threshold=threshold, num_perm=num_perm, num_bands=num_bands, gram=gram,
+        max_bucket_size=max_bucket_size, num_buckets=num_buckets, sig_slot_bytes=sig_slot_bytes,
+        verify_text_hash=verify_text_hash, text_col=text_col, id_col=id_col,
+        inputs=sorted(input_files),
+    )
     slot = np.dtype(f"<u{sig_slot_bytes}")
     candidate_pairs = _make_candidate_pairs_fn("band_key", id_col, max_bucket_size)
 

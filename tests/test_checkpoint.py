@@ -72,6 +72,25 @@ def test_settings_mismatch_refuses(tmp_path):
         )
 
 
+def test_stored_result_covers_exactly_its_partitions(tmp_path):
+    """result/result.parquet is returned only to a rerun over the very
+    partitions it merges; a call over a subset merges that subset."""
+    out = str(tmp_path / "out")
+    inputs = {p: pa.table({"x": [i]}) for i, p in enumerate("abc")}
+
+    def run(pids):
+        return run_checkpointed(
+            out,
+            {p: inputs[p] for p in pids},
+            lambda t: t,
+            lambda ps: pa.concat_tables([pq.read_table(p) for p in ps]),
+        )
+
+    full = run("abc")
+    assert run("ab").column("x").to_pylist() == [0, 1]
+    assert run("abc").equals(full)
+
+
 def test_manifest_atomicity(tmp_path):
     m = Manifest.load_or_create(str(tmp_path), "h", ["p1", "p2"])
     m.mark_done("p1", rows_out=5)
@@ -105,7 +124,7 @@ def _components_case(code_files, out):
     return lambda v: connected_components_checkpointed(pairs, out, num_buckets=4 + 4 * v)
 
 
-def _write_shards_case(code_files, out):
+def _shards_runner(out, settings):
     import ray.data as rd
 
     from rayhll.pipelines.shuffle import shuffle_manifest, write_shards
@@ -113,12 +132,21 @@ def _write_shards_case(code_files, out):
     corpus = rd.from_arrow(
         pa.table({"doc_id": pa.array(range(60)), "text": [f"doc {i}" for i in range(60)]})
     ).repartition(3)
-    # same corpus and shard count, another seed: another permutation
-    manifests = [shuffle_manifest(corpus, seed=s, num_shards=4).materialize() for s in (5, 6)]
+    manifests = [shuffle_manifest(corpus, seed=s, num_shards=n).materialize() for s, n in settings]
     return lambda v: write_shards(corpus, manifests[v], out)
 
 
-def _sig_store_case(code_files, out):
+def _write_shards_case(code_files, out):
+    # same corpus and shard count, another seed: another permutation
+    return _shards_runner(out, [(5, 4), (6, 4)])
+
+
+def _write_shards_num_shards_case(code_files, out):
+    # same seed, so the same rank order, but twice the shards: another layout
+    return _shards_runner(out, [(5, 4), (5, 8)])
+
+
+def _sig_store_runner(out, settings):
     import ray.data as rd
 
     from rayhll.pipelines.dedup import MinHashStage, build_minhash_sig_store
@@ -128,14 +156,33 @@ def _sig_store_case(code_files, out):
     )
 
     def run(v):
-        signed = docs.map_batches(MinHashStage("text", "doc_id", 64, 16, 3), batch_format="pyarrow")
-        build_minhash_sig_store(signed, out, "text", "doc_id", 64, 16, 3 + 2 * v)
+        gram, texthash = settings[v]
+        stage = MinHashStage("text", "doc_id", 64, 16, gram, emit_texthash=texthash)
+        signed = docs.map_batches(stage, batch_format="pyarrow")
+        build_minhash_sig_store(signed, out, "text", "doc_id", 64, 16, gram, texthash=texthash)
 
     return run
 
 
+def _sig_store_case(code_files, out):
+    return _sig_store_runner(out, [(3, False), (5, False)])
+
+
+def _sig_store_texthash_case(code_files, out):
+    # a store with the text-hash column must not serve a run without it
+    return _sig_store_runner(out, [(3, True), (3, False)])
+
+
 @pytest.mark.parametrize(
-    "case", [_flagship_case, _components_case, _write_shards_case, _sig_store_case]
+    "case",
+    [
+        _flagship_case,
+        _components_case,
+        _write_shards_case,
+        _write_shards_num_shards_case,
+        _sig_store_case,
+        _sig_store_texthash_case,
+    ],
 )
 def test_resume_contract(ray_session, code_files, tmp_path, case):
     """Every resumable operator keeps the one state.checkpoint contract: an

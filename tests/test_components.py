@@ -334,6 +334,27 @@ def test_checkpointed_budget_exhaustion_resumes(ray_session, tmp_path):
     assert stats["resumed_from"] >= 1  # continued, not restarted
 
 
+def test_checkpointed_run_dying_before_round0_claims_nothing(ray_session, tmp_path):
+    """A run with an auto-sized fanout that dies before round 0 lands
+    records no settings, so a rerun with an explicit num_buckets starts
+    fresh instead of failing the settings guard; a rerun without one keeps
+    the recorded fanout."""
+    import os
+
+    out = str(tmp_path / "cc_early")
+    bad = rd.from_arrow(pa.table({"id_a": ["x"], "id_b": ["y"]}))
+    with pytest.raises(Exception):
+        connected_components_checkpointed(bad, out)
+    assert not os.path.exists(os.path.join(out, "cc_manifest.json"))
+
+    ds = _pairs_ds([(1, 2), (2, 3), (5, 6)], repartition=2)
+    want = _labels(connected_components(ds, method="driver"))
+    assert _labels(connected_components_checkpointed(ds, out, num_buckets=4)) == want
+    stats = {}
+    assert _labels(connected_components_checkpointed(ds, out, stats_out=stats)) == want
+    assert stats["resumed_from"] == "result"
+
+
 def test_duckdb_recursive_mirror(ray_session):
     """The driver-oracle shape: recursive-CTE closure over the same edge
     table must equal both methods."""
