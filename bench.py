@@ -27,7 +27,7 @@ import time
 os.environ.setdefault("POLARS_MAX_THREADS", "1")  # no oversubscription under Ray
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0)))
 SYNTH_ROWS = int(os.environ.get("RAYHLL_BENCH_SYNTH_ROWS", "4000000"))
 
 

@@ -14,9 +14,12 @@ Stage layout (all Ray-Data-native, streaming):
 2. :class:`MultiKeyBuild` — per batch, per group: three partial sketches
    (content / path / repo+commit) in one pass over the batch; emits one
    fixed-size row per (batch, group).
-3. ``groupby(("repo","lang")).map_groups`` — merges partial sketches per
-   group; the shuffle carries only sketch rows (~4 KiB per group per block),
-   so a pathological repo costs O(#blocks) sketch rows, never O(rows).
+3. ``stages.build.merge_grouped`` (``merge_to_row`` for the global variant)
+   — merges partial sketches per group.  The partials are sketch rows
+   (~4 KiB per group per block), so a pathological repo costs O(#blocks)
+   sketch rows, never O(rows).  Up to one block's worth
+   (``DataContext.target_max_block_size``) they merge in one driver call;
+   beyond that through a ``groupby(_bucket)`` shuffle.
 4. finalize — integer estimates per key.
 """
 
@@ -126,6 +129,8 @@ class MultiKeyBuild:
 
 def _merge_rows(table: pa.Table) -> tuple[list[HllSketch], int]:
     accs: list[HllSketch | None] = [None] * len(KEYS)
+    if not table.num_rows:
+        return accs, 0
     for i, c in enumerate(SKETCH_COLS):
         for blob in table.column(c):
             sk = from_bytes(blob.as_py())
@@ -138,7 +143,7 @@ def _merge_rows(table: pa.Table) -> tuple[list[HllSketch], int]:
 
 
 def merge_partials_block(batch: pa.Table) -> pa.Table:
-    """Tree-merge step for the ungrouped variant."""
+    """Merge step for the ungrouped variant: all rows to one row."""
     accs, rows = _merge_rows(batch)
     cols = {
         c: pa.array([a.to_bytes() if a else b""], type=pa.binary())
@@ -162,11 +167,13 @@ def flagship_grouped(
 
     Returns a Dataset with columns ``repo, lang, est_distinct_content,
     est_distinct_path, est_distinct_repo_commit, rows_in`` (plus the three
-    serialized sketch columns when ``include_sketches``).
+    serialized sketch columns when ``include_sketches``).  The build runs
+    when this is called; partials that fit in one block merge on the driver
+    and the Dataset holds the merged table (``stages.build.merge_grouped``).
 
     ``premerge_batch``: size of the local combiner stage between build and
-    shuffle — partial rows sharing a group hash within each combiner batch
-    merge before the sort, shrinking shuffle ROWS ~2.6× when #groups ≈
+    the shuffle that larger partials take — partial rows sharing a group
+    hash within each combiner batch merge before the sort, shrinking shuffle ROWS ~2.6× when #groups ≈
     build batch size (measured, PERF_NOTES #10) at a measured ~15-18%%
     single-node CPU cost.  ``None`` = cluster-aware AUTO: ON when the live
     Ray cluster spans multiple nodes or $RAYHLL_NETWORK_BOUND is set (the
@@ -200,21 +207,14 @@ def flagship_grouped(
             MultiKeyBuild(settings=settings, grouped=True, num_buckets=num_buckets),
             **kwargs,
         )
-    premerge_batch = build_stage.resolve_premerge_batch(premerge_batch)
-    if premerge_batch:
-        pre = build_stage.make_local_premerge(list(GROUP_COLS), list(SKETCH_COLS))
-        partials = partials.map_batches(
-            pre, batch_format="pyarrow", batch_size=premerge_batch
-        )
     merger = build_stage.make_bucket_merger(
         list(GROUP_COLS),
         list(SKETCH_COLS),
         list(EST_COLS),
         include_sketch=include_sketches,
     )
-    return partials.groupby(build_stage.BUCKET_COL).map_groups(
-        merger, batch_format="pyarrow"
-    )
+    premerge = build_stage.local_premerge(GROUP_COLS, SKETCH_COLS, premerge_batch)
+    return build_stage.merge_grouped(partials, merger, premerge)
 
 
 def flagship_global(
@@ -223,7 +223,10 @@ def flagship_global(
     batch_size: int | None = 262144,
     hash_content: bool = True,
 ) -> pa.Table:
-    """Global distinct estimates for the three keys; one-row Arrow table."""
+    """Global distinct estimates for the three keys; one-row Arrow table
+    (zeros for an empty input).  The partials merge on the driver, after a
+    parallel level-1 merge when they exceed one block
+    (``stages.build.merge_to_row``)."""
     if hash_content:
         ds = ds.map_batches(
             HashStage(), batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
@@ -234,21 +237,14 @@ def flagship_global(
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-    level1 = partials.map_batches(
-        merge_partials_block, batch_format="pyarrow", batch_size=4096
-    )
-    final = level1.repartition(1).map_batches(
-        merge_partials_block, batch_format="pyarrow", batch_size=None
-    )
-    rows = final.take(1)
+    row = build_stage.merge_to_row(partials, merge_partials_block, 4096).to_pylist()[0]
     empty = HllSketch(settings or HllSettings(11, 5))
     cols: dict[str, list] = {}
-    for k, sc, ec in zip(KEYS, SKETCH_COLS, EST_COLS):
-        # empty input produces b"" partial blobs — substitute an EMPTY sketch
-        blob = rows[0][sc] if rows else b""
-        sk = from_bytes(blob) if blob else empty
+    for sc, ec in zip(SKETCH_COLS, EST_COLS):
+        # empty input merges to b"" blobs — substitute an EMPTY sketch
+        sk = from_bytes(row[sc]) if row[sc] else empty
         cols[ec] = [sk.cardinality()]
-    cols["rows_in"] = [rows[0]["rows_in"] if rows else 0]
+    cols["rows_in"] = [row["rows_in"]]
     return pa.table(
         {k: pa.array(v, type=pa.int64()) for k, v in cols.items()}
     )

@@ -93,6 +93,7 @@ def sliding_window_distinct(
         ROWS_COL,
         SKETCH_COL,
         make_bucket_merger,
+        merge_grouped,
     )
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -122,11 +123,8 @@ def sliding_window_distinct(
         return out.append_column(BUCKET_COL, pa.array(bucket, type=pa.int64()))
 
     merger = make_bucket_merger(["window_start"], include_sketch=False)
-    return (
-        steps.map_batches(replicate, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(BUCKET_COL)
-        .map_groups(merger, batch_format="pyarrow")
-    )
+    replicated = steps.map_batches(replicate, batch_format="pyarrow", zero_copy_batch=True)
+    return merge_grouped(replicated, merger)
 
 
 def tumbling_window_family(

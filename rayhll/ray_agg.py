@@ -3,15 +3,21 @@
 Three entry styles (SURVEY.md §2.5 "Aggregations"):
 
 * :func:`approx_distinct` — global distinct count of one or more key columns;
-  partial sketches per block, distributed two-level tree merge, finalize.
+  partial sketches per block, merged into one, finalize.
 * :func:`grouped_approx_distinct` — distinct per group:
   ``map_batches`` pre-aggregation (one sketch row per group per block) →
-  ``groupby(group_cols).map_groups`` merge.  The shuffle moves fixed-size
-  sketch rows, not input rows, so reducer skew is bounded by #groups, not by
-  the hottest group's row count.
+  one merge per group.
 * :func:`HllDistinct` — a ``ray.data.aggregate.AggregateFn`` so the sketch
   composes with Ray's own aggregate machinery:
   ``ds.groupby(k).aggregate(HllDistinct(on="col"))``.
+
+The first two, and the sketch-family aggregations below, reduce through
+``stages.build.merge_partials``: partials that fit in one Ray Data block
+(``DataContext.target_max_block_size``, 128 MiB by default — ~100k sketch
+rows) are merged by one call on the driver, with no exchange.  Larger
+partials go through a Ray Data exchange that moves fixed-size sketch rows,
+not input rows, so reducer skew is bounded by #groups, not by the hottest
+group's row count.
 
 All exchanges are storage-spec v1.0.0 bytes, so any stage's output is
 readable by postgresql-hll / java-hll and by every other stage.
@@ -29,6 +35,7 @@ from rayhll.core.serde import from_bytes
 from rayhll.core.settings import HllSettings
 from rayhll.core.sketch import HllSketch
 from rayhll.functions import hashing
+from rayhll.stages import build as build_stage
 from rayhll.stages.build import (
     BUCKET_COL,
     ESTIMATE_COL,
@@ -36,8 +43,6 @@ from rayhll.stages.build import (
     SKETCH_COL,
     BuildPartials,
     finalize_estimate,
-    make_bucket_merger,
-    merge_sketch_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -69,10 +74,13 @@ def build_partials(
     (reduce fanout for the downstream grouped merge) auto-sizes from the
     input's metadata row count when ``None`` — an upper bound, since the
     shuffle carries pre-aggregated rows (floor 64 keeps small runs
-    byte-identical; ``functions.partitioning``)."""
+    byte-identical; ``functions.partitioning``).  Raises ``ValueError`` on
+    the driver for an unknown ``hash_method``, empty ``key_cols``, or
+    ``sha256`` over more than one key."""
     from rayhll.functions.partitioning import resolve_num_buckets
     from rayhll.stages.build import DEFAULT_NUM_BUCKETS
 
+    build_stage.check_build_args(key_cols, hash_method)
     num_buckets = resolve_num_buckets(
         ds, num_buckets, floor=DEFAULT_NUM_BUCKETS, warn_on_floor=False
     )
@@ -103,18 +111,20 @@ def build_partials(
 def tree_merge(
     partials: "ray.data.Dataset", leaf_batch: int = 4096
 ) -> "ray.data.Dataset":
-    """Distributed two-level merge of partial-sketch rows down to one row.
+    """Merge partial-sketch rows down to one row (a one-row dataset; its
+    ``sketch`` is ``b""`` with ``rows_in`` 0 when there are no partials).
 
-    Level 1 merges up to ``leaf_batch`` partials per task in parallel; level 2
-    folds the survivors in a single task.  At 100 TB (~800k blocks) that is
-    ~200 level-1 tasks and one ~200-row final fold — sketches are ~1.3 KiB, so
-    no stage ever materializes meaningful data.
+    The partials run when this is called.  Up to one block's worth
+    (``DataContext.target_max_block_size``: 128 MiB, ~100k sketch rows of
+    ~1.3 KiB) the driver merges them in one call.  Beyond that, tasks merge
+    up to ``leaf_batch`` partials each in parallel and the driver merges
+    their outputs: at 100 TB (~800k blocks) that is ~200 level-1 tasks and a
+    ~200-row driver merge (``stages.build.merge_to_row``).
     """
-    level1 = partials.map_batches(
-        merge_sketch_rows, batch_format="pyarrow", batch_size=leaf_batch
-    )
-    return level1.repartition(1).map_batches(
-        merge_sketch_rows, batch_format="pyarrow", batch_size=None
+    import ray.data as rd
+
+    return rd.from_arrow(
+        build_stage.merge_to_row(partials, build_stage.merge_sketch_rows, leaf_batch)
     )
 
 
@@ -130,11 +140,11 @@ def approx_distinct_sketch(
     partials = build_partials(
         ds, key_cols, settings=settings, hash_method=hash_method, **kwargs
     )
-    merged = tree_merge(partials)
-    rows = merged.take(1)
-    if not rows or not rows[0][SKETCH_COL]:
+    merged = build_stage.merge_to_row(partials, build_stage.merge_sketch_rows, 4096)
+    blob = merged.column(SKETCH_COL)[0].as_py()
+    if not blob:
         return HllSketch(settings or HllSettings(11, 5))
-    return from_bytes(rows[0][SKETCH_COL])
+    return from_bytes(blob)
 
 
 def approx_distinct(
@@ -163,15 +173,19 @@ def grouped_approx_distinct(
     ignore_nulls: bool = True,
     num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
-    """Distinct-per-group dataset: ``group_cols... , estimate:int64``.
+    """Distinct-per-group dataset: ``group_cols... , estimate:int64, rows_in``
+    (plus ``sketch`` when ``include_sketch``).
 
-    The groupby shuffle sees only pre-aggregated sketch rows (one per group
-    per input block), co-located by hash *bucket* (not by raw group key), so
+    The build runs when this is called (``stages.build.merge_grouped``).
+    Partials that fit in one block are merged by one driver call, and the
+    result is a dataset over that table; an empty input gives zero rows.
+    Larger partials (one row per group per input block) go through a
+    groupby shuffle co-located by hash *bucket* (not by raw group key), so
     each reduce task merges thousands of groups vectorized and per-group
     Python overhead never dominates.  Skew is bounded twice: a hot group
     costs O(#blocks) fixed-size sketch rows, and hot buckets spread across
     ``num_buckets`` reducers.  A local combiner (``premerge_batch``) merges
-    partial rows sharing a group hash before the sort — 2.6x fewer shuffle
+    partial rows sharing a group hash before that sort — 2.6x fewer shuffle
     rows when #groups approaches the build batch size, at ~15-18%%
     single-node CPU cost.  ``None`` = cluster-aware AUTO (on for multi-node
     sessions / $RAYHLL_NETWORK_BOUND, off single-node), ``0`` = force off —
@@ -187,30 +201,28 @@ def grouped_approx_distinct(
         ignore_nulls=ignore_nulls,
         num_buckets=num_buckets,
     )
-    from rayhll.stages.build import make_local_premerge, resolve_premerge_batch
-
-    premerge_batch = resolve_premerge_batch(premerge_batch)
-    if premerge_batch:
-        pre = make_local_premerge(list(group_cols))
-        partials = partials.map_batches(
-            pre, batch_format="pyarrow", batch_size=premerge_batch
-        )
-    merger = make_bucket_merger(
+    merger = build_stage.make_bucket_merger(
         list(group_cols), [SKETCH_COL], [ESTIMATE_COL], include_sketch=include_sketch
     )
-    return partials.groupby(BUCKET_COL).map_groups(merger, batch_format="pyarrow")
+    premerge = build_stage.local_premerge(group_cols, premerge_batch=premerge_batch)
+    return build_stage.merge_grouped(partials, merger, premerge)
 
 
 def aggregate_family(ds: "ray.data.Dataset", build_partial, family_cls, leaf_batch: int = 1024):
     """Generic distributed aggregation for any sketch family
     (rayhll.sketches.base.Sketch): ``build_partial(batch) -> bytes`` per
-    block, then a two-level tree merge with the family's associative
-    ``merge``.  Returns the merged sketch object."""
+    block, then one merge with the family's associative ``merge``
+    (``stages.build.merge_to_row``: on the driver when the partials fit in
+    one block, else level-1 tasks first).  Returns the merged sketch object;
+    raises ``ValueError`` when the input has no rows, since no partial then
+    says which sketch to build."""
 
     def partial(batch: pa.Table) -> pa.Table:
         return pa.table({"blob": pa.array([build_partial(batch)], type=pa.binary())})
 
     def merge_blobs(batch: pa.Table) -> pa.Table:
+        if not batch.num_rows:
+            raise ValueError("aggregate_family: the input has no rows to build a sketch from")
         acc = None
         for b in batch.column("blob"):
             sk = family_cls.from_bytes(b.as_py())
@@ -221,11 +233,8 @@ def aggregate_family(ds: "ray.data.Dataset", build_partial, family_cls, leaf_bat
         return pa.table({"blob": pa.array([acc.to_bytes()], type=pa.binary())})
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    level1 = partials.map_batches(merge_blobs, batch_format="pyarrow", batch_size=leaf_batch)
-    final = level1.repartition(1).map_batches(
-        merge_blobs, batch_format="pyarrow", batch_size=None
-    )
-    return family_cls.from_bytes(final.take(1)[0]["blob"])
+    merged = build_stage.merge_to_row(partials, merge_blobs, leaf_batch)
+    return family_cls.from_bytes(merged.column("blob")[0].as_py())
 
 
 def grouped_aggregate_family(
@@ -237,12 +246,16 @@ def grouped_aggregate_family(
     num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Grouped aggregation for any sketch family: ``build_partial(sub_batch)
-    -> bytes`` per (batch, group), hash-bucketed shuffle of blob rows, merge
-    per group, optional ``finalize(sketch) -> dict[str, value]`` columns.
+    -> bytes`` per (batch, group), merge per group, optional
+    ``finalize(sketch) -> dict[str, value]`` columns.
 
-    Same skew story as the HLL path: the shuffle carries one family blob per
-    (block, group), never input rows.  ``num_buckets`` auto-sizes from the
-    input's metadata row count when ``None`` (an upper bound; floor 64)."""
+    Same merge as the HLL path (``stages.build.merge_grouped``): the build
+    runs when this is called; partials that fit in one block merge on the
+    driver; larger ones take a hash-bucketed shuffle that carries one family
+    blob per (block, group), never input rows.  An empty input gives zero
+    rows with the group columns (and ``blob`` when ``finalize`` is None).
+    ``num_buckets`` auto-sizes from the input's metadata row count when
+    ``None`` (an upper bound; floor 64)."""
     import numpy as np
 
     from rayhll.functions.hashing import hash64_table
@@ -269,17 +282,23 @@ def grouped_aggregate_family(
 
     merge_bucket = _make_blob_merge_bucket(group_cols, family_cls, "blob", finalize)
     p = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-    return p.groupby(BUCKET_COL).map_groups(merge_bucket, batch_format="pyarrow")
+    return build_stage.merge_grouped(p, merge_bucket)
 
 
 def _make_blob_merge_bucket(group_cols, family_cls, blob_col, finalize):
-    """The shared reduce half of the family aggregations: per bucket, merge
-    every group's blobs (group identity = 64-bit hash, the documented
-    collision contract) and emit one blob-or-finalized row per group."""
+    """The shared reduce half of the family aggregations: merge every
+    group's blobs (group identity = 64-bit hash, the documented collision
+    contract; one bucket or all of them) and emit one blob-or-finalized row
+    per group."""
 
     def merge_bucket(tbl: pa.Table) -> pa.Table:
         import numpy as np
 
+        if not tbl.num_rows:
+            out = build_stage.empty_groups(tbl, group_cols)
+            if finalize is None:
+                out = out.append_column(blob_col, pa.array([], type=pa.binary()))
+            return out
         codes = tbl.column(GHASH_COL).to_numpy()
         uniq, inv = np.unique(codes, return_inverse=True)
         first_idx = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
@@ -319,8 +338,10 @@ def grouped_merge_family(
     """Merge EXISTING family-blob rows per group (the second half of
     :func:`grouped_aggregate_family`, for pipelines that already hold
     per-partial blobs — e.g. sliding windows replicating per-step sketches
-    into the windows they serve).  The shuffle carries only blob rows, so a
-    fixed ``num_buckets`` is combiner-bounded by construction."""
+    into the windows they serve).  Runs ``ds`` when called and merges on the
+    driver when the blob rows fit in one block (``stages.build.merge_grouped``);
+    otherwise the shuffle carries only blob rows, so a fixed ``num_buckets``
+    is combiner-bounded by construction."""
     import numpy as np
 
     from rayhll.functions.hashing import hash64_table
@@ -333,7 +354,7 @@ def grouped_merge_family(
 
     merge_bucket = _make_blob_merge_bucket(group_cols, family_cls, blob_col, finalize)
     keyed = ds.map_batches(key_bucket, batch_format="pyarrow", zero_copy_batch=True)
-    return keyed.groupby(BUCKET_COL).map_groups(merge_bucket, batch_format="pyarrow")
+    return build_stage.merge_grouped(keyed, merge_bucket)
 
 
 class HllDistinct(AggregateFn):

@@ -1,4 +1,5 @@
-"""map_batches stages that build and merge partial HLL sketches.
+"""map_batches stages that build partial HLL sketches, and the one merge
+primitive every sketch aggregation reduces them with.
 
 The engine's shape (SURVEY.md §2.5, §7.3): the sketch *is* the aggregate, so
 the wide operation is tiny by construction —
@@ -8,11 +9,15 @@ the wide operation is tiny by construction —
   batch to at most one fixed-size serialized sketch row per group seen in the
   batch.  Per-batch work is vectorized: one hash pass, one register-update
   pass (``np.maximum.at``), one serialization.
-* the subsequent ``groupby(group_cols)`` therefore shuffles only
-  O(#blocks × #groups-per-block) sketch rows of ~1.3 KiB each (at log2m=11,
-  regwidth=5), never the input rows — the partial/combiner split the
-  instructions require.
-* ``merge_sketch_rows`` / ``merge_group`` revive shuffled sketches with
+* :func:`merge_partials` reduces those rows.  They are O(#blocks ×
+  #groups-per-block) rows of ~1.3 KiB each (at log2m=11, regwidth=5), never
+  the input rows — the partial/combiner split the instructions require — so
+  they usually fit in one Ray Data block.  Then the driver fetches the
+  blocks and merges them in one call, with no exchange.  Only partials larger
+  than ``DataContext.target_max_block_size`` go through a Ray Data exchange:
+  ``groupby(_bucket)`` for grouped merges (:func:`merge_grouped`), a parallel
+  ``map_batches`` merge for global ones (:func:`merge_to_row`).
+* ``merge_sketch_rows`` / ``make_bucket_merger`` revive sketches with
   ``from_bytes``, fold them with the associative ``union``
   (reference semantics: python_hll/hll.py:491-691), and emit bytes again.
 
@@ -23,6 +28,8 @@ partial sketch (register max is order-independent and duplicate-insensitive).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 import pyarrow as pa
 
@@ -31,6 +38,9 @@ from rayhll.core.serde import from_bytes
 from rayhll.core.settings import HllSettings
 from rayhll.core.sketch import HllSketch
 from rayhll.functions import hashing
+
+if TYPE_CHECKING:  # pragma: no cover
+    import ray.data
 
 SKETCH_COL = "sketch"
 ROWS_COL = "rows_in"
@@ -53,6 +63,16 @@ GROUP_HASH_SEED = 0x5EED_6800
 DEFAULT_NUM_BUCKETS = 64
 
 
+def check_build_args(key_cols, hash_method: str) -> None:
+    """Raise ``ValueError`` for a build that cannot hash its keys."""
+    if hash_method not in ("fast", "sha256"):
+        raise ValueError(f"unknown hash_method {hash_method!r}")
+    if not key_cols:
+        raise ValueError("key_cols must name at least one column")
+    if hash_method == "sha256" and len(key_cols) != 1:
+        raise ValueError("sha256 hashing supports exactly one key column")
+
+
 class BuildPartials:
     """Actor-pool callable: input Arrow batch -> one partial-sketch row per
     group present in the batch (a single global row when ``group_cols`` is
@@ -72,13 +92,10 @@ class BuildPartials:
         num_buckets: int = DEFAULT_NUM_BUCKETS,
         ignore_nulls: bool = True,
     ):
+        check_build_args(key_cols, hash_method)
         self.settings = settings or HllSettings(11, 5)
         self.key_cols = list(key_cols)
         self.group_cols = list(group_cols)
-        if hash_method not in ("fast", "sha256"):
-            raise ValueError(f"unknown hash_method {hash_method!r}")
-        if hash_method == "sha256" and len(self.key_cols) != 1:
-            raise ValueError("sha256 hashing supports exactly one key column")
         self.hash_method = hash_method
         self.seed = seed
         self.num_buckets = num_buckets
@@ -140,18 +157,17 @@ class BuildPartials:
 
 
 def merge_sketch_rows(batch: pa.Table) -> pa.Table:
-    """Fold every sketch row of a batch into one row (the tree-merge step).
+    """Fold every sketch row of a batch into one row (the global merge step).
     Settings travel inside the serialized header, so this stage needs none."""
-    col = batch.column(SKETCH_COL)
     acc: HllSketch | None = None
-    for blob in col:
+    for blob in batch.column(SKETCH_COL) if batch.num_rows else ():
         sk = from_bytes(blob.as_py())
         if acc is None:
             acc = sk
         else:
             acc.union(sk)
     rows_in = 0
-    if ROWS_COL in batch.column_names:
+    if batch.num_rows and ROWS_COL in batch.column_names:
         rows_in = int(pa.compute.sum(batch.column(ROWS_COL)).as_py() or 0)
     return pa.table(
         {
@@ -182,6 +198,13 @@ def make_bucket_merger(
     ]
 
     def merge_bucket(tbl: pa.Table) -> pa.Table:
+        if not tbl.num_rows:
+            out = empty_groups(tbl, group_cols)
+            for sc, ec in zip(sketch_cols, estimate_cols):
+                if include_sketch:
+                    out = out.append_column(sc, pa.array([], type=pa.binary()))
+                out = out.append_column(ec, pa.array([], type=pa.int64()))
+            return out.append_column(ROWS_COL, pa.array([], type=pa.int64()))
         codes = tbl.column(GHASH_COL).to_numpy()
         uniq, inv = np.unique(codes, return_inverse=True)
         first_idx = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
@@ -199,6 +222,95 @@ def make_bucket_merger(
         return out.append_column(ROWS_COL, pa.array(rows, type=pa.int64()))
 
     return merge_bucket
+
+
+def empty_groups(tbl: pa.Table, group_cols: list[str]) -> pa.Table:
+    """Zero-row ``group_cols`` of ``tbl``; a column ``tbl`` lacks (no partial
+    row was ever built, so no block carries a schema) is typed null."""
+    return pa.table(
+        {
+            c: pa.array([], type=tbl.schema.field(c).type if c in tbl.column_names else pa.null())
+            for c in group_cols
+        }
+    )
+
+
+def merge_partials(partials: "ray.data.Dataset", merge, exchange):
+    """Reduce partial-sketch rows: ``merge`` once on the driver when they fit
+    in one block, else ``exchange`` over the same blocks.
+
+    Runs ``partials`` to block refs and their metadata; no data moves to the
+    driver for that.  If the blocks total at most
+    ``DataContext.target_max_block_size`` — the size Ray Data already lets
+    one block reach — the driver fetches them and returns ``merge(table)``
+    of all their rows (an empty, possibly column-less table when there are
+    none).  Otherwise it returns ``exchange(ds)``, where ``ds`` is a dataset
+    over the blocks already computed, so the plan does not run twice."""
+    from ray.data import DataContext
+
+    bundles = list(partials.iter_internal_ref_bundles())
+    size = sum(md.size_bytes for bundle in bundles for _, md in bundle.blocks)
+    if size <= DataContext.get_current().target_max_block_size:
+        return merge(_fetch(bundles))
+    return exchange(_dataset_of(bundles))
+
+
+def merge_to_row(partials: "ray.data.Dataset", merge, leaf_batch: int) -> pa.Table:
+    """Global merge through :func:`merge_partials`: the one row ``merge``
+    returns for all partial rows.  Over the size bound, ``merge`` first runs
+    in parallel over batches of ``leaf_batch`` partial rows, and the driver
+    merges their outputs, about #partials / ``leaf_batch`` rows."""
+
+    def exchange(ds):
+        level1 = ds.map_batches(merge, batch_format="pyarrow", batch_size=leaf_batch)
+        return merge(_fetch(list(level1.iter_internal_ref_bundles())))
+
+    return merge_partials(partials, merge, exchange)
+
+
+def merge_grouped(partials: "ray.data.Dataset", merger, premerge=None) -> "ray.data.Dataset":
+    """Grouped merge through :func:`merge_partials`: one row per group.
+
+    ``merger`` keys on ``GHASH_COL``, not on ``BUCKET_COL``, so on the driver
+    one call covers every bucket.  Over the size bound the partials go
+    through ``groupby(BUCKET_COL).map_groups(merger)``, after
+    ``premerge(ds) -> ds`` (the local combiner, :func:`local_premerge`) when
+    given.  The plan up to the partials runs when this is called; the result
+    is a dataset over the merged table, or the lazy exchange."""
+    import ray.data as rd
+
+    def exchange(ds):
+        if premerge is not None:
+            ds = premerge(ds)
+        return ds.groupby(BUCKET_COL).map_groups(merger, batch_format="pyarrow")
+
+    out = merge_partials(partials, merger, exchange)
+    return rd.from_arrow(out) if isinstance(out, pa.Table) else out
+
+
+def _fetch(bundles) -> pa.Table:
+    """All rows of the bundles' blocks, fetched to the driver."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    refs = [ref for bundle in bundles for ref, md in bundle.blocks if md.num_rows != 0]
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
+    return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
+
+
+def _dataset_of(bundles) -> "ray.data.Dataset":
+    """A dataset over computed blocks, built the way ``Dataset.materialize``
+    builds its result: no task runs."""
+    from ray.data import DataContext
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.dataset import MaterializedDataset
+
+    ctx = DataContext.get_current()
+    plan = ExecutionPlan(DatasetStats(metadata={}, parent=None), ctx)
+    return MaterializedDataset(plan, LogicalPlan(InputData(input_data=bundles), ctx))
 
 
 #: env var marking the cluster's exchange as network-bound (any non-empty
@@ -235,6 +347,21 @@ def resolve_premerge_batch(premerge_batch) -> int | None:
     except Exception:
         pass
     return None
+
+
+def local_premerge(group_cols, sketch_cols=(SKETCH_COL,), premerge_batch=None):
+    """The local combiner as a ``ds -> ds`` step for :func:`merge_grouped`.
+    ``premerge_batch`` resolves (:func:`resolve_premerge_batch`) only when
+    the exchange runs; resolved off, the step returns ``ds`` unchanged."""
+
+    def apply(ds):
+        batch = resolve_premerge_batch(premerge_batch)
+        if not batch:
+            return ds
+        pre = make_local_premerge(list(group_cols), list(sketch_cols))
+        return ds.map_batches(pre, batch_format="pyarrow", batch_size=batch)
+
+    return apply
 
 
 def make_local_premerge(group_cols: list[str], sketch_cols: list[str] = (SKETCH_COL,)):

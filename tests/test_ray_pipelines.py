@@ -397,6 +397,18 @@ def test_empty_input_edge_cases(ray_session):
         )
     )
     assert ray_agg.grouped_approx_distinct(grouped_empty, ["g"], ["text"]).count() == 0
+    # no partial block at all: the driver fold still names the output columns
+    from rayhll.sketches.countmin import CountMinSketch
+
+    out = ray_agg.grouped_approx_distinct(grouped_empty, ["g"], ["text"], include_sketch=True)
+    assert out.count() == 0
+    assert out.schema().names == ["g", "sketch", "estimate", "rows_in"]
+    fam = ray_agg.grouped_aggregate_family(grouped_empty, ["g"], lambda b: b"", CountMinSketch)
+    assert fam.count() == 0 and fam.schema().names == ["g", "blob"]
+    merged = ray_agg.tree_merge(ray_agg.build_partials(empty, ["text"])).take_all()
+    assert merged == [{"sketch": b"", "rows_in": 0}]
+    with pytest.raises(ValueError, match="no rows"):
+        ray_agg.aggregate_family(empty, lambda b: b"", CountMinSketch)
 
 
 def test_extreme_skew_grouped_distinct(ray_session):
@@ -752,6 +764,14 @@ def test_flagship_global_empty_dataset(ray_session):
     out = flagship_global(ds).to_pandas()
     assert len(out) == 1
     assert out.iloc[0].tolist() == [0, 0, 0, 0]
+    from rayhll.pipelines.distinct import flagship_grouped
+
+    grouped = flagship_grouped(ds)
+    assert grouped.count() == 0
+    assert grouped.schema().names == [
+        "repo", "lang", "est_distinct_content", "est_distinct_path",
+        "est_distinct_repo_commit", "rows_in",
+    ]
 
 
 def test_simhash_degenerate_bucket_capped(ray_session):
