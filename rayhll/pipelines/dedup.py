@@ -231,6 +231,16 @@ def _resolve_num_buckets(
     )
 
 
+def check_integer_ids(ds, id_col: str, op: str) -> None:
+    """Raise ``ValueError`` naming ``id_col`` unless ``ds``'s schema types it
+    as an integer (a schema-less dataset passes)."""
+    schema = ds.schema()
+    if schema is not None:
+        id_type = dict(zip(schema.names, schema.types)).get(id_col)
+        if not (isinstance(id_type, pa.DataType) and pa.types.is_integer(id_type)):
+            raise ValueError(f"{op}: {id_col!r} must be an integer id column, got {id_type}")
+
+
 def _mod_bucket_col(values: np.ndarray, num_buckets: int) -> pa.Array:
     """int64 bucket column ``values % num_buckets`` (via the uint64 view so
     negative hash keys bucket uniformly)."""
@@ -248,10 +258,8 @@ def minhash_lsh_pairs(
     num_perm: int = 128,
     num_bands: int = 32,
     gram: int = 3,
-    carry_signatures: bool = True,
     max_bucket_size: int = 1000,
     verify_text_hash: bool = False,
-    sig_store_dir: str | None = None,
     sig_slot_bytes: int = 2,
     num_buckets: int | None = None,
     approx_rows: int | None = None,
@@ -259,26 +267,21 @@ def minhash_lsh_pairs(
     """Dataset of near-duplicate pairs ``(id_a, id_b, jaccard)`` with
     ``id_a < id_b`` and signature-estimated Jaccard >= threshold.
 
-    ``verify_text_hash=True`` (carry-signatures variant only) additionally
-    requires the 64-bit text hashes to match — the LSH-prefilter + exact
-    verify shape for exact dedup at ``threshold=1.0``, where all-signature
-    collisions between very-high-Jaccard near-dups would otherwise surface.
+    ``verify_text_hash=True`` additionally requires the 64-bit text hashes
+    to match — the LSH-prefilter + exact verify shape for exact dedup at
+    ``threshold=1.0``, where all-signature collisions between
+    very-high-Jaccard near-dups would otherwise surface.
 
-    ``sig_slot_bytes`` (1, 2, 4 or 8): signature slots are truncated to this
-    many low bytes wherever they cross the shuffle — slot-equality false
-    positives add only ~256^-b to the Jaccard estimate (1.5e-5 at the
-    2-byte default, far below the 1/num_perm estimator granularity) while
-    cutting the sort payload 8/b× (measured 95% of dedup wall, PERF_NOTES
-    #12-13).  Both variants truncate identically so their pair sets match.
+    ``sig_slot_bytes`` (1, 2, 4 or 8): each doc's signature travels inside
+    its band rows, with slots truncated to this many low bytes —
+    slot-equality false positives add only ~256^-b to the Jaccard estimate
+    (1.5e-5 at the 2-byte default, far below the 1/num_perm estimator
+    granularity) while cutting the sort payload 8/b× (measured 95% of dedup
+    wall, PERF_NOTES #12-13).  Buckets larger than ``max_bucket_size`` are
+    skipped (degenerate content; quadratic pair blow-up).
 
-    ``carry_signatures=True`` (default) ships each doc's signature inside its
-    band rows — simplest, but duplicates ~1 KiB × num_bands per doc through
-    the shuffle.  ``carry_signatures=False`` is the 100 TB shape: band rows
-    carry only (band_key, id), candidate pairs are generated unverified, and
-    the two signatures are joined back (bucketed tagged-union equi-join)
-    for the Jaccard check — shuffle volume drops ~num_bands× on the wide leg.
-    Buckets larger than ``max_bucket_size`` are skipped in both variants
-    (degenerate content; quadratic pair blow-up).
+    ``id_col`` must be an integer column (pairs are int64); another id type
+    raises ``ValueError`` at entry.
 
     ``num_buckets`` sizes the co-locating reduce fanout (see
     ``_resolve_num_buckets``); ``None`` auto-targets ~2M exploded rows per
@@ -286,25 +289,8 @@ def minhash_lsh_pairs(
     dataset with no metadata count.  Pair sets are invariant to the value."""
     if sig_slot_bytes not in (1, 2, 4, 8):
         raise ValueError("sig_slot_bytes must be 1, 2, 4 or 8")
+    check_integer_ids(ds, id_col, "minhash_lsh_pairs")
     num_buckets = _resolve_num_buckets(ds, num_buckets, num_bands, approx_rows)
-    if not carry_signatures:
-        if verify_text_hash:
-            raise ValueError("verify_text_hash requires carry_signatures=True")
-        return _minhash_lsh_pairs_join(
-            ds,
-            text_col,
-            id_col,
-            threshold,
-            num_perm,
-            num_bands,
-            gram,
-            max_bucket_size,
-            sig_store_dir=sig_store_dir,
-            sig_slot_bytes=sig_slot_bytes,
-            num_buckets=num_buckets,
-        )
-    if sig_store_dir is not None:
-        raise ValueError("sig_store_dir requires carry_signatures=False")
     stage = MinHashStage(
         text_col, id_col, num_perm, num_bands, gram, emit_texthash=verify_text_hash
     )
@@ -510,7 +496,7 @@ def _prefilter_payload_by_candidates(cand, payload, id_col: str, max_ids: int | 
     """Semi-filter the corpus-scale payload side of a pair-verify join down
     to candidate-pair members BEFORE the bucketed equi-join.
 
-    The signature/vector/shingle side of the verify join is one row per
+    The vector/shingle side of the verify join is one row per
     corpus document while the candidate-pair side is sparse (LSH contract) —
     without this, the join shuffles the whole corpus a second time (~2×
     exchange bytes at 100 TB).  Collects the distinct pair-member ids from
@@ -572,176 +558,6 @@ def _prefilter_payload_by_candidates(cand, payload, id_col: str, max_ids: int | 
         payload.map_batches(semifilter, batch_format="pyarrow", zero_copy_batch=True),
         len(ids),
     )
-
-
-def _bucket_join_sig(pairs, sigs, id_col: str, key_col: str, out_sig_col: str, num_buckets: int = 64):
-    """Attach ``sigs``' signature to each pair row matching on
-    ``pairs[key_col] == sigs[id_col]`` — a sort-shuffle bucketed equi-join:
-    pad both sides to one schema, tag, union, groupby a key bucket, join
-    within each bucket with polars.  Avoids ``Dataset.join``'s hash-shuffle
-    aggregator actors (which deadlock small-CPU sessions in this Ray
-    version)."""
-    pair_schema = pairs.schema()
-    pair_fields = list(zip(pair_schema.names, pair_schema.types))
-
-    def tag_pairs(tbl: pa.Table) -> pa.Table:
-        key = tbl.column(key_col).to_numpy()
-        out = tbl.append_column(out_sig_col, pa.nulls(len(tbl), type=pa.binary()))
-        out = out.append_column(
-            "_jb", pa.array((key % num_buckets).astype(np.int64), type=pa.int64())
-        )
-        return out.append_column("_is_sig", pa.array(np.zeros(len(tbl), dtype=bool)))
-
-    def tag_sigs(tbl: pa.Table) -> pa.Table:
-        n = len(tbl)
-        cols = {}
-        for name, typ in pair_fields:
-            if name == key_col:
-                cols[name] = tbl.column(id_col).cast(typ)
-            else:
-                cols[name] = pa.nulls(n, type=typ)
-        cols[out_sig_col] = tbl.column("signature")
-        key = tbl.column(id_col).to_numpy()
-        cols["_jb"] = pa.array((key % num_buckets).astype(np.int64), type=pa.int64())
-        cols["_is_sig"] = pa.array(np.ones(n, dtype=bool))
-        return pa.table(cols)
-
-    left = pairs.map_batches(tag_pairs, batch_format="pyarrow")
-    right = sigs.map_batches(tag_sigs, batch_format="pyarrow")
-
-    def join_bucket(tbl: pa.Table) -> pa.Table:
-        df = pl.from_arrow(tbl)
-        sig_rows = (
-            df.filter(pl.col("_is_sig"))
-            .select([key_col, out_sig_col])
-            .unique(subset=[key_col])
-        )
-        pair_rows = df.filter(~pl.col("_is_sig")).drop(["_jb", "_is_sig", out_sig_col])
-        return pair_rows.join(sig_rows, on=key_col, how="inner").to_arrow()
-
-    return left.union(right).groupby("_jb").map_groups(join_bucket, batch_format="pyarrow")
-
-
-def _minhash_lsh_pairs_join(
-    ds,
-    text_col,
-    id_col,
-    threshold,
-    num_perm,
-    num_bands,
-    gram,
-    max_bucket_size,
-    sig_store_dir: str | None = None,
-    sig_slot_bytes: int = 2,
-    num_buckets: int = 64,
-):
-    """Scale variant of minhash_lsh_pairs (see its docstring).
-
-    ``sig_store_dir`` selects the signature-store backend:
-
-    * ``None`` (small inputs): ``materialize()`` pins the projected
-      (id, signature) rows in the object store; the band explode re-runs the
-      signature stage once more.
-    * a path (the 100 TB shape): the signature table (id, signature,
-      band_*) is written to partitioned parquet ONCE, and both consumers —
-      the band explode and the two join sides — are column-pruned reads of
-      that store.  One signature pass total, no object-store pinning, and a
-      failed run can resume from the store."""
-    stage = MinHashStage(text_col, id_col, num_perm, num_bands, gram)
-    signed = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
-    if sig_store_dir is not None:
-        import ray.data as rd
-
-        build_minhash_sig_store(
-            signed, sig_store_dir, text_col, id_col, num_perm, num_bands, gram
-        )
-        sigs = rd.read_parquet(sig_store_dir, columns=[id_col, "signature"])
-        signed = rd.read_parquet(
-            sig_store_dir, columns=[id_col] + [f"band_{b}" for b in range(num_bands)]
-        )
-    else:
-        sigs = signed.select_columns([id_col, "signature"]).materialize()
-
-    def explode_ids(batch: pa.Table) -> pa.Table:
-        keys, ids = [], []
-        for b in range(num_bands):
-            bh = batch.column(f"band_{b}").to_numpy()
-            keys.append(splitmix64(bh.view(np.uint64) ^ np.uint64(b + 1)).view(np.int64))
-            ids.append(batch.column(id_col))
-        band_key = np.concatenate(keys)
-        return pa.table(
-            {
-                "band_key": pa.array(band_key, type=pa.int64()),
-                "bkt": _mod_bucket_col(band_key, num_buckets),
-                id_col: pa.concat_arrays(
-                    [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c for c in ids]
-                ),
-            }
-        )
-
-    exploded = signed.map_batches(explode_ids, batch_format="pyarrow")
-    candidate_pairs = _make_candidate_pairs_fn("band_key", id_col, max_bucket_size)
-
-    def dedup_cand(tbl: pa.Table) -> pa.Table:
-        return pl.from_arrow(tbl).unique(subset=["id_a", "id_b"]).to_arrow()
-
-    cand = (
-        exploded.groupby("bkt")
-        .map_groups(candidate_pairs, batch_format="pyarrow")
-        .map_batches(
-            lambda t, nb=num_buckets: t.append_column(
-                "pbkt", _mod_bucket_col(t.column("id_a").to_numpy(), nb)
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("pbkt")
-        .map_groups(dedup_cand, batch_format="pyarrow")
-        .drop_columns(["pbkt"])
-    )
-
-    # join the two signatures back.  NOTE: ray's Dataset.join (hash-shuffle
-    # aggregator actors) deadlocks under small-CPU sessions in this Ray
-    # version, so this uses a self-contained bucketed tag-union join: union
-    # the (padded-schema) pair and signature rows, groupby a key bucket, and
-    # join within each bucket with polars.  Two passes, one per pair side.
-    # The sigs side is semi-filtered to candidate members first so the
-    # verify join never re-shuffles the full corpus (pairs are sparse).
-    cand = cand.materialize()
-    sigs, n_members = _prefilter_payload_by_candidates(cand, sigs, id_col)
-    if n_members is not None:
-        # both join sides are now candidate-bounded: size the fanout from
-        # the known pair count, not the corpus-sized resolver value
-        join_buckets = buckets_for_rows(2 * cand.count() + n_members)
-    else:
-        join_buckets = num_buckets
-    joined = _bucket_join_sig(cand, sigs, id_col, "id_a", "sig_a", num_buckets=join_buckets)
-    joined = _bucket_join_sig(joined, sigs, id_col, "id_b", "sig_b", num_buckets=join_buckets)
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                    "jaccard": pa.array([], type=pa.float64()),
-                }
-            )
-        # truncate to the same slot width as the carry variant so both
-        # variants compute identical estimates (store keeps full 64-bit)
-        slot = np.dtype(f"<u{sig_slot_bytes}")
-        sa = _binary_fixed_matrix(batch.column("sig_a"), num_perm).astype(slot)
-        sb = _binary_fixed_matrix(batch.column("sig_b"), num_perm).astype(slot)
-        jac = (sa == sb).mean(axis=1)
-        keep = jac >= threshold
-        return pa.table(
-            {
-                "id_a": batch.column("id_a").filter(pa.array(keep)),
-                "id_b": batch.column("id_b").filter(pa.array(keep)),
-                "jaccard": pa.array(jac[keep], type=pa.float64()),
-            }
-        )
-
-    return joined.map_batches(verify, batch_format="pyarrow")
 
 
 def _embedding_near_dup_pairs_join(

@@ -160,7 +160,6 @@ def flagship_grouped(
     concurrency=None,
     include_sketches: bool = False,
     hash_content: bool = True,
-    premerge_batch: int | None = None,
     num_buckets: int | None = None,
 ):
     """Per-(repo, lang) distinct estimates for all three keys.
@@ -171,23 +170,14 @@ def flagship_grouped(
     when this is called; partials that fit in one block merge on the driver
     and the Dataset holds the merged table (``stages.build.merge_grouped``).
 
-    ``premerge_batch``: size of the local combiner stage between build and
-    the shuffle that larger partials take — partial rows sharing a group
-    hash within each combiner batch merge before the sort, shrinking shuffle ROWS ~2.6× when #groups ≈
-    build batch size (measured, PERF_NOTES #10) at a measured ~15-18%%
-    single-node CPU cost.  ``None`` = cluster-aware AUTO: ON when the live
-    Ray cluster spans multiple nodes or $RAYHLL_NETWORK_BOUND is set (the
-    exchange is network-bound there, so the byte cut dominates), OFF on a
-    single node where the sort is CPU-bound; ``0`` forces off — see
-    ``stages.build.resolve_premerge_batch``.
-
     ``num_buckets`` (reduce fanout for the grouped merge) auto-sizes from
     the input's METADATA row count when ``None`` — an upper bound since the
     shuffle carries pre-aggregated rows; transformed inputs (no metadata
-    count) keep the 64 floor (``functions.partitioning``)."""
+    count) keep the 64 floor without a warning, as the merge is
+    combiner-bounded (``functions.partitioning``)."""
     from rayhll.functions.partitioning import resolve_num_buckets
 
-    num_buckets = resolve_num_buckets(ds, num_buckets)
+    num_buckets = resolve_num_buckets(ds, num_buckets, warn_on_floor=False)
     if hash_content:
         ds = ds.map_batches(
             HashStage(), batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
@@ -213,8 +203,7 @@ def flagship_grouped(
         list(EST_COLS),
         include_sketch=include_sketches,
     )
-    premerge = build_stage.local_premerge(GROUP_COLS, SKETCH_COLS, premerge_batch)
-    return build_stage.merge_grouped(partials, merger, premerge)
+    return build_stage.merge_grouped(partials, merger)
 
 
 def flagship_global(

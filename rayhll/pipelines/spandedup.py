@@ -53,6 +53,7 @@ import pyarrow as pa
 import ray
 
 from rayhll.functions.hashing import splitmix64
+from rayhll.pipelines.dedup import check_integer_ids
 from rayhll.pipelines.decontam import _is_hit, _shard_shift
 from rayhll.pipelines.text import TOKEN_PATTERN, token_gram_hashes
 
@@ -214,13 +215,7 @@ def duplicate_spans(
 
     if min_docs < 2:
         raise ValueError("min_docs must be >= 2 (cross-document duplication)")
-    schema = ds.schema()
-    if schema is not None:
-        id_type = dict(zip(schema.names, schema.types)).get(id_col)
-        if not (isinstance(id_type, pa.DataType) and pa.types.is_integer(id_type)):
-            raise ValueError(
-                f"duplicate_spans: {id_col!r} must be an integer id column, got {id_type}"
-            )
+    check_integer_ids(ds, id_col, "duplicate_spans")
     if method == "broadcast":
         # pairs exchange carries ~distinct-grams-per-doc rows per input row
         buckets = resolve_num_buckets(ds, num_buckets, rows_per_input_row=50.0)

@@ -169,7 +169,6 @@ def grouped_approx_distinct(
     batch_size: int | None = 262144,
     concurrency=None,
     include_sketch: bool = False,
-    premerge_batch: int | None = None,
     ignore_nulls: bool = True,
     num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
@@ -184,12 +183,7 @@ def grouped_approx_distinct(
     each reduce task merges thousands of groups vectorized and per-group
     Python overhead never dominates.  Skew is bounded twice: a hot group
     costs O(#blocks) fixed-size sketch rows, and hot buckets spread across
-    ``num_buckets`` reducers.  A local combiner (``premerge_batch``) merges
-    partial rows sharing a group hash before that sort — 2.6x fewer shuffle
-    rows when #groups approaches the build batch size, at ~15-18%%
-    single-node CPU cost.  ``None`` = cluster-aware AUTO (on for multi-node
-    sessions / $RAYHLL_NETWORK_BOUND, off single-node), ``0`` = force off —
-    see ``stages.build.resolve_premerge_batch`` (PERF_NOTES #10-11)."""
+    ``num_buckets`` reducers."""
     partials = build_partials(
         ds,
         key_cols,
@@ -204,8 +198,7 @@ def grouped_approx_distinct(
     merger = build_stage.make_bucket_merger(
         list(group_cols), [SKETCH_COL], [ESTIMATE_COL], include_sketch=include_sketch
     )
-    premerge = build_stage.local_premerge(group_cols, premerge_batch=premerge_batch)
-    return build_stage.merge_grouped(partials, merger, premerge)
+    return build_stage.merge_grouped(partials, merger)
 
 
 def aggregate_family(ds: "ray.data.Dataset", build_partial, family_cls, leaf_batch: int = 1024):

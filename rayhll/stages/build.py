@@ -46,8 +46,8 @@ SKETCH_COL = "sketch"
 ROWS_COL = "rows_in"
 
 #: Group-identity contract: the 64-bit xxhash of the group columns
-#: (``GHASH_COL``) IS the group identity end-to-end (build → premerge →
-#: bucket merge).  Two distinct group-key tuples colliding in 64 bits would
+#: (``GHASH_COL``) IS the group identity end-to-end (build → bucket
+#: merge).  Two distinct group-key tuples colliding in 64 bits would
 #: silently merge under the first tuple's label.  Expected collisions are
 #: ~G²/2^65 for G groups (birthday bound): ~5e-8 at 1M groups, ~0.05 at 1B
 #: groups — acceptable for approximate aggregation (the estimates are already
@@ -268,20 +268,17 @@ def merge_to_row(partials: "ray.data.Dataset", merge, leaf_batch: int) -> pa.Tab
     return merge_partials(partials, merge, exchange)
 
 
-def merge_grouped(partials: "ray.data.Dataset", merger, premerge=None) -> "ray.data.Dataset":
+def merge_grouped(partials: "ray.data.Dataset", merger) -> "ray.data.Dataset":
     """Grouped merge through :func:`merge_partials`: one row per group.
 
     ``merger`` keys on ``GHASH_COL``, not on ``BUCKET_COL``, so on the driver
     one call covers every bucket.  Over the size bound the partials go
-    through ``groupby(BUCKET_COL).map_groups(merger)``, after
-    ``premerge(ds) -> ds`` (the local combiner, :func:`local_premerge`) when
-    given.  The plan up to the partials runs when this is called; the result
-    is a dataset over the merged table, or the lazy exchange."""
+    through ``groupby(BUCKET_COL).map_groups(merger)``.  The plan up to the
+    partials runs when this is called; the result is a dataset over the
+    merged table, or the lazy exchange."""
     import ray.data as rd
 
     def exchange(ds):
-        if premerge is not None:
-            ds = premerge(ds)
         return ds.groupby(BUCKET_COL).map_groups(merger, batch_format="pyarrow")
 
     out = merge_partials(partials, merger, exchange)
@@ -311,87 +308,6 @@ def _dataset_of(bundles) -> "ray.data.Dataset":
     ctx = DataContext.get_current()
     plan = ExecutionPlan(DatasetStats(metadata={}, parent=None), ctx)
     return MaterializedDataset(plan, LogicalPlan(InputData(input_data=bundles), ctx))
-
-
-#: env var marking the cluster's exchange as network-bound (any non-empty
-#: value): auto-resolution then enables the local combiner.
-NETWORK_BOUND_ENV = "RAYHLL_NETWORK_BOUND"
-DEFAULT_PREMERGE_BATCH = 262144
-
-
-def resolve_premerge_batch(premerge_batch) -> int | None:
-    """Cluster-aware default for the build->shuffle local combiner.
-
-    * explicit int > 0 — use that batch size;
-    * ``0`` / ``False`` — force OFF;
-    * ``None`` (default) — AUTO: on (at ``DEFAULT_PREMERGE_BATCH``) iff
-      ``$RAYHLL_NETWORK_BOUND`` is set non-empty OR the live Ray cluster
-      spans more than one node.  Rationale (PERF_NOTES #10-11, both A/B
-      orderings recorded): the combiner cuts shuffle ROWS ~2.6x but costs
-      ~15-18% extra local CPU, so it loses on a single node where the sort
-      is CPU-bound and wins when the exchange crosses a network.
-    """
-    import os
-
-    if premerge_batch is not None:
-        return int(premerge_batch) if premerge_batch else None
-    if os.environ.get(NETWORK_BOUND_ENV, ""):
-        return DEFAULT_PREMERGE_BATCH
-    try:
-        import ray
-
-        if ray.is_initialized():
-            alive = [n for n in ray.nodes() if n.get("Alive")]
-            if len(alive) > 1:
-                return DEFAULT_PREMERGE_BATCH
-    except Exception:
-        pass
-    return None
-
-
-def local_premerge(group_cols, sketch_cols=(SKETCH_COL,), premerge_batch=None):
-    """The local combiner as a ``ds -> ds`` step for :func:`merge_grouped`.
-    ``premerge_batch`` resolves (:func:`resolve_premerge_batch`) only when
-    the exchange runs; resolved off, the step returns ``ds`` unchanged."""
-
-    def apply(ds):
-        batch = resolve_premerge_batch(premerge_batch)
-        if not batch:
-            return ds
-        pre = make_local_premerge(list(group_cols), list(sketch_cols))
-        return ds.map_batches(pre, batch_format="pyarrow", batch_size=batch)
-
-    return apply
-
-
-def make_local_premerge(group_cols: list[str], sketch_cols: list[str] = (SKETCH_COL,)):
-    """Combiner between build and shuffle: merge partial rows that share a
-    group hash *within* a batch (no co-location assumed), shrinking the sort
-    input by roughly the number of build outputs the batch spans.  Output
-    schema equals the build stage's partial schema."""
-    from rayhll.core import batchmerge
-    from rayhll.core.serde import settings_from_bytes
-
-    def premerge(tbl: pa.Table) -> pa.Table:
-        codes = tbl.column(GHASH_COL).to_numpy()
-        uniq, inv = np.unique(codes, return_inverse=True)
-        if len(uniq) == len(codes):  # nothing to combine
-            return tbl
-        first_idx = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(first_idx, inv, np.arange(len(codes), dtype=np.int64))
-        out = tbl.select(group_cols).take(pa.array(first_idx))
-        for sc in sketch_cols:
-            col = tbl.column(sc)
-            settings = settings_from_bytes(col[0].as_py())
-            _, _, merged = batchmerge.merge_grouped_blobs(settings, codes, col)
-            out = out.append_column(sc, pa.array(merged, type=pa.binary()))
-        rows = np.bincount(inv, weights=tbl.column(ROWS_COL).to_numpy()).astype(np.int64)
-        out = out.append_column(ROWS_COL, pa.array(rows, type=pa.int64()))
-        out = out.append_column(GHASH_COL, pa.array(uniq, type=pa.int64()))
-        bucket = tbl.column(BUCKET_COL).take(pa.array(first_idx))
-        return out.append_column(BUCKET_COL, bucket)
-
-    return premerge
 
 
 def finalize_estimate(batch: pa.Table) -> pa.Table:

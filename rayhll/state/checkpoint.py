@@ -472,7 +472,7 @@ def minhash_dedup_checkpointed(
     the stored signatures.
 
     Verification truncates signature slots exactly like the streaming
-    variants (``sig_slot_bytes``), so the pair set matches
+    path (``sig_slot_bytes``), so the pair set matches
     ``minhash_lsh_pairs`` on the same input.  ``verify_text_hash=True``
     additionally requires the 64-bit text hashes to match (the exact-dedup
     shape at ``threshold=1.0`` — same contract as the streaming variant):

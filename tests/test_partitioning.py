@@ -150,3 +150,29 @@ def test_flagship_grouped_invariant_to_fanout(ray_session):
         )
         outs.append(df)
     assert outs[0].equals(outs[1]) and outs[1].equals(outs[2])
+
+
+def test_flagship_grouped_floor_fanout_does_not_warn(ray_session, caplog):
+    """A transformed input has no metadata count, so flagship_grouped's merge
+    fanout falls back to the floor; that merge is combiner-bounded, so the
+    fallback must not log the under-split warning."""
+    import logging
+
+    import ray.data as rd
+
+    from rayhll.pipelines import distinct
+
+    t = pa.table(
+        {
+            "repo": ["r0", "r0", "r1", "r1"],
+            "lang": ["py", "py", "go", "py"],
+            "path": ["a", "b", "c", "d"],
+            "commit": ["c0", "c1", "c0", "c1"],
+            "content": ["x", "y", "x", "z"],
+        }
+    )
+    transformed = rd.from_arrow(t).map_batches(lambda b: b, batch_format="pyarrow")
+    with caplog.at_level(logging.WARNING, logger="rayhll.functions.partitioning"):
+        out = distinct.flagship_grouped(transformed).to_pandas()
+    assert not caplog.records
+    assert sorted(out["rows_in"]) == [1, 1, 2]

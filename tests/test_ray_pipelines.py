@@ -101,6 +101,20 @@ def _near_dup_docs():
     return pa.Table.from_pylist(rows)
 
 
+@pytest.mark.parametrize("ids", [["10", "20", "30"], ["a", "b", "c"]])
+def test_minhash_lsh_pairs_rejects_non_integer_ids(ray_session, ids):
+    """A string id column raises at entry, naming the column, instead of
+    coming back cast to int64 or failing inside a Ray task."""
+    import ray.data as rd
+
+    from rayhll.pipelines.dedup import minhash_lsh_pairs
+
+    text = "the quick brown fox jumps over the lazy dog"
+    ds = rd.from_arrow(pa.table({"doc_id": ids, "text": [text, text, "another doc entirely"]}))
+    with pytest.raises(ValueError, match="'doc_id' must be an integer id column"):
+        minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas()
+
+
 def test_minhash_lsh_finds_near_dups(ray_session):
     import ray.data as rd
 
@@ -436,23 +450,6 @@ def test_extreme_skew_grouped_distinct(ray_session):
     assert got == want
 
 
-def test_minhash_lsh_join_variant_matches(ray_session):
-    """The scale variant (signatures joined back) finds the same pairs as
-    the carry-signatures variant."""
-    import ray.data as rd
-
-    from rayhll.pipelines.dedup import minhash_lsh_pairs
-
-    ds = rd.from_arrow(_near_dup_docs())
-    a = minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas()
-    b = minhash_lsh_pairs(
-        ds, "text", "doc_id", threshold=0.5, carry_signatures=False
-    ).to_pandas()
-    pa_set = {tuple(p) for p in a[["id_a", "id_b"]].itertuples(index=False)}
-    pb_set = {tuple(p) for p in b[["id_a", "id_b"]].itertuples(index=False)}
-    assert pa_set == pb_set and len(pa_set) > 0
-
-
 def _emb_table(ids: np.ndarray, dim: int = 8) -> pa.Table:
     """Deterministic per-id embedding (independent of batching)."""
     from rayhll.functions.hashing import splitmix64
@@ -470,26 +467,31 @@ def _emb_table(ids: np.ndarray, dim: int = 8) -> pa.Table:
     return pa.table({"vec_id": pa.array(ids.astype(np.int64)), "embedding": col})
 
 
+def _emb_with_near_copies(n: int, k: int) -> pa.Table:
+    """``_emb_table`` of ids 0..n-1 plus near-identical copies of ids 0..k-1
+    at ids 10_000..10_000+k-1."""
+    base = _emb_table(np.arange(n, dtype=np.uint64))
+    mat = np.asarray(base.column("embedding").combine_chunks().flatten()).reshape(n, 8)
+    near = mat[:k] + 0.001
+    extra = pa.table(
+        {
+            "vec_id": pa.array(np.arange(k, dtype=np.int64) + 10_000),
+            "embedding": pa.ListArray.from_arrays(
+                pa.array(np.arange(0, (k + 1) * 8, 8, dtype=np.int32), type=pa.int32()),
+                pa.array(near.ravel(), type=pa.float64()),
+            ),
+        }
+    )
+    return pa.concat_tables([base, extra])
+
+
 def test_embedding_near_dup_finds_injected_pairs(ray_session):
     """Perturbed copies are found exactly; unrelated vectors never pair."""
     import ray.data as rd
 
     from rayhll.pipelines.dedup import embedding_near_dup_pairs
 
-    base = _emb_table(np.arange(500, dtype=np.uint64))
-    mat = np.asarray(base.column("embedding").combine_chunks().flatten()).reshape(500, 8)
-    near = mat[:20] + 0.001  # near-identical copies of ids 0..19
-    n, d = near.shape
-    extra = pa.table(
-        {
-            "vec_id": pa.array(np.arange(20, dtype=np.int64) + 10_000),
-            "embedding": pa.ListArray.from_arrays(
-                pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int32), type=pa.int32()),
-                pa.array(near.ravel(), type=pa.float64()),
-            ),
-        }
-    )
-    ds = rd.from_arrow(pa.concat_tables([base, extra])).repartition(4)
+    ds = rd.from_arrow(_emb_with_near_copies(500, 20)).repartition(4)
     pairs = embedding_near_dup_pairs(
         ds, "embedding", "vec_id", dim=8, threshold=0.99
     ).to_pandas()
@@ -601,44 +603,6 @@ def test_heavy_hitters_distributed_candidates(ray_session):
     )
     assert list(got["v"]) == list(exact.index)
     assert list(got["est_count"]) == list(exact.values)
-
-
-def test_minhash_parquet_sig_store_matches(ray_session, tmp_path):
-    """The 100TB shape — signatures spilled to a parquet store and re-read
-    column-pruned — finds the identical pair set (VERDICT r1 item 6)."""
-    import ray.data as rd
-
-    from rayhll.pipelines.dedup import minhash_lsh_pairs
-
-    ds = rd.from_arrow(_near_dup_docs())
-    a = minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas()
-    b = minhash_lsh_pairs(
-        ds,
-        "text",
-        "doc_id",
-        threshold=0.5,
-        carry_signatures=False,
-        sig_store_dir=str(tmp_path / "sigs"),
-    ).to_pandas()
-    key = lambda df: sorted(map(tuple, df[["id_a", "id_b", "jaccard"]].to_numpy()))
-    assert key(a) == key(b) and len(a) > 0
-    # the store itself is a readable signature table
-    import pyarrow.parquet as pq
-
-    stored = pq.read_table(str(tmp_path / "sigs"), columns=["doc_id", "signature"])
-    assert len(stored) == ds.count()
-    # a rerun REUSES the store (no duplicate files, identical pairs)
-    n_files = len(list((tmp_path / "sigs").glob("*.parquet")))
-    c = minhash_lsh_pairs(
-        ds,
-        "text",
-        "doc_id",
-        threshold=0.5,
-        carry_signatures=False,
-        sig_store_dir=str(tmp_path / "sigs"),
-    ).to_pandas()
-    assert len(list((tmp_path / "sigs").glob("*.parquet"))) == n_files
-    assert key(b) == key(c)
 
 
 def test_group_hash_collision_contract(ray_session):
@@ -800,20 +764,7 @@ def test_embedding_near_dup_join_variant_matches(ray_session):
 
     from rayhll.pipelines.dedup import embedding_near_dup_pairs
 
-    base = _emb_table(np.arange(500, dtype=np.uint64))
-    mat = np.asarray(base.column("embedding").combine_chunks().flatten()).reshape(500, 8)
-    near = mat[:20] + 0.001
-    n, d = near.shape
-    extra = pa.table(
-        {
-            "vec_id": pa.array(np.arange(20, dtype=np.int64) + 10_000),
-            "embedding": pa.ListArray.from_arrays(
-                pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int32), type=pa.int32()),
-                pa.array(near.ravel(), type=pa.float64()),
-            ),
-        }
-    )
-    ds = rd.from_arrow(pa.concat_tables([base, extra])).repartition(4)
+    ds = rd.from_arrow(_emb_with_near_copies(500, 20)).repartition(4)
     kw = dict(dim=8, threshold=0.99)
     a = embedding_near_dup_pairs(ds, "embedding", "vec_id", **kw).to_pandas()
     b = embedding_near_dup_pairs(
@@ -1059,20 +1010,7 @@ def test_dedup_pairs_bucket_invariance(ray_session):
     )
 
     docs = rd.from_arrow(_near_dup_docs())
-    base = _emb_table(np.arange(300, dtype=np.uint64))
-    mat = np.asarray(base.column("embedding").combine_chunks().flatten()).reshape(300, 8)
-    near = mat[:10] + 0.001
-    n, d = near.shape
-    extra = pa.table(
-        {
-            "vec_id": pa.array(np.arange(10, dtype=np.int64) + 10_000),
-            "embedding": pa.ListArray.from_arrays(
-                pa.array(np.arange(0, (n + 1) * d, d, dtype=np.int32), type=pa.int32()),
-                pa.array(near.ravel(), type=pa.float64()),
-            ),
-        }
-    )
-    vecs = rd.from_arrow(pa.concat_tables([base, extra]))
+    vecs = rd.from_arrow(_emb_with_near_copies(300, 10))
 
     def key(df, val_col):
         return sorted(map(tuple, df[["id_a", "id_b", val_col]].to_numpy()))
@@ -1080,12 +1018,6 @@ def test_dedup_pairs_bucket_invariance(ray_session):
     runs = {
         "minhash_carry": lambda nb: key(
             minhash_lsh_pairs(docs, "text", "doc_id", threshold=0.5, num_buckets=nb).to_pandas(),
-            "jaccard",
-        ),
-        "minhash_join": lambda nb: key(
-            minhash_lsh_pairs(
-                docs, "text", "doc_id", threshold=0.5, carry_signatures=False, num_buckets=nb
-            ).to_pandas(),
             "jaccard",
         ),
         "simhash": lambda nb: key(
@@ -1188,33 +1120,30 @@ def test_ngram_jaccard_nondefault_gram(ray_session):
 
 def test_sig_store_manifest_guard(ray_session, tmp_path):
     """Reusing a signature store built with different parameters raises
-    instead of silently producing wrong pairs (ADVICE r2)."""
+    instead of silently producing wrong pairs (ADVICE r2), and so does a
+    store without a manifest."""
     import ray.data as rd
 
-    from rayhll.pipelines.dedup import minhash_lsh_pairs
+    from rayhll.pipelines.dedup import MinHashStage, build_minhash_sig_store
 
     ds = rd.from_arrow(_near_dup_docs())
     store = str(tmp_path / "sigs")
-    minhash_lsh_pairs(
-        ds, "text", "doc_id", threshold=0.5, carry_signatures=False, sig_store_dir=store
-    ).to_pandas()
+
+    def build(gram):
+        signed = ds.map_batches(
+            MinHashStage("text", "doc_id", 128, 32, gram), batch_format="pyarrow"
+        )
+        build_minhash_sig_store(signed, store, "text", "doc_id", 128, 32, gram)
+
+    build(3)
     assert (tmp_path / "sigs" / "_MANIFEST.json").exists()
+    build(3)  # same parameters: the store is reused
     with pytest.raises(ValueError, match="was built with"):
-        minhash_lsh_pairs(
-            ds,
-            "text",
-            "doc_id",
-            threshold=0.5,
-            gram=5,  # mismatched shingling
-            carry_signatures=False,
-            sig_store_dir=store,
-        ).to_pandas()
+        build(5)  # mismatched shingling
     # a manifest-less (pre-manifest / foreign) store is also rejected
     (tmp_path / "sigs" / "_MANIFEST.json").unlink()
     with pytest.raises(ValueError, match="no _MANIFEST"):
-        minhash_lsh_pairs(
-            ds, "text", "doc_id", threshold=0.5, carry_signatures=False, sig_store_dir=store
-        ).to_pandas()
+        build(3)
 
 
 def test_grouped_top_k_uint64_and_nulls(ray_session):
@@ -1293,52 +1222,43 @@ def test_hash_fraction_sample_properties(ray_session):
 
 
 def test_verify_join_fanout_follows_resolver(ray_session, monkeypatch):
-    """The sig-attach joins of the carry_signatures=False minhash variant
-    follow the resolved fanout, never the old fixed 64 (VERDICT r3 item 1):
-    with the candidate prefilter disabled the corpus-sized value threads
-    through; with it enabled the fanout re-sizes from the (known) candidate
-    row count.  Pair sets are identical on both paths."""
+    """The vector-attach joins of the carry_vectors=False embedding variant
+    follow the resolved fanout, never a fixed 64 (VERDICT r3 item 1): with
+    the candidate prefilter disabled the corpus-sized value threads through;
+    with it enabled the fanout re-sizes from the (known) candidate row
+    count.  Pair sets are identical on both paths."""
     import ray.data as rd
 
+    import rayhll.functions.join as join
     import rayhll.pipelines.dedup as dd
 
-    docs = rd.from_arrow(_near_dup_docs())
+    vecs = rd.from_arrow(_emb_with_near_copies(200, 10))
     recorded = []
-    orig = dd._bucket_join_sig
+    orig = join.bucket_equi_join
 
-    def spy(pairs, sigs, id_col, key_col, out_sig_col, num_buckets=64):
+    def spy(left, right, on, how="inner", num_buckets=None, **kw):
         recorded.append(num_buckets)
-        return orig(pairs, sigs, id_col, key_col, out_sig_col, num_buckets=num_buckets)
+        return orig(left, right, on, how=how, num_buckets=num_buckets, **kw)
 
-    monkeypatch.setattr(dd, "_bucket_join_sig", spy)
+    monkeypatch.setattr(join, "bucket_equi_join", spy)
 
-    def pairs(nb):
-        return sorted(
-            map(
-                tuple,
-                dd.minhash_lsh_pairs(
-                    docs,
-                    "text",
-                    "doc_id",
-                    threshold=0.5,
-                    carry_signatures=False,
-                    num_buckets=nb,
-                )
-                .to_pandas()[["id_a", "id_b", "jaccard"]]
-                .to_numpy(),
-            )
+    def pairs():
+        out = dd.embedding_near_dup_pairs(
+            vecs, "embedding", "vec_id", dim=8, threshold=0.99,
+            carry_vectors=False, num_buckets=512,
         )
+        return sorted(map(tuple, out.to_pandas()[["id_a", "id_b", "cosine"]].to_numpy()))
 
     # prefilter skipped (cap 0): the resolver value must reach BOTH joins
     monkeypatch.setattr(dd, "PREFILTER_MAX_IDS", 0)
-    unfiltered = pairs(512)
+    unfiltered = pairs()
     assert recorded == [512, 512]
 
     # prefilter active: fanout re-sized from candidate rows (floor 64 here,
     # tiny corpus), and the pair set is byte-identical to the skip path
     recorded.clear()
     monkeypatch.setattr(dd, "PREFILTER_MAX_IDS", 32_000_000)
-    filtered = pairs(512)
+    filtered = pairs()
     expect = dd.buckets_for_rows(1)  # candidate-bounded floor
     assert recorded == [expect, expect]
     assert len(unfiltered) > 0

@@ -12,17 +12,18 @@ until one probe happens to pass; ``tools/probe_hash_shuffle.py``
 re-probes interactively.
 
 Because of this, every rayhll co-location groupby stays on the default sort
-shuffle, and the equi-join in rayhll.pipelines.dedup uses the bucketed
-tag-union join instead of ``Dataset.join`` (whose hash-shuffle machinery has
-the same failure mode at small CPU counts).
+shuffle, and every equi-join uses the bucketed tag-union join in
+rayhll.functions.join (``bucket_equi_join``) instead of ``Dataset.join``
+(whose hash-shuffle machinery has the same failure mode at small CPU
+counts).
 
 This test runs the minimal repro in a subprocess with a timeout:
 
 * subprocess TIMES OUT  -> the bug is still present -> test PASSES (the
   workaround stays);
 * subprocess COMPLETES  -> upstream fixed it -> test FAILS with the action:
-  delete the workaround (dedup._bucket_join_sig) and re-point callers at
-  Dataset.join.
+  delete the workaround (functions/join.bucket_equi_join) and re-point its
+  callers at Dataset.join.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def test_hash_shuffle_map_groups_still_hangs_at_small_cpu_counts():
         pytest.fail(
             "Ray hash-shuffle map_groups now completes at num_cpus=2 — the "
             "upstream bug is fixed.  Delete the bucketed tag-union join "
-            "workaround (rayhll/pipelines/dedup.py::_bucket_join_sig) and "
-            "re-point _minhash_lsh_pairs_join at Dataset.join."
+            "workaround (rayhll/functions/join.py::bucket_equi_join) and "
+            "re-point its callers at Dataset.join."
         )
     # nonzero exit = crashed rather than hung; surface it
     pytest.fail(

@@ -27,12 +27,9 @@ from rayhll.pipelines import distinct
 from rayhll.sources.synth import synth_code_dataset
 
 blocks = max(256, rows // 100_000)
-premerge = int(os.environ.get("RAYHLL_PREMERGE", "262144")) or None
 t0 = time.perf_counter()
 ds = synth_code_dataset(rows, override_num_blocks=blocks)
-out = distinct.flagship_grouped(
-    ds, hash_content=False, batch_size=131072, premerge_batch=premerge
-).materialize()
+out = distinct.flagship_grouped(ds, hash_content=False, batch_size=131072).materialize()
 wall = time.perf_counter() - t0
 n_groups = out.count()
 print(
