@@ -5,8 +5,10 @@ per batch; with high-cardinality group keys that is thousands of small
 sketches per batch, and generic per-sketch object overhead dominates.  This
 module builds ALL of a batch's per-group sketches in one pass:
 
-* one ``np.lexsort`` over (group code, raw value) orders and dedups every
-  group's values simultaneously;
+* ``np.unique`` maps group codes to dense ids; an argsort of the raw
+  values, then a stable radix argsort of the dense ids (``uint16`` up to
+  65,536 groups) orders every (group, value) pair exactly as a lexsort
+  would, and one pass dedups every group's values simultaneously;
 * groups whose distinct count stays at or below the EXPLICIT threshold —
   the overwhelming majority under any realistic group-key distribution —
   are serialized straight from slices of one shared big-endian buffer
@@ -50,7 +52,7 @@ def build_grouped_sketches(
     codes: np.ndarray,
     raws: np.ndarray,
     valid: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bytes]]:
     """Build one serialized sketch per distinct group code.
 
     :param codes: int group codes, one per row (any integer dtype).
@@ -61,41 +63,47 @@ def build_grouped_sketches(
         with no valid rows gets an EMPTY sketch.
     :returns: (unique codes ascending, first row index of each code in the
         ORIGINAL array, row count per code, serialized sketch per code).
+        Zero rows give three empty arrays and ``[]``.
     """
-    if valid is not None and not valid.all():
-        codes = np.ascontiguousarray(codes)
-        # group stats over ALL rows
-        all_uniq, inv = np.unique(codes, return_inverse=True)
-        first_idx = np.full(len(all_uniq), np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(first_idx, inv, np.arange(len(codes), dtype=np.int64))
-        counts = np.bincount(inv, minlength=len(all_uniq)).astype(np.int64)
-        # sketch contents over valid rows only
-        out: list[bytes] = [HllSketch(settings).to_bytes()] * len(all_uniq)
-        if valid.any():
-            v_uniq, _, _, v_out = build_grouped_sketches(
-                settings, codes[valid], np.ascontiguousarray(raws)[valid]
-            )
-            for p, blob in zip(np.searchsorted(all_uniq, v_uniq).tolist(), v_out):
-                out[p] = blob
-        return all_uniq, first_idx, counts, out
     codes = np.ascontiguousarray(codes)
     raws = np.ascontiguousarray(raws, dtype=np.int64)
-    order = np.lexsort((raws, codes))
-    c = codes[order]
-    r = raws[order]
-    # drop duplicate (code, raw) pairs — sets are duplicate-insensitive
-    keep = np.r_[True, (c[1:] != c[:-1]) | (r[1:] != r[:-1])]
-    c = c[keep]
-    r = r[keep]
-    starts = np.flatnonzero(np.r_[True, c[1:] != c[:-1]])
-    ends = np.r_[starts[1:], len(c)]
-    uniq_codes = c[starts]
+    uniq_codes, dense = np.unique(codes, return_inverse=True)
+    ngroups = len(uniq_codes)
+    first_idx = np.full(ngroups, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(first_idx, dense, np.arange(len(codes), dtype=np.int64))
+    counts = np.bincount(dense, minlength=ngroups).astype(np.int64)
+    if valid is not None:
+        dense = dense[valid]
+        raws = raws[valid]
+    groups, blobs = _sketches_by_group(settings, dense, raws, ngroups)
+    if len(groups) < ngroups:  # groups with no valid rows stay EMPTY
+        out = [HllSketch(settings).to_bytes()] * ngroups
+        for g, blob in zip(groups.tolist(), blobs):
+            out[g] = blob
+        blobs = out
+    return uniq_codes, first_idx, counts, blobs
 
-    # first occurrence of each code in the original row order + row counts
-    pos = np.searchsorted(uniq_codes, codes)
-    first_idx = np.full(len(uniq_codes), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first_idx, pos, np.arange(len(codes), dtype=np.int64))
-    counts = np.bincount(pos, minlength=len(uniq_codes)).astype(np.int64)
+
+def _sketches_by_group(
+    settings: HllSettings, dense: np.ndarray, raws: np.ndarray, ngroups: int
+) -> tuple[np.ndarray, list[bytes]]:
+    """(ascending dense ids present in ``dense``, serialized sketch of each)
+    from ``raws`` grouped by the dense group ids ``dense`` < ``ngroups``."""
+    if not len(raws):
+        return dense[:0], []
+    # argsort by value, then a stable argsort by group: (group, value) order,
+    # the same as np.lexsort((raws, dense)) but with a radix sort on groups
+    order = np.argsort(raws)
+    key = dense[order].astype(np.uint16 if ngroups <= 1 << 16 else np.uint32)
+    order = order[np.argsort(key, kind="stable")]
+    g = dense[order]
+    r = raws[order]
+    # drop duplicate (group, raw) pairs — sets are duplicate-insensitive
+    keep = np.r_[True, (g[1:] != g[:-1]) | (r[1:] != r[:-1])]
+    g = g[keep]
+    r = r[keep]
+    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    ends = np.r_[starts[1:], len(g)]
 
     threshold = settings.explicit_threshold
     big = r.astype(">i8")  # one shared big-endian buffer; sorted within group
@@ -109,7 +117,7 @@ def build_grouped_sketches(
             sk = HllSketch(settings)
             sk.add_batch(r[s0:e0])
             out.append(sk.to_bytes())
-    return uniq_codes, first_idx, counts, out
+    return g[starts], out
 
 
 def build_single_sketch(settings: HllSettings, raws: np.ndarray) -> bytes:

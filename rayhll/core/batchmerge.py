@@ -12,7 +12,7 @@ from the Arrow binary column's offsets/values buffers (one fancy-indexing
 gather — no per-blob ``bytes`` objects), then every all-EXPLICIT group is
 merged by one re-run of the grouped builder: union of EXPLICIT sets == set
 union of raw values (reference: python_hll/hll.py:662-665), and the
-builder's lexsort dedup IS that union.  Groups containing any probabilistic
+builder's sorted dedup IS that union.  Groups containing any probabilistic
 sketch fall back to the faithful ``HllSketch.union`` loop.
 """
 

@@ -10,8 +10,11 @@ Two hash families:
 * :func:`sha256_hex` / :func:`sha256_raw64` — the BASELINE per-row invariant
   (``sha256(content)`` equality vs the reference) and the raw value used for
   content sketches: first 8 digest bytes, big-endian, as signed int64.
-  hashlib releases the GIL per call; this is the one per-row C loop in the
-  engine and it is only used where the invariant demands sha256.
+  Both derive from :func:`sha256_digests`, which hashes each row straight
+  from the Arrow offsets and data buffers.  That is the engine's one per-row
+  loop, used only where the invariant demands sha256.  It holds the GIL:
+  CPython's hashlib releases it only for inputs of at least 2,048 bytes
+  (``HASHLIB_GIL_MINSIZE``), far above a typical source file row.
 * :func:`hash64_table` — the fast path for every other key: polars' vectorized
   64-bit xxhash over one column or a struct of columns (~60M rows/s/core),
   deterministic for a fixed seed.
@@ -22,6 +25,7 @@ Two hash families:
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 
 import numpy as np
@@ -31,34 +35,92 @@ import pyarrow as pa
 DEFAULT_SEED = 0x9E3779B9
 
 
-def sha256_hex(values: pa.Array | pa.ChunkedArray | list[str]) -> list[str]:
-    """Hex sha256 digest per row (the BASELINE.json per-row invariant)."""
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
+#: Arrow types whose rows :func:`sha256_digests` hashes from the buffers,
+#: with the numpy dtype of their offsets
+_OFFSET_DTYPES = {
+    pa.string(): np.int32,
+    pa.binary(): np.int32,
+    pa.large_string(): np.int64,
+    pa.large_binary(): np.int64,
+}
+
+
+def _utf8(v) -> bytes:
+    if v is None:
+        return b""
+    return v.encode("utf-8", "surrogatepass") if isinstance(v, str) else v
+
+
+def _buffer_digests(values: pa.Array) -> bytes:
+    """sha256 of each row of a string/binary array, read from its buffers."""
+    n = len(values)
+    if n == 0:
+        return b""
+    _, offsets_buf, data_buf = values.buffers()
+    offsets = np.frombuffer(offsets_buf, dtype=_OFFSET_DTYPES[values.type])
+    offsets = offsets[values.offset : values.offset + n + 1]
+    lo = offsets[:-1]
+    hi = offsets[1:]
+    if values.null_count:
+        # a null slot may still span bytes; hash it as empty
+        hi = np.where(np.asarray(values.is_valid()), hi, lo)
+    data = memoryview(data_buf if data_buf is not None else b"")
+    sha256 = hashlib.sha256
+    return b"".join([sha256(data[a:b]).digest() for a, b in zip(lo.tolist(), hi.tolist())])
+
+
+def sha256_digests(values: pa.Array | pa.ChunkedArray | list[str]) -> bytes:
+    """sha256 of every row, concatenated: ``32 * len(values)`` bytes.
+
+    A null row hashes as the empty string.  String and binary columns (and
+    their ``large_`` variants) are hashed straight from the Arrow offsets
+    and data buffers, with no per-row Python ``str``; a dictionary column
+    is decoded first.  Other Arrow types and Python lists hash ``str`` rows
+    as UTF-8 and ``bytes`` rows as they are."""
+    if isinstance(values, pa.ChunkedArray):
+        return b"".join([sha256_digests(c) for c in values.chunks])
+    if isinstance(values, pa.Array):
+        if pa.types.is_dictionary(values.type):
+            values = values.cast(values.type.value_type)
+        if values.type in _OFFSET_DTYPES:
+            return _buffer_digests(values)
         values = values.to_pylist()
-    out = []
-    for v in values:
-        if v is None:
-            out.append(None)
-            continue
-        if isinstance(v, str):
-            v = v.encode("utf-8", "surrogatepass")
-        out.append(hashlib.sha256(v).hexdigest())
-    return out
+    return b"".join([hashlib.sha256(_utf8(v)).digest() for v in values])
+
+
+def digests_raw64(digests: bytes) -> np.ndarray:
+    """Signed int64 per 32-byte digest: its first 8 bytes, big-endian."""
+    return np.frombuffer(digests, dtype=">i8")[::4].astype(np.int64)
+
+
+def digests_hex(digests: bytes) -> pa.Array:
+    """Arrow string column of the lowercase hex of each 32-byte digest,
+    built from one ``hexlify`` with no per-row Python ``str``."""
+    n = len(digests) // 32
+    offsets = np.arange(0, 64 * (n + 1), 64, dtype=np.int64)
+    hexes = pa.LargeStringArray.from_buffers(
+        n, pa.py_buffer(offsets), pa.py_buffer(binascii.hexlify(digests))
+    )
+    return hexes.cast(pa.string())
+
+
+def sha256_hex(values: pa.Array | pa.ChunkedArray | list[str]) -> list[str]:
+    """Hex sha256 digest per row (the BASELINE.json per-row invariant);
+    None for a null row."""
+    hexes = digests_hex(sha256_digests(values)).to_pylist()
+    if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        if not values.null_count:
+            return hexes
+        valid = np.asarray(values.is_valid()).tolist()
+    else:
+        valid = [v is not None for v in values]
+    return [h if ok else None for h, ok in zip(hexes, valid)]
 
 
 def sha256_raw64(values: pa.Array | pa.ChunkedArray | list[str]) -> np.ndarray:
     """Signed int64 raw values for HLL adds: first 8 bytes of sha256(value),
     big-endian.  Nulls hash as the empty string."""
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
-        values = values.to_pylist()
-    out = np.empty(len(values), dtype=np.uint64)
-    for i, v in enumerate(values):
-        if v is None:
-            v = b""
-        elif isinstance(v, str):
-            v = v.encode("utf-8", "surrogatepass")
-        out[i] = int.from_bytes(hashlib.sha256(v).digest()[:8], "big")
-    return out.view(np.int64)
+    return digests_raw64(sha256_digests(values))
 
 
 def hash64_table(

@@ -7,10 +7,11 @@ commit)`` — globally and per ``(repo, lang)`` group — with the per-row
 
 Stage layout (all Ray-Data-native, streaming):
 
-1. :class:`HashStage` — ``map_batches`` actor pool, zero-copy Arrow in/out:
-   appends ``content_sha256`` (the invariant digest) and ``content_raw64``
-   (first 8 digest bytes as signed int64 — the HLL raw value, so sha256 is
-   computed once per row, not once per use).
+1. :class:`HashStage` — a ``map_batches`` callable (both flagships pass an
+   instance, so it runs as tasks), zero-copy Arrow in/out: appends
+   ``content_sha256`` (the invariant digest) and ``content_raw64`` (first 8
+   digest bytes as signed int64 — the HLL raw value, so sha256 is computed
+   once per row, not once per use).
 2. :class:`MultiKeyBuild` — per batch, per group: three partial sketches
    (content / path / repo+commit) in one pass over the batch; emits one
    fixed-size row per (batch, group).
@@ -53,18 +54,9 @@ class HashStage:
     invariant and must exist for every row."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import hashlib
-
-        texts = batch.column("content").to_pylist()
-        digests = [
-            hashlib.sha256(
-                t.encode("utf-8", "surrogatepass") if t is not None else b""
-            ).digest()
-            for t in texts
-        ]
-        hexes = [d.hex() for d in digests]
-        raw = np.frombuffer(b"".join(d[:8] for d in digests), dtype=">i8").astype(np.int64)
-        batch = batch.append_column("content_sha256", pa.array(hexes, type=pa.string()))
+        digests = hashing.sha256_digests(batch.column("content"))
+        batch = batch.append_column("content_sha256", hashing.digests_hex(digests))
+        raw = hashing.digests_raw64(digests)
         return batch.append_column("content_raw64", pa.array(raw, type=pa.int64()))
 
 
