@@ -22,10 +22,13 @@ The four layouts::
 
     run_checkpointed (flagship_checkpointed, *_dedup_checkpointed):
       manifest.json                fingerprint (settings_hash) + per-partition
-                                   status / attempts — the receipts — + result:
-                                   the partition ids result.parquet merges
+                                   status / attempts — the driver's index of
+                                   the receipts — + result: the partition ids
+                                   result.parquet merges
       partials/part-<id>.parquet   one file per completed partition
-      metrics/part-<id>.json       partition, rows_out, bytes_out, wall_s, attempts
+      metrics/part-<id>.json       its receipt, written by the task that
+                                   computed the partial, after it: partition,
+                                   rows_out, bytes_out, wall_s, attempts
       result/result.parquet        final merged output
 
     pipelines.components.connected_components_checkpointed:
@@ -65,6 +68,7 @@ import time
 from dataclasses import dataclass, field
 
 import pyarrow as pa
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 
@@ -182,46 +186,75 @@ def run_checkpointed(
     settings_obj=None,
     fail_after: int | None = None,
 ):
-    """Run ``partial_fn(partition_input) -> pyarrow.Table`` per pending
-    partition (each written atomically, then its metrics, then its manifest
-    receipt), then ``merge_fn(list_of_partial_paths) -> pyarrow.Table`` over
-    ALL partials, written to ``result/result.parquet``.  The manifest's
+    """Run ``partial_fn(partition_input) -> pyarrow.Table`` for every
+    pending partition in ONE Ray Data execution, one task per partition:
+    the task writes its partial atomically, then its metrics receipt, and
+    the driver records each receipt in the manifest as it streams in.  Then
+    ``merge_fn(list_of_partial_paths) -> pyarrow.Table`` runs on the driver
+    over ALL partials, written to ``result/result.parquet``.  The manifest's
     ``result`` key names the partitions that file merges (cleared before
     the file is replaced, set after it lands); a rerun over exactly those
     partitions returns the stored result and writes nothing.  Returns the
     final table.
 
-    :param fail_after: test hook — raise after N partitions complete, to
-        simulate a crash for resume testing.
+    ``partial_fn`` runs inside a Ray task: it must be picklable (with the
+    partition inputs) and must not itself execute a Ray Dataset.  A pending
+    partition whose receipt is on disk (the driver died before recording
+    it) counts as done.
+
+    :param fail_after: test hook — run only the first N pending partitions,
+        then raise once their receipts have landed, to simulate a crash for
+        resume testing.
     """
+    import ray.data as rd
+
     pids = sorted(partition_inputs)
     manifest = Manifest.load_or_create(out_dir, settings_fingerprint(settings_obj), pids)
     result_path = os.path.join(out_dir, "result", "result.parquet")
     if manifest.result == pids and os.path.exists(result_path):
         return pq.read_table(result_path)
 
-    completed_now = 0
+    part_path = lambda pid: os.path.join(out_dir, "partials", f"part-{pid}.parquet")  # noqa: E731
+    receipt_path = lambda pid: os.path.join(out_dir, "metrics", f"part-{pid}.json")  # noqa: E731
+    pending = []
     for pid in pids:
         if manifest.partitions[pid].get("status") == "done":
             continue
-        t0 = time.perf_counter()
-        table = partial_fn(partition_inputs[pid])
-        size = atomic_write(os.path.join(out_dir, "partials", f"part-{pid}.parquet"), table)
-        metrics = {
-            "rows_out": table.num_rows,
-            "bytes_out": size,
-            "wall_s": round(time.perf_counter() - t0, 4),
-            "attempts": manifest.partitions[pid].get("attempts", 0) + 1,
-        }
-        atomic_write(
-            os.path.join(out_dir, "metrics", f"part-{pid}.json"), {"partition": pid, **metrics}
-        )
-        manifest.mark_done(pid, **metrics)
-        completed_now += 1
-        if fail_after is not None and completed_now >= fail_after:
-            raise RuntimeError(f"simulated crash after {completed_now} partitions")
+        receipt = read_record(receipt_path(pid))
+        if receipt is None:
+            pending.append(pid)
+        else:
+            manifest.mark_done(receipt.pop("partition"), **receipt)
+    crash = fail_after is not None and len(pending) >= fail_after
+    if crash:
+        pending = pending[:fail_after]
 
-    final = merge_fn([os.path.join(out_dir, "partials", f"part-{pid}.parquet") for pid in pids])
+    if pending:
+        inputs = {pid: partition_inputs[pid] for pid in pending}
+        attempts = {pid: manifest.partitions[pid].get("attempts", 0) + 1 for pid in pending}
+
+        def run_one(batch: pa.Table) -> pa.Table:
+            pid = batch.column("pid")[0].as_py()
+            t0 = time.perf_counter()
+            table = partial_fn(inputs[pid])
+            metrics = {
+                "rows_out": table.num_rows,
+                "bytes_out": atomic_write(part_path(pid), table),
+                "wall_s": round(time.perf_counter() - t0, 4),
+                "attempts": attempts[pid],
+            }
+            atomic_write(receipt_path(pid), {"partition": pid, **metrics})
+            return pa.Table.from_pylist([{"pid": pid, **metrics}])
+
+        done = rd.from_items([{"pid": p} for p in pending], override_num_blocks=len(pending))
+        done = done.map_batches(run_one, batch_size=1, batch_format="pyarrow")
+        for batch in done.iter_batches(batch_format="pyarrow", batch_size=None):
+            for row in batch.to_pylist():
+                manifest.mark_done(row.pop("pid"), **row)
+    if crash:
+        raise RuntimeError(f"simulated crash after {len(pending)} partitions")
+
+    final = merge_fn([part_path(pid) for pid in pids])
     if manifest.result is not None:
         manifest.mark_result(None)
     atomic_write(result_path, final)
@@ -238,8 +271,6 @@ def flagship_checkpointed(
     vectorized merge over all partials' rows; result = per-(repo, lang)
     estimates.  Byte-deterministic across resumes.  The fingerprint covers
     the settings and the input file list (partition ids index it)."""
-    import ray.data as rd
-
     from rayhll.core.settings import HllSettings
     from rayhll.pipelines import distinct
     from rayhll.stages import build as bs
@@ -247,14 +278,10 @@ def flagship_checkpointed(
     settings = settings or HllSettings(11, 5)
 
     def partial_fn(path: str) -> pa.Table:
-        ds = rd.read_parquet(path)
-        partials = ds.map_batches(
-            distinct.MultiKeyBuild(settings=settings, grouped=True),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=262144,
-        )
-        return pa.concat_tables(partials.iter_batches(batch_format="pyarrow", batch_size=None))
+        build = distinct.MultiKeyBuild(settings=settings, grouped=True)
+        f = pq.ParquetFile(path)
+        parts = [build(pa.Table.from_batches([b])) for b in f.iter_batches(batch_size=262144)]
+        return pa.concat_tables(parts or [build(f.schema_arrow.empty_table())])
 
     def merge_fn(paths: list[str]) -> pa.Table:
         all_parts = pa.concat_tables([pq.read_table(p) for p in paths])
@@ -288,10 +315,11 @@ def _pair_dedup_checkpointed(
       (``build_store(signed, sig_store_dir)``), fingerprinted by its
       ``_MANIFEST.json`` and reused across runs;
     * the PAIR output is partitioned by co-locating bucket
-      (``key % params["num_buckets"]``): ``explode(batch, bucket)`` keeps
-      the ``store_cols`` rows whose key lands in ``bucket`` and ``verify``
-      turns them into that bucket's ``(id_a, id_b, <score>)`` pairs — a
-      pure function of the store, written atomically, skipped on resume.
+      (``key % params["num_buckets"]``): the bucket's task reads the store
+      with pyarrow, ``explode(batch, bucket)`` keeps the ``store_cols`` rows
+      whose key lands in ``bucket`` and ``verify`` turns them into that
+      bucket's ``(id_a, id_b, <score>)`` pairs — a pure function of the
+      store, written atomically, skipped on resume.
 
     Merge = global pair dedup (a pair can surface from several buckets) +
     canonical ``(id_a, id_b)`` sort, so the final pair set is byte-identical
@@ -309,11 +337,12 @@ def _pair_dedup_checkpointed(
     empty = empty.append_column(score[0], pa.array([], score[1]))
 
     def partial_fn(bucket: int) -> pa.Table:
-        rows = rd.read_parquet(sig_store_dir, columns=store_cols).map_batches(
-            lambda batch: explode(batch, bucket), batch_format="pyarrow"
-        )
-        tbl = pa.concat_tables(rows.iter_batches(batch_format="pyarrow", batch_size=None))
-        return verify(tbl) if len(tbl) else empty
+        store = pads.dataset(sig_store_dir, format="parquet")  # skips _MANIFEST.json
+        rows = [
+            explode(pa.Table.from_batches([b]), bucket)
+            for b in store.to_batches(columns=store_cols)
+        ]
+        return verify(pa.concat_tables(rows)) if any(len(r) for r in rows) else empty
 
     def merge_fn(paths: list[str]) -> pa.Table:
         all_pairs = pa.concat_tables([pq.read_table(p) for p in paths])
@@ -480,8 +509,6 @@ def minhash_dedup_checkpointed(
     manifest."""
     import numpy as np
     import polars as pl
-    import pyarrow.compute as pc
-    import ray.data as rd
 
     from rayhll.pipelines.dedup import (
         MinHashStage,
@@ -529,12 +556,8 @@ def minhash_dedup_checkpointed(
             type=pa.int64(),
         )
         sig_cols = [id_col, "signature"] + (["texthash"] if verify_text_hash else [])
-        sig_ds = rd.read_parquet(sig_store_dir, columns=sig_cols)
-        sig_tbl = pa.concat_tables(
-            sig_ds.map_batches(
-                lambda t, want=ids_needed: t.filter(pc.is_in(t.column(id_col), want)),
-                batch_format="pyarrow",
-            ).iter_batches(batch_format="pyarrow", batch_size=None)
+        sig_tbl = pads.dataset(sig_store_dir, format="parquet").to_table(
+            columns=sig_cols, filter=pads.field(id_col).isin(ids_needed)
         )
         sig_ids = sig_tbl.column(id_col).to_numpy()
         order = np.argsort(sig_ids)

@@ -452,3 +452,144 @@ def test_sig_store_build_interrupted_before_manifest(ray_session, dup_docs_file,
         )
     resumed = minhash_dedup_checkpointed([dup_docs_file], crash_dir, num_buckets=8)
     assert resumed.equals(clean)
+
+
+def _recording_partial_fn(runs_dir: str, fail_pid=None, marker=None, wait_for=()):
+    """A partial_fn over pid inputs that appends one byte to
+    ``runs_dir/<pid>`` per call.  While ``marker`` exists it raises for
+    ``fail_pid``, once the receipts in ``wait_for`` have landed (or 60 s
+    have passed)."""
+
+    def partial_fn(pid: str) -> pa.Table:
+        import time
+
+        with open(os.path.join(runs_dir, pid), "a") as f:
+            f.write("x")
+        if pid == fail_pid and os.path.exists(marker):
+            deadline = time.time() + 60
+            while time.time() < deadline and not all(map(os.path.exists, wait_for)):
+                time.sleep(0.05)
+            raise RuntimeError(f"partition {pid} failed")
+        return pa.table({"pid": [pid]})
+
+    return partial_fn
+
+
+def _concat_partials(paths):
+    return pa.concat_tables([pq.read_table(p) for p in paths])
+
+
+def _runs(runs_dir, pid) -> int:
+    path = os.path.join(runs_dir, pid)
+    return os.path.getsize(path) if os.path.exists(path) else 0
+
+
+def test_failed_task_resume_reruns_only_partitions_without_receipt(ray_session, tmp_path):
+    """One task of the parallel execution fails after the others landed
+    their receipts; the resume re-runs exactly the partitions without a
+    receipt and returns the clean run's bytes."""
+    pids = ["a", "b", "c"]
+    inputs = {p: p for p in pids}
+    out, runs, marker = tmp_path / "out", tmp_path / "runs", tmp_path / "marker"
+    runs.mkdir()
+    marker.touch()
+    receipt = lambda p: str(out / "metrics" / f"part-{p}.json")  # noqa: E731
+    fn = _recording_partial_fn(str(runs), "c", str(marker), [receipt("a"), receipt("b")])
+
+    with pytest.raises(Exception, match="partition c failed"):
+        run_checkpointed(str(out), inputs, fn, _concat_partials)
+    landed = {p for p in pids if os.path.exists(receipt(p))}
+    assert landed == {"a", "b"}
+    before = {p: _runs(runs, p) for p in pids}
+
+    marker.unlink()
+    resumed = run_checkpointed(str(out), inputs, fn, _concat_partials)
+    assert {p for p in pids if _runs(runs, p) > before[p]} == set(pids) - landed
+    manifest = json.load(open(out / "manifest.json"))
+    assert all(st["status"] == "done" for st in manifest["partitions"].values())
+    assert all(st["attempts"] == 1 for st in manifest["partitions"].values())
+
+    clean_runs = tmp_path / "clean_runs"
+    clean_runs.mkdir()
+    clean = run_checkpointed(
+        str(tmp_path / "clean"), inputs, _recording_partial_fn(str(clean_runs)), _concat_partials
+    )
+    assert resumed.equals(clean)
+    a = open(tmp_path / "clean" / "result" / "result.parquet", "rb").read()
+    assert open(out / "result" / "result.parquet", "rb").read() == a
+
+
+def test_receipt_without_manifest_record_counts_as_done(ray_session, tmp_path):
+    """A driver that died after a task's receipt landed but before it
+    recorded the partition in the manifest: the resume takes the receipt,
+    does not re-run that partition, and returns the clean run's bytes."""
+    pids = ["a", "b", "c"]
+    inputs = {p: p for p in pids}
+    out, runs = tmp_path / "out", tmp_path / "runs"
+    runs.mkdir()
+    fn = _recording_partial_fn(str(runs))
+
+    with pytest.raises(RuntimeError, match="simulated crash after 2 partitions"):
+        run_checkpointed(str(out), inputs, fn, _concat_partials, fail_after=2)
+    assert sorted(os.listdir(out / "metrics")) == ["part-a.json", "part-b.json"]
+    manifest = json.load(open(out / "manifest.json"))
+    done_b = manifest["partitions"]["b"]
+    manifest["partitions"]["b"] = {"status": "pending"}
+    with open(out / "manifest.json", "w") as f:
+        json.dump(manifest, f)
+
+    resumed = run_checkpointed(str(out), inputs, fn, _concat_partials)
+    assert {p: _runs(runs, p) for p in pids} == {"a": 1, "b": 1, "c": 1}
+    assert json.load(open(out / "manifest.json"))["partitions"]["b"] == done_b
+
+    clean = run_checkpointed(
+        str(tmp_path / "clean"), inputs, _recording_partial_fn(str(runs)), _concat_partials
+    )
+    assert resumed.equals(clean)
+    a = open(tmp_path / "clean" / "result" / "result.parquet", "rb").read()
+    assert open(out / "result" / "result.parquet", "rb").read() == a
+
+
+@pytest.fixture()
+def executions(monkeypatch):
+    """Counts Ray Data plan executions started on the driver."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    count = [0]
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return count
+
+
+def _executions_of(executions, run) -> int:
+    before = executions[0]
+    try:
+        run()
+    except RuntimeError as e:
+        assert "simulated crash" in str(e)
+    return executions[0] - before
+
+
+def test_flagship_checkpointed_one_execution_per_run(ray_session, code_files, tmp_path, executions):
+    clean, crash = str(tmp_path / "clean"), str(tmp_path / "crash")
+    assert _executions_of(executions, lambda: flagship_checkpointed(code_files, clean)) == 1
+    assert _executions_of(executions, lambda: flagship_checkpointed(code_files, clean)) == 0
+    crashed = lambda: flagship_checkpointed(code_files, crash, fail_after=1)  # noqa: E731
+    assert _executions_of(executions, crashed) == 1
+    assert _executions_of(executions, lambda: flagship_checkpointed(code_files, crash)) == 1
+
+
+def test_minhash_dedup_checkpointed_executions(ray_session, dup_docs_file, tmp_path, executions):
+    """A fresh directory: the signature store, then every pending bucket in
+    one execution; the resume reuses the store."""
+    from rayhll.state.checkpoint import minhash_dedup_checkpointed
+
+    out = str(tmp_path / "out")
+    run = lambda **kw: minhash_dedup_checkpointed([dup_docs_file], out, num_buckets=8, **kw)  # noqa: E731
+    assert _executions_of(executions, lambda: run(fail_after=3)) == 2
+    assert _executions_of(executions, run) == 1

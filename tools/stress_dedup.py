@@ -1,13 +1,18 @@
 """Large-scale text-dedup stress: synthesize N docs (~80 tokens from a
 2,000-word pool, deterministic per id), plant near-duplicates for the first
-P ids (id+10M = copy with 2 tokens replaced), run exact dedup and
-MinHash+LSH, and report wall times + planted-pair recall.
+P ids (id+10M = copy with 2 tokens replaced), write them to 4 parquet
+files (untimed), run exact dedup, streaming MinHash+LSH and the
+checkpointed MinHash runner (a clean run, then a simulated crash after half
+the pair buckets plus its resume) over those files, and report wall times +
+planted-pair recall.
 
 Usage: python tools/stress_dedup.py [n_docs] [n_planted] [num_cpus]
 """
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -15,6 +20,7 @@ os.environ.setdefault("POLARS_MAX_THREADS", "1")
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 N = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
 P = int(sys.argv[2]) if len(sys.argv) > 2 else 500
@@ -30,6 +36,7 @@ import ray.data as rd
 
 from rayhll.functions.hashing import splitmix64
 from rayhll.pipelines.dedup import exact_dedup_keep_ids, minhash_lsh_pairs
+from rayhll.state.checkpoint import minhash_dedup_checkpointed
 
 WORDS = np.array([f"w{w:04d}" for w in range(2000)])
 DOC_LEN = 80
@@ -61,9 +68,20 @@ def gen(batch: pa.Table) -> pa.Table:
                      "text": pa.array(texts, type=pa.string())})
 
 
-ds = rd.range(N, override_num_blocks=max(64, N // 20_000)).map_batches(
-    gen, batch_format="pyarrow"
-)
+FILES = 4
+NUM_BUCKETS = 16
+work = tempfile.mkdtemp(prefix="stress_dedup_")
+files = [os.path.join(work, f"docs-{f}.parquet") for f in range(FILES)]
+for f, ids in enumerate(np.array_split(np.arange(N, dtype=np.int64), FILES)):
+    pq.write_table(gen(pa.table({"id": ids})), files[f])
+ds = rd.read_parquet(files)
+planted = {(i, i + 10_000_000) for i in range(P)}
+
+
+def recall_of(pairs) -> tuple[float, int]:
+    got = set(zip(pairs.id_a, pairs.id_b))
+    return len(got & planted) / P, len(got - planted)
+
 
 t0 = time.perf_counter()
 kept = exact_dedup_keep_ids(ds, "text", "doc_id").count()
@@ -72,10 +90,29 @@ t_exact = time.perf_counter() - t0
 t0 = time.perf_counter()
 pairs = minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.7).to_pandas()
 t_minhash = time.perf_counter() - t0
-got = set(zip(pairs.id_a, pairs.id_b))
-planted = {(i, i + 10_000_000) for i in range(P)}
-recall = len(got & planted) / P
-extras = len(got - planted)
+recall, extras = recall_of(pairs)
+
+ckpt = lambda out, **kw: minhash_dedup_checkpointed(  # noqa: E731
+    files, os.path.join(work, out), threshold=0.7, num_buckets=NUM_BUCKETS, **kw
+)
+t0 = time.perf_counter()
+ckpt_pairs = ckpt("clean")
+t_ckpt = time.perf_counter() - t0
+ckpt_recall, ckpt_extras = recall_of(ckpt_pairs.to_pandas())
+
+t0 = time.perf_counter()
+try:
+    ckpt("crash", fail_after=NUM_BUCKETS // 2)
+    raise AssertionError("the simulated crash did not fire")
+except RuntimeError as e:
+    if "simulated crash" not in str(e):
+        raise
+t_crash = time.perf_counter() - t0
+t0 = time.perf_counter()
+resumed = ckpt("crash")
+t_resume = time.perf_counter() - t0
+assert resumed.equals(ckpt_pairs), "the resumed pair set differs from the clean run's"
+shutil.rmtree(work, ignore_errors=True)
 
 print(
     json.dumps(
@@ -89,6 +126,11 @@ print(
             "planted": P,
             "planted_recall": recall,
             "non_planted_pairs": extras,
+            "ckpt_clean_sec": round(t_ckpt, 1),
+            "ckpt_crash_sec": round(t_crash, 1),
+            "ckpt_resume_sec": round(t_resume, 1),
+            "ckpt_planted_recall": ckpt_recall,
+            "ckpt_non_planted_pairs": ckpt_extras,
         }
     )
 )
