@@ -17,6 +17,10 @@ the wide operation is tiny by construction —
   than ``DataContext.target_max_block_size`` go through a Ray Data exchange:
   ``groupby(_bucket)`` for grouped merges (:func:`merge_grouped`), a parallel
   ``map_batches`` merge for global ones (:func:`merge_to_row`).
+* A plan that is exactly a ``Datasource`` read and then this library's own
+  maps (any sketch entry point over a bare ``read_parquet``) runs as one
+  plain Ray task per read task, with no Ray Data execution
+  (:func:`_direct_plan`); any other plan runs through Ray Data.
 * ``merge_sketch_rows`` / ``make_bucket_merger`` revive sketches with
   ``from_bytes``, fold them with the associative ``union``
   (reference semantics: python_hll/hll.py:491-691), and emit bytes again.
@@ -28,6 +32,7 @@ partial sketch (register max is order-independent and duplicate-insensitive).
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -240,19 +245,119 @@ def merge_partials(partials: "ray.data.Dataset", merge, exchange):
     in one block, else ``exchange`` over the same blocks.
 
     Runs ``partials`` to block refs and their metadata; no data moves to the
-    driver for that.  If the blocks total at most
-    ``DataContext.target_max_block_size`` — the size Ray Data already lets
-    one block reach — the driver fetches them and returns ``merge(table)``
-    of all their rows (an empty, possibly column-less table when there are
-    none).  Otherwise it returns ``exchange(ds)``, where ``ds`` is a dataset
-    over the blocks already computed, so the plan does not run twice."""
+    driver for that, and a :func:`_direct_plan` runs no Ray Data execution.
+    If the blocks total at most ``DataContext.target_max_block_size`` — the
+    size Ray Data already lets one block reach — the driver fetches them and
+    returns ``merge(table)`` of all their rows (an empty, possibly
+    column-less table when there are none).  Otherwise it returns
+    ``exchange(ds)``, where ``ds`` is a dataset over the blocks already
+    computed, so the plan does not run twice."""
     from ray.data import DataContext
 
-    bundles = list(partials.iter_internal_ref_bundles())
+    bundles = _direct_bundles(partials)
+    if bundles is None:
+        bundles = list(partials.iter_internal_ref_bundles())
     size = sum(md.size_bytes for bundle in bundles for _, md in bundle.blocks)
     if size <= DataContext.get_current().target_max_block_size:
         return merge(_fetch(bundles))
     return exchange(_dataset_of(bundles))
+
+
+def _direct_plan(ds: "ray.data.Dataset"):
+    """``(read, maps)`` when ``ds`` is exactly a ``Datasource`` read and then
+    only this library's own maps, else None.  A map qualifies when it is an
+    uncapped task-pool ``map_batches`` over pyarrow batches with no fn,
+    constructor or remote args, and its callable is defined in a ``rayhll``
+    module, so a caller's UDF always runs in Ray Data.  The read may carry
+    only Ray Data's default scheduling strategy and no concurrency cap."""
+    import inspect
+
+    from ray.data._internal.compute import TaskPoolStrategy
+    from ray.data._internal.logical.operators.map_operator import MapBatches
+    from ray.data._internal.logical.operators.read_operator import Read
+    from ray.data.datasource import Datasource
+
+    maps, op = [], ds._logical_plan.dag
+    while type(op) is MapBatches:
+        fn = op._fn
+        args = (op._fn_args, op._fn_kwargs, op._fn_constructor_args, op._fn_constructor_kwargs)
+        if (
+            op._compute != TaskPoolStrategy()
+            or op._batch_format != "pyarrow"
+            or any(args + (op._ray_remote_args, op._ray_remote_args_fn))
+            or not (fn if inspect.isfunction(fn) else type(fn)).__module__.startswith("rayhll.")
+        ):
+            return None
+        maps.append(op)
+        op = op.input_dependencies[0]
+    default_args = {"scheduling_strategy": ds.context.scheduling_strategy}
+    if maps and type(op) is Read and isinstance(op._datasource_or_legacy_reader, Datasource):
+        if op._concurrency is None and op._ray_remote_args == default_args:
+            return op, maps[::-1]
+    return None
+
+
+def _direct_bundles(ds: "ray.data.Dataset"):
+    """The partial blocks of a :func:`_direct_plan` as ``RefBundle``s (None
+    for any other plan): one plain task per read task, which Ray Data itself
+    would launch as many of, runs the maps over that task's blocks and
+    returns one partial table; only its metadata comes to the driver."""
+    plan = _direct_plan(ds)
+    if plan is None:
+        return None
+    import ray
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.util import _autodetect_parallelism
+
+    read, maps = plan
+    ctx, source = ds.context, read._datasource_or_legacy_reader
+    n, _, _ = _autodetect_parallelism(
+        read._parallelism, ctx.target_max_block_size, ctx, source, read._mem_size
+    )
+    chain = [(op._fn, op._batch_size) for op in maps]
+    task = _read_and_map_task().options(**read._ray_remote_args)
+    refs = [task.remote(ctx, rt, chain) for rt in source.get_read_tasks(n)]
+    metas = ray.get([meta for _, meta in refs])
+    return [
+        RefBundle(((block, md.metadata),), owns_blocks=False, schema=md.schema)
+        for (block, _), md in zip(refs, metas)
+        if md.num_rows
+    ]
+
+
+@functools.cache
+def _read_and_map_task():
+    import ray
+
+    return ray.remote(num_returns=2)(_read_and_map)
+
+
+def _read_and_map(ctx, read_task, chain) -> tuple:
+    """A direct task: ``read_task``'s blocks through ``chain``'s ``(fn,
+    batch_size)`` maps, each batching its input as ``map_batches`` does,
+    under the caller's ``DataContext``; the output and its metadata."""
+    from ray.data import DataContext
+    from ray.data.block import BlockMetadataWithSchema
+
+    prev = DataContext.get_current()
+    DataContext._set_current(ctx)
+    try:
+        tables = read_task()
+        for fn, batch_size in chain:
+            tables = _mapped(fn, tables, batch_size)
+        out = list(tables)
+    finally:
+        DataContext._set_current(prev)
+    table = pa.concat_tables(out, promote_options="default") if out else pa.table({})
+    return table, BlockMetadataWithSchema.from_block(table)
+
+
+def _mapped(fn, blocks, batch_size):
+    from ray.data._internal.block_batching.util import blocks_to_batches
+    from ray.data.block import BlockAccessor
+
+    for batch in blocks_to_batches(iter(blocks), batch_size=batch_size):
+        yield fn(BlockAccessor.for_block(batch.data).to_batch_format("pyarrow"))
 
 
 def merge_to_row(partials: "ray.data.Dataset", merge, leaf_batch: int) -> pa.Table:
@@ -274,15 +379,16 @@ def merge_grouped(partials: "ray.data.Dataset", merger) -> "ray.data.Dataset":
     ``merger`` keys on ``GHASH_COL``, not on ``BUCKET_COL``, so on the driver
     one call covers every bucket.  Over the size bound the partials go
     through ``groupby(BUCKET_COL).map_groups(merger)``.  The plan up to the
-    partials runs when this is called; the result is a dataset over the
-    merged table, or the lazy exchange."""
+    partials runs when this is called; the result is a materialized dataset
+    over the merged table, so reading it starts no execution, or the lazy
+    exchange."""
     import ray.data as rd
 
     def exchange(ds):
         return ds.groupby(BUCKET_COL).map_groups(merger, batch_format="pyarrow")
 
     out = merge_partials(partials, merger, exchange)
-    return rd.from_arrow(out) if isinstance(out, pa.Table) else out
+    return rd.from_arrow(out).materialize() if isinstance(out, pa.Table) else out
 
 
 def _fetch(bundles) -> pa.Table:

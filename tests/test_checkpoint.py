@@ -10,6 +10,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from rayhll.state.checkpoint import Manifest, flagship_checkpointed, run_checkpointed
+from tests.conftest import _executions_of
 
 
 @pytest.fixture()
@@ -548,31 +549,6 @@ def test_receipt_without_manifest_record_counts_as_done(ray_session, tmp_path):
     assert resumed.equals(clean)
     a = open(tmp_path / "clean" / "result" / "result.parquet", "rb").read()
     assert open(out / "result" / "result.parquet", "rb").read() == a
-
-
-@pytest.fixture()
-def executions(monkeypatch):
-    """Counts Ray Data plan executions started on the driver."""
-    from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
-    count = [0]
-    execute = StreamingExecutor.execute
-
-    def counted(self, *args, **kwargs):
-        count[0] += 1
-        return execute(self, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
-    return count
-
-
-def _executions_of(executions, run) -> int:
-    before = executions[0]
-    try:
-        run()
-    except RuntimeError as e:
-        assert "simulated crash" in str(e)
-    return executions[0] - before
 
 
 def test_flagship_checkpointed_one_execution_per_run(ray_session, code_files, tmp_path, executions):

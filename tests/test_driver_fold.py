@@ -3,6 +3,8 @@ sketch aggregation: partials that fit in one block merge on the driver with
 no Ray Data exchange, and the driver fold gives the same bytes as the
 exchange it replaces."""
 
+import sys
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -164,3 +166,203 @@ def test_build_partials_checks_arguments_on_the_driver(ray_session, kwargs, matc
 
     with pytest.raises(ValueError, match=match):
         ray_agg.build_partials(_input(), concurrency=1, **kwargs)
+
+
+@pytest.fixture(scope="module")
+def parquet_files(ray_session, tmp_path_factory):
+    """The rows of ``_input()``, written to 3 Parquet files."""
+    import pyarrow.parquet as pq
+
+    table = pa.concat_tables(_input().iter_batches(batch_format="pyarrow", batch_size=None))
+    root = tmp_path_factory.mktemp("parquet")
+    third = -(-table.num_rows // 3)
+    files = []
+    for i in range(3):
+        files.append(str(root / f"part-{i}.parquet"))
+        pq.write_table(table.slice(i * third, third), files[-1])
+    return files
+
+
+@pytest.fixture()
+def launched(monkeypatch):
+    """The read tasks the direct path launches, in launch order."""
+    from rayhll.stages import build
+
+    tasks = []
+    task_of = build._read_and_map_task
+
+    class Spy:
+        def __init__(self, task):
+            self.task = task
+
+        def options(self, **kwargs):
+            return Spy(self.task.options(**kwargs))
+
+        def remote(self, ctx, read_task, chain):
+            tasks.append(read_task)
+            return self.task.remote(ctx, read_task, chain)
+
+    monkeypatch.setattr(build, "_read_and_map_task", lambda: Spy(task_of()))
+    return tasks
+
+
+def _caller_udf(batch: pa.Table) -> pa.Table:
+    return batch
+
+
+def _use_input(monkeypatch, make) -> None:
+    """Run the entry points above over ``make()`` instead of ``_input()``."""
+    monkeypatch.setattr(sys.modules[__name__], "_input", make)
+
+
+DIRECT_ENTRY_POINTS = [
+    _approx_distinct_sketch,
+    _grouped_approx_distinct,
+    _aggregate_family,
+    _flagship_global,
+    _flagship_grouped,
+]
+
+
+@pytest.mark.parametrize("entry", DIRECT_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+def test_bare_read_runs_no_execution(ray_session, monkeypatch, parquet_files, executions, entry):
+    """Over a bare ``read_parquet`` the build runs as plain tasks fused with
+    the read (the grouped results are collected too); a filter or a
+    caller's UDF keeps the plan in Ray Data, which runs it once."""
+    import ray.data as rd
+
+    from tests.conftest import _executions_of
+
+    cases = [
+        (0, lambda: rd.read_parquet(parquet_files)),
+        (1, lambda: rd.read_parquet(parquet_files).filter(lambda row: row["v"] >= 0)),
+        (1, lambda: rd.read_parquet(parquet_files).map_batches(_caller_udf, batch_format="pyarrow")),
+    ]
+    for want, make in cases:
+        _use_input(monkeypatch, make)
+        assert _executions_of(executions, entry) == want
+
+
+@pytest.mark.parametrize("exchange", [False, True], ids=["fold", "exchange"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+def test_direct_path_merges_like_ray_data(
+    ray_session, monkeypatch, parquet_files, launched, entry, exchange
+):
+    """A bare read takes the direct path, its materialized copy the Ray Data
+    path; both merge to the same bytes, on the driver and through the
+    exchange.  ``grouped_merge_family`` maps with a caller's UDF, so it
+    stays in Ray Data on both."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from rayhll.stages import build
+
+    direct = rd.read_parquet(parquet_files)
+    via_ray_data = rd.read_parquet(parquet_files).materialize()
+    exchanges = []
+    dataset_of = build._dataset_of
+    monkeypatch.setattr(build, "_dataset_of", lambda b: exchanges.append(b) or dataset_of(b))
+    if exchange:
+        monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1)
+    _use_input(monkeypatch, lambda: direct)
+    got = entry()
+    assert len(launched) == (0 if entry is _grouped_merge_family else len(parquet_files))
+    _use_input(monkeypatch, lambda: via_ray_data)
+    launched.clear()
+    want = entry()
+    assert not launched
+    assert bool(exchanges) == exchange
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "read_kwargs, tasks",
+    [(dict(columns=["repo", "path"]), 3), (dict(override_num_blocks=2), 2)],
+    ids=["columns", "override_num_blocks"],
+)
+def test_direct_path_keeps_the_read_options(
+    ray_session, monkeypatch, parquet_files, launched, read_kwargs, tasks
+):
+    """The direct path runs the read's own tasks: as many as Ray Data would
+    launch for ``override_num_blocks``, each reading only ``columns``."""
+    import ray.data as rd
+
+    direct = rd.read_parquet(parquet_files, **read_kwargs)
+    via_ray_data = rd.read_parquet(parquet_files, **read_kwargs).materialize()
+    _use_input(monkeypatch, lambda: direct)
+    got = _grouped_approx_distinct()
+    assert len(launched) == tasks
+    names = read_kwargs.get("columns", ["repo", "lang", "path", "commit", "content", "v"])
+    assert {tuple(block.column_names) for rt in launched for block in rt()} == {tuple(names)}
+    _use_input(monkeypatch, lambda: via_ray_data)
+    assert got == _grouped_approx_distinct()
+
+
+def test_failed_read_task_raises_to_the_caller(ray_session, tmp_path, parquet_files, launched):
+    """A file deleted after the read was planned: the direct task's error
+    reaches the caller within a bounded wait, and no result is returned."""
+    import os
+    import shutil
+    import threading
+
+    import ray.data as rd
+
+    from rayhll import ray_agg
+
+    files = [shutil.copy(f, tmp_path) for f in parquet_files]
+    ds = rd.read_parquet(files)
+    os.remove(files[1])
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(ray_agg.approx_distinct_sketch(ds, ["path"]))
+        except Exception as e:  # the outcome under test
+            outcome.append(e)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive()
+    assert len(outcome) == 1 and isinstance(outcome[0], FileNotFoundError)
+    assert len(launched) == len(files)
+
+
+#: a block budget small enough that each read task yields many blocks
+SMALL_BLOCK = 64 * 1024
+
+
+def _small_context_cm_build(batch: pa.Table) -> bytes:
+    from ray.data import DataContext
+
+    assert DataContext.get_current().target_max_block_size == SMALL_BLOCK
+    return _cm_build(batch)
+
+
+def test_direct_task_runs_under_the_callers_context(ray_session, monkeypatch, parquet_files):
+    """The direct task sets the dataset's ``DataContext``: under a small
+    ``target_max_block_size`` the read yields many blocks per task, one
+    partial each, and the merged bytes do not change."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from rayhll import ray_agg
+    from rayhll.sketches.countmin import CountMinSketch
+    from rayhll.stages import build
+
+    want = ray_agg.aggregate_family(rd.read_parquet(parquet_files), _cm_build, CountMinSketch)
+    partial_rows = []
+    direct_bundles = build._direct_bundles
+
+    def recorded(ds):
+        bundles = direct_bundles(ds)
+        partial_rows.extend(md.num_rows for bundle in bundles for _, md in bundle.blocks)
+        return bundles
+
+    monkeypatch.setattr(build, "_direct_bundles", recorded)
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", SMALL_BLOCK)
+    ds = rd.read_parquet(parquet_files)
+    got = ray_agg.aggregate_family(ds, _small_context_cm_build, CountMinSketch)
+    assert len(partial_rows) == len(parquet_files)
+    assert min(partial_rows) > 4
+    assert got.to_bytes() == want.to_bytes()
