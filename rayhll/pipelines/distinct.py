@@ -5,11 +5,8 @@ lang, content)``, estimate distinct ``content``, ``path`` and ``(repo,
 commit)`` — globally and per ``(repo, lang)`` group — with the per-row
 ``sha256(content)`` invariant emitted alongside.
 
-Stage layout (Ray-Data-native: stages 1-2 are ``map_batches`` stages).
-Over a bare ``read_parquet`` they run fused with each read task as one
-plain Ray task, with no Ray Data execution; over any other input (a
-filter, a caller's UDF, ``concurrency`` for the build's actor pool) they
-stream through Ray Data (``stages.build.merge_partials``):
+Stage layout (Ray-Data-native; over a bare ``read_parquet`` stages 1-2 may
+run fused with each read task instead, see ``stages.build.merge_partials``):
 
 1. :class:`HashStage` — a ``map_batches`` callable (both flagships pass an
    instance, so it runs as tasks), zero-copy Arrow in/out: appends

@@ -19,12 +19,9 @@ partials go through a Ray Data exchange that moves fixed-size sketch rows,
 not input rows, so reducer skew is bounded by #groups, not by the hottest
 group's row count.
 
-Over a bare ``Datasource`` read (``ray.data.read_parquet(...)`` with nothing
-after it), these entry points start no Ray Data execution: each read task
-and the build run together as one plain Ray task, and a grouped result is a
-materialized dataset, so collecting it runs nothing either.  A transformed
-input (a filter, a caller's ``map_batches``, an actor pool) runs through
-Ray Data once.
+Over a bare ``read_parquet`` whose read tasks each hold at most one build
+batch (or fill the CPUs) they start no Ray Data execution, and a grouped
+result comes materialized (``stages.build._direct_plan``).
 
 All exchanges are storage-spec v1.0.0 bytes, so any stage's output is
 readable by postgresql-hll / java-hll and by every other stage.

@@ -18,9 +18,8 @@ the wide operation is tiny by construction —
   ``groupby(_bucket)`` for grouped merges (:func:`merge_grouped`), a parallel
   ``map_batches`` merge for global ones (:func:`merge_to_row`).
 * A plan that is exactly a ``Datasource`` read and then this library's own
-  maps (any sketch entry point over a bare ``read_parquet``) runs as one
-  plain Ray task per read task, with no Ray Data execution
-  (:func:`_direct_plan`); any other plan runs through Ray Data.
+  maps runs as one plain Ray task per read task when that loses no
+  parallelism (:func:`_direct_plan`); any other plan runs through Ray Data.
 * ``merge_sketch_rows`` / ``make_bucket_merger`` revive sketches with
   ``from_bytes``, fold them with the associative ``union``
   (reference semantics: python_hll/hll.py:491-691), and emit bytes again.
@@ -245,9 +244,9 @@ def merge_partials(partials: "ray.data.Dataset", merge, exchange):
     in one block, else ``exchange`` over the same blocks.
 
     Runs ``partials`` to block refs and their metadata; no data moves to the
-    driver for that, and a :func:`_direct_plan` runs no Ray Data execution.
-    If the blocks total at most ``DataContext.target_max_block_size`` — the
-    size Ray Data already lets one block reach — the driver fetches them and
+    driver for that, nor a Ray Data execution for a :func:`_direct_plan`.  If
+    the blocks total at most ``DataContext.target_max_block_size`` — the size
+    Ray Data already lets one block reach — the driver fetches them and
     returns ``merge(table)`` of all their rows (an empty, possibly
     column-less table when there are none).  Otherwise it returns
     ``exchange(ds)``, where ``ds`` is a dataset over the blocks already
@@ -264,14 +263,11 @@ def merge_partials(partials: "ray.data.Dataset", merge, exchange):
 
 
 def _direct_plan(ds: "ray.data.Dataset"):
-    """``(read, maps)`` when ``ds`` is exactly a ``Datasource`` read and then
-    only this library's own maps, else None.  A map qualifies when it is an
-    uncapped task-pool ``map_batches`` over pyarrow batches with no fn,
-    constructor or remote args, and its callable is defined in a ``rayhll``
-    module, so a caller's UDF always runs in Ray Data.  The read may carry
-    only Ray Data's default scheduling strategy and no concurrency cap."""
-    import inspect
-
+    """``(read, maps)`` when ``ds`` is exactly a ``Datasource`` read (default
+    scheduling, no concurrency cap), then only uncapped task-pool pyarrow
+    ``map_batches`` with no args whose callable is defined in ``rayhll``,
+    else None.  A caller's ``map_batches`` UDF thus runs in Ray Data, but a
+    caller's ``build_partial`` runs inside the library's map, directly."""
     from ray.data._internal.compute import TaskPoolStrategy
     from ray.data._internal.logical.operators.map_operator import MapBatches
     from ray.data._internal.logical.operators.read_operator import Read
@@ -279,13 +275,12 @@ def _direct_plan(ds: "ray.data.Dataset"):
 
     maps, op = [], ds._logical_plan.dag
     while type(op) is MapBatches:
-        fn = op._fn
         args = (op._fn_args, op._fn_kwargs, op._fn_constructor_args, op._fn_constructor_kwargs)
         if (
             op._compute != TaskPoolStrategy()
             or op._batch_format != "pyarrow"
             or any(args + (op._ray_remote_args, op._ray_remote_args_fn))
-            or not (fn if inspect.isfunction(fn) else type(fn)).__module__.startswith("rayhll.")
+            or not getattr(op._fn, "__module__", "").startswith("rayhll.")
         ):
             return None
         maps.append(op)
@@ -298,10 +293,9 @@ def _direct_plan(ds: "ray.data.Dataset"):
 
 
 def _direct_bundles(ds: "ray.data.Dataset"):
-    """The partial blocks of a :func:`_direct_plan` as ``RefBundle``s (None
-    for any other plan): one plain task per read task, which Ray Data itself
-    would launch as many of, runs the maps over that task's blocks and
-    returns one partial table; only its metadata comes to the driver."""
+    """The partials of a :func:`_direct_plan` that :func:`_keeps_parallelism`
+    as ``RefBundle``s, else None: one plain task per read task Ray Data would
+    launch maps its blocks; only each partial's metadata reaches the driver."""
     plan = _direct_plan(ds)
     if plan is None:
         return None
@@ -314,15 +308,36 @@ def _direct_bundles(ds: "ray.data.Dataset"):
     n, _, _ = _autodetect_parallelism(
         read._parallelism, ctx.target_max_block_size, ctx, source, read._mem_size
     )
+    read_tasks = source.get_read_tasks(n)
+    if not _keeps_parallelism(read_tasks, maps[0]._batch_size, ctx):
+        return None
     chain = [(op._fn, op._batch_size) for op in maps]
     task = _read_and_map_task().options(**read._ray_remote_args)
-    refs = [task.remote(ctx, rt, chain) for rt in source.get_read_tasks(n)]
+    refs = [task.remote(ctx, rt, chain) for rt in read_tasks]
     metas = ray.get([meta for _, meta in refs])
     return [
         RefBundle(((block, md.metadata),), owns_blocks=False, schema=md.schema)
         for (block, _), md in zip(refs, metas)
         if md.num_rows
     ]
+
+
+def _keeps_parallelism(read_tasks, batch_size, ctx) -> bool:
+    """Whether one task per read task keeps the CPUs as busy as Ray Data,
+    which maps a read task's output in tasks of ``batch_size`` rows (of one
+    block, split to twice the CPUs, when None): each read task's metadata
+    shows at most ``batch_size`` rows (or ``ctx.target_min_block_size``
+    bytes, Ray Data's smallest read block), or the read tasks fill the CPUs."""
+    import ray
+    from ray.data._internal.util import _estimate_avail_cpus
+
+    if batch_size is None:
+        sizes, bound = [rt.metadata.size_bytes for rt in read_tasks], ctx.target_min_block_size
+    else:
+        sizes, bound = [rt.metadata.num_rows for rt in read_tasks], batch_size
+    if all(size is not None and size <= bound for size in sizes):
+        return True
+    return len(read_tasks) >= _estimate_avail_cpus(ray.util.get_current_placement_group())
 
 
 @functools.cache
@@ -333,9 +348,8 @@ def _read_and_map_task():
 
 
 def _read_and_map(ctx, read_task, chain) -> tuple:
-    """A direct task: ``read_task``'s blocks through ``chain``'s ``(fn,
-    batch_size)`` maps, each batching its input as ``map_batches`` does,
-    under the caller's ``DataContext``; the output and its metadata."""
+    """``read_task``'s blocks through ``chain``'s ``(fn, batch_size)`` maps,
+    batched as ``map_batches`` does, under ``ctx``; output and metadata."""
     from ray.data import DataContext
     from ray.data.block import BlockMetadataWithSchema
 
@@ -380,8 +394,7 @@ def merge_grouped(partials: "ray.data.Dataset", merger) -> "ray.data.Dataset":
     one call covers every bucket.  Over the size bound the partials go
     through ``groupby(BUCKET_COL).map_groups(merger)``.  The plan up to the
     partials runs when this is called; the result is a materialized dataset
-    over the merged table, so reading it starts no execution, or the lazy
-    exchange."""
+    over the merged table, or the lazy exchange."""
     import ray.data as rd
 
     def exchange(ds):

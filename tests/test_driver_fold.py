@@ -366,3 +366,42 @@ def test_direct_task_runs_under_the_callers_context(ray_session, monkeypatch, pa
     assert len(partial_rows) == len(parquet_files)
     assert min(partial_rows) > 4
     assert got.to_bytes() == want.to_bytes()
+
+
+def _flagship_global_in_small_batches():
+    from rayhll.pipelines import distinct
+
+    return distinct.flagship_global(_input(), batch_size=500)
+
+
+@pytest.mark.parametrize("cpus", [3, 4])
+@pytest.mark.parametrize(
+    "entry, min_block",
+    [(_flagship_global_in_small_batches, None), (_aggregate_family, 1024)],
+    ids=["rows", "bytes"],
+)
+def test_direct_path_only_where_it_keeps_parallelism(
+    ray_session, monkeypatch, parquet_files, executions, launched, entry, min_block, cpus
+):
+    """Each of the 3 read tasks holds more than one build batch: 2000 rows
+    over batches of 500, or more bytes than the smallest block a per-block
+    map's read is split into.  Ray Data would spread such a read task over
+    several build tasks, so the direct path runs only when the read tasks
+    alone fill the CPUs; either way the bytes match the Ray Data path."""
+    import ray.data as rd
+    from ray.data import DataContext
+    from ray.data._internal import util
+
+    from tests.conftest import _executions_of
+
+    if min_block is not None:
+        monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", min_block)
+    monkeypatch.setattr(util, "_estimate_avail_cpus", lambda placement_group: cpus)
+    _use_input(monkeypatch, lambda: rd.read_parquet(parquet_files).materialize())
+    want = entry()
+    _use_input(monkeypatch, lambda: rd.read_parquet(parquet_files))
+    got = []
+    direct = cpus <= len(parquet_files)
+    assert _executions_of(executions, lambda: got.append(entry())) == (0 if direct else 1)
+    assert len(launched) == (len(parquet_files) if direct else 0)
+    assert got == [want]

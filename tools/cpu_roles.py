@@ -37,27 +37,22 @@ ROLES = ("driver", "workers", "gcs", "raylet", "other")
 def role_of(pid: int) -> str:
     if pid == os.getpid():
         return "driver"
+    if host._is_worker(pid):
+        return "workers"
     try:
-        with open(f"/proc/{pid}/cmdline", "rb") as f:
-            cmd = f.read()
+        with open(f"/proc/{pid}/comm") as f:
+            name = f.read().strip()
     except OSError:
         return "other"
-    if cmd.startswith(b"ray::") or b"default_worker.py" in cmd:
-        return "workers"
-    exe = os.path.basename(cmd.split(b"\0", 1)[0])
-    if exe == b"gcs_server":
-        return "gcs"
-    if exe == b"raylet":
-        return "raylet"
-    return "other"
+    return {"gcs_server": "gcs", "raylet": "raylet"}.get(name, "other")
 
 
 def count_executions() -> list[int]:
-    """A counter of the Ray Data executions this process starts."""
+    """A counter of the Ray Data executions this process starts, as the
+    ``executions`` fixture in ``tests/conftest.py`` counts them."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    count = [0]
-    execute = StreamingExecutor.execute
+    count, execute = [0], StreamingExecutor.execute
 
     def counted(self, *args, **kwargs):
         count[0] += 1
