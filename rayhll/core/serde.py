@@ -49,15 +49,16 @@ def schema_version_of(data: bytes | bytearray | memoryview) -> int:
     return (data[0] >> 4) & 0x0F
 
 
-def _header(sketch: HllSketch) -> bytes:
-    s = sketch.settings
+def header(settings: HllSettings, type: HllType) -> bytes:
+    """The 3 header bytes of a ``type`` sketch with ``settings``."""
+    s = settings
     if s.explicit_off:
         cutoff = EXPLICIT_OFF_SENTINEL
     elif s.explicit_auto:
         cutoff = EXPLICIT_AUTO_SENTINEL
     else:
         cutoff = s.log2_explicit_threshold() + 1
-    byte0 = (SCHEMA_VERSION << 4) | int(sketch.get_type())
+    byte0 = (SCHEMA_VERSION << 4) | int(type)
     byte1 = ((s.regwidth - 1) << 5) | s.log2m
     byte2 = ((0 if s.sparse_off else 1) << 6) | (cutoff & 0x3F)
     return bytes((byte0, byte1, byte2))
@@ -81,10 +82,10 @@ def to_bytes(sketch: HllSketch) -> bytes:
         shorts = (idx.astype(np.uint64) << np.uint64(s.regwidth)) | vals.astype(np.uint64)
         body = bitpack.pack_words(shorts, s.short_word_length, HEADER_BYTES)
     elif t == HllType.FULL:
-        body = bitpack.pack_words(sketch._regs, s.regwidth, HEADER_BYTES)
+        body = bytearray(HEADER_BYTES) + bitpack.pack_registers(sketch._regs[None], s.regwidth).tobytes()
     else:
         raise ValueError(f"Unsupported HLL type: {t}")
-    body[:HEADER_BYTES] = _header(sketch)
+    body[:HEADER_BYTES] = header(s, t)
     return bytes(body)
 
 
@@ -100,30 +101,14 @@ def from_bytes(data: bytes | bytearray | memoryview) -> HllSketch:
 
 def _from_bytes_v1(data: bytes) -> HllSketch:
     """Schema-version-1 body decoder (reference: python_hll/hll.py:769-855)."""
-    byte0, byte1, byte2 = data[0], data[1], data[2]
-    type_ordinal = byte0 & 0x0F
+    type_ordinal = data[0] & 0x0F
     try:
         t = HllType(type_ordinal)
     except ValueError:
         raise ValueError(f"invalid type ordinal {type_ordinal}") from None
     if t == HllType.UNDEFINED:
         raise ValueError("UNDEFINED HLL type cannot be deserialized")
-    regwidth = ((byte1 >> 5) & 0x07) + 1
-    log2m = byte1 & 0x1F
-    sparseon = ((byte2 >> 6) & 1) == 1
-    cutoff = byte2 & 0x3F
-
-    # expthresh reconstruction (reference: python_hll/hll.py:788-796): the
-    # postgres-compatible constructor subtracts one before the power of two,
-    # so the encoded (log2cutoff + 1) field IS the expthresh value.
-    if cutoff == EXPLICIT_AUTO_SENTINEL:
-        expthresh = -1
-    elif cutoff == EXPLICIT_OFF_SENTINEL:
-        expthresh = 0
-    else:
-        expthresh = cutoff
-
-    settings = HllSettings(log2m, regwidth, expthresh, sparseon)
+    settings = _settings_from_bytes_v1(data)
     sketch = HllSketch(settings, t)
     if t == HllType.EMPTY:
         return sketch
@@ -139,7 +124,7 @@ def _from_bytes_v1(data: bytes) -> HllSketch:
         words = bitpack.unpack_words(data, settings.short_word_length, HEADER_BYTES)
         vals = (words & np.uint64(settings.value_mask)).astype(np.uint8)
         keep = vals != 0  # padding-fabricated zero registers are dropped
-        idx = (words[keep] >> np.uint64(regwidth)).astype(np.int64)
+        idx = (words[keep] >> np.uint64(settings.regwidth)).astype(np.int64)
         vals = vals[keep]
         if sketch._sparse is not None:
             sketch._sparse = dict(zip(idx.tolist(), vals.tolist()))
@@ -150,12 +135,13 @@ def _from_bytes_v1(data: bytes) -> HllSketch:
         return sketch
 
     # FULL: read exactly m words, ignoring any byte-padding tail.
-    words = bitpack.unpack_words(data, regwidth, HEADER_BYTES)
-    if len(words) < settings.m:
+    body = np.frombuffer(data, dtype=np.uint8, offset=HEADER_BYTES)
+    nbytes = settings.m * settings.regwidth // 8
+    if len(body) < nbytes:
         raise ValueError(
-            f"FULL HLL body holds {len(words)} words, expected {settings.m}"
+            f"FULL HLL body holds {len(body) * 8 // settings.regwidth} words, expected {settings.m}"
         )
-    sketch._regs = words[: settings.m].astype(np.uint8)
+    sketch._regs = bitpack.unpack_registers(body[None, :nbytes], settings.regwidth)[0]
     return sketch
 
 
@@ -171,6 +157,9 @@ def _settings_from_bytes_v1(data: bytes) -> HllSettings:
     log2m = byte1 & 0x1F
     sparseon = ((byte2 >> 6) & 1) == 1
     cutoff = byte2 & 0x3F
+    # expthresh reconstruction (reference: python_hll/hll.py:788-796): the
+    # postgres-compatible constructor subtracts one before the power of two,
+    # so the encoded (log2cutoff + 1) field IS the expthresh value.
     if cutoff == EXPLICIT_AUTO_SENTINEL:
         expthresh = -1
     elif cutoff == EXPLICIT_OFF_SENTINEL:

@@ -8,10 +8,13 @@ estimator — but with **batch-vectorized numpy execution** instead of the
 reference's register-at-a-time pure Python:
 
 * register updates for a whole batch of hashed int64 values are one
-  ``np.maximum.at`` over a dense ``uint8[m]`` register file;
+  ``np.maximum.at`` over a dense ``uint8[m]`` register file, with no sort:
+  the SPARSE non-zero count comes from the registers themselves, and an
+  EXPLICIT promotion finds its crossing element from counts it already has;
 * p(w) is computed for the whole batch with uint64 bit tricks (trailing-zero
   count via the IEEE-754 exponent of the isolated low bit);
-* serialization bit-packs all m registers with one ``np.packbits`` round.
+* serialization packs all m registers with integer shifts
+  (:mod:`rayhll.core.bitpack`).
 
 Because every update path reduces to set-union of raw values (EXPLICIT) or
 element-wise max of registers (SPARSE/FULL), the final *content* of a sketch
@@ -45,7 +48,7 @@ _U64_52 = np.uint64(52)
 _U64_1023 = np.uint64(1023)
 
 
-def compute_registers(
+def register_pairs(
     settings: HllSettings, raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized register derivation for a batch of hashed int64 values.
@@ -59,20 +62,28 @@ def compute_registers(
       special value p_w = 0;
     * register index ``j = raw & (m - 1)`` (the **low** log2m bits).
 
-    Returns ``(j, p_w)`` filtered to entries with ``p_w != 0``; ``j`` is
-    int64, ``p_w`` uint8.
+    Returns ``(j, p_w)`` for every value; ``j`` is int64, ``p_w`` uint8 and
+    0 for a skipped value, which a register max leaves without effect.
     """
     raw = np.ascontiguousarray(raw, dtype=np.int64)
     u = raw.view(np.uint64)
     sub = u >> np.uint64(settings.log2m)
-    valid = sub != 0
     masked = sub | np.uint64(settings.pw_max_mask_u64)
     lowbit = masked & (~masked + _U64_ONE)
     # ctz via the IEEE-754 exponent: uint64 -> float64 is exact for powers of
     # two, so the biased exponent field is exactly 1023 + ctz.
     ctz = (lowbit.astype(np.float64).view(np.uint64) >> _U64_52) - _U64_1023
     p_w = (ctz + _U64_ONE).astype(np.uint8)
-    j = (u & np.uint64(settings.m_bits_mask)).astype(np.int64)
+    p_w[sub == 0] = 0
+    return (u & np.uint64(settings.m_bits_mask)).astype(np.int64), p_w
+
+
+def compute_registers(
+    settings: HllSettings, raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`register_pairs` filtered to the entries with ``p_w != 0``."""
+    j, p_w = register_pairs(settings, raw)
+    valid = p_w != 0
     if not valid.all():
         j = j[valid]
         p_w = p_w[valid]
@@ -83,11 +94,37 @@ def _reduce_batch(j: np.ndarray, p_w: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Collapse (j, p_w) pairs to unique register indices with max p_w."""
     if len(j) == 0:
         return j, p_w
-    order = np.argsort(j, kind="stable")
+    order = np.argsort(j)  # any order within a run: the max ignores it
     js = j[order]
     ps = p_w[order]
     starts = np.flatnonzero(np.r_[True, js[1:] != js[:-1]])
     return js[starts], np.maximum.reduceat(ps, starts)
+
+
+def _max_into(regs: np.ndarray, j: np.ndarray, p_w: np.ndarray, nnz: int) -> int:
+    """Register max of (j, p_w), p_w >= 1, into dense ``regs`` holding
+    ``nnz`` non-zero registers; returns the non-zero count after.  A batch
+    much smaller than the register file counts only the registers it
+    touches, so an add costs O(batch), not O(m)."""
+    if 8 * len(j) < len(regs):
+        nnz += len(np.unique(j[regs[j] == 0]))
+        np.maximum.at(regs, j, p_w)
+        return nnz
+    np.maximum.at(regs, j, p_w)
+    return int(np.count_nonzero(regs))
+
+
+def _crossing_is_last(values: np.ndarray, prior: set[int], novel_is_k: bool) -> bool:
+    """Whether the last element of ``values`` is the one whose add pushed an
+    EXPLICIT set holding ``prior`` past its threshold.  The crossing value is
+    the k-th novel value in first-seen order (k = threshold + 1 - len(prior));
+    it is the last element only if the batch holds exactly k novel distinct
+    values (``novel_is_k``) and the last element is novel and first seen
+    there."""
+    if not novel_is_k:
+        return False
+    last = int(values[-1])
+    return last not in prior and not bool((values[:-1] == last).any())
 
 
 class HllSketch:
@@ -233,70 +270,46 @@ class HllSketch:
         # Promotion (reference: python_hll/hll.py:247-261): replay every stored
         # raw value into the next representation.
         j, p_w = compute_registers(s, all_values)
-        uj, up = _reduce_batch(j, p_w)
         self._explicit = None
         if s.sparse_off:
             self._initialize_storage(HllType.FULL)
-            self._regs[uj] = up
+            np.maximum.at(self._regs, j, p_w)
             return
         self._initialize_storage(HllType.SPARSE)
-        self._sparse_merge_unique(uj, up)
-        if self._nnz > s.sparse_threshold:
-            # The replay loop itself never checks SPARSE→FULL
-            # (python_hll/hll.py:251-261), so the over-threshold SPARSE only
-            # promotes if at least one batch element was added *after* the
-            # element that triggered the EXPLICIT promotion.  This path needs
-            # sparse_threshold < explicit_threshold — NOT the case for auto
-            # parameters, but the normal case for EXACT_MODE (expthresh=18,
-            # log2m=11: explicit 131072 > sparse 512), i.e. every oracle-gated
-            # exact pipeline whose group crosses the explicit threshold lands
-            # here — so the crossing search below is vectorized (np.isin).
-            crossing_pos = self._explicit_crossing_position(values, store, threshold)
-            if crossing_pos < len(values) - 1:
-                self._sparse_to_full()
-
-    @staticmethod
-    def _explicit_crossing_position(
-        values: np.ndarray, prior_set: set[int], threshold: int
-    ) -> int:
-        """Index of the batch element whose add pushed the explicit set size
-        to ``threshold + 1`` (the promotion trigger)."""
-        uniq, first_idx = np.unique(values, return_index=True)
-        if prior_set:
-            prior = np.fromiter(prior_set, dtype=np.int64, count=len(prior_set))
-            novel = ~np.isin(uniq, prior)
-            first_idx = first_idx[novel]
-        k = threshold + 1 - len(prior_set)  # 1-based rank of the crossing value
-        return int(np.sort(first_idx)[k - 1])
+        self._sparse_update(j, p_w)
+        # The replay loop itself never checks SPARSE→FULL
+        # (python_hll/hll.py:251-261), so an over-threshold SPARSE only
+        # promotes if at least one batch element was added *after* the element
+        # that triggered the EXPLICIT promotion.  This needs sparse_threshold <
+        # explicit_threshold: not so for auto parameters, but the normal case
+        # for EXACT_MODE (expthresh=18, log2m=11: explicit 131072 > sparse 512).
+        novel = len(all_values) - len(store)
+        if self._nnz > s.sparse_threshold and not _crossing_is_last(
+            values, store, novel == threshold + 1 - len(store)
+        ):
+            self._sparse_to_full()
 
     def _add_batch_sparse(self, values: np.ndarray) -> None:
         s = self.settings
         was_overfull = self._nnz > s.sparse_threshold
-        j, p_w = compute_registers(s, values)
-        uj, up = _reduce_batch(j, p_w)
-        self._sparse_merge_unique(uj, up)
+        self._sparse_update(*compute_registers(s, values))
         # The reference checks promotion after *every* add, including adds
         # whose p_w is 0 (reference: python_hll/hll.py:263-273), so a
         # non-empty batch always runs at least one check.
         if self._nnz > s.sparse_threshold or (was_overfull and len(values) > 0):
             self._sparse_to_full()
 
-    def _sparse_merge_unique(self, uj: np.ndarray, up: np.ndarray) -> None:
-        """Merge pre-reduced (unique j, max p_w) pairs into SPARSE storage,
+    def _sparse_update(self, j: np.ndarray, p_w: np.ndarray) -> None:
+        """Register max of (j, p_w), p_w >= 1, into SPARSE storage,
         maintaining the non-zero register count."""
-        if len(uj) == 0:
-            return
         if self._sparse is None:
-            newly = int(np.count_nonzero(self._regs[uj] == 0))
-            np.maximum.at(self._regs, uj, up)
-            self._nnz += newly
-        else:
-            store = self._sparse
-            for jj, pp in zip(uj.tolist(), up.tolist()):
-                cur = store.get(jj, 0)
-                if pp > cur:
-                    store[jj] = pp
-            self._nnz = len(store)
+            self._nnz = _max_into(self._regs, j, p_w, self._nnz)
+            return
+        store = self._sparse
+        for jj, pp in zip(*(a.tolist() for a in _reduce_batch(j, p_w))):
+            if pp > store.get(jj, 0):
+                store[jj] = pp
+        self._nnz = len(store)
 
     def _sparse_to_full(self) -> None:
         """Fold SPARSE registers into a dense FULL register file
@@ -338,8 +351,7 @@ class HllSketch:
                 self.add_batch(np.fromiter(other._explicit, dtype=np.int64, count=len(other._explicit)))
             return
         if self._type == HllType.SPARSE:
-            uj, up = other._sparse_items()
-            self._sparse_merge_unique(uj, up)
+            self._sparse_update(*other._sparse_items())
             if self._nnz > self.settings.sparse_threshold:
                 self._sparse_to_full()
             return

@@ -231,14 +231,38 @@ def _resolve_num_buckets(
     )
 
 
-def check_integer_ids(ds, id_col: str, op: str) -> None:
-    """Raise ``ValueError`` naming ``id_col`` unless ``ds``'s schema types it
-    as an integer (a schema-less dataset passes)."""
-    schema = ds.schema()
-    if schema is not None:
-        id_type = dict(zip(schema.names, schema.types)).get(id_col)
-        if not (isinstance(id_type, pa.DataType) and pa.types.is_integer(id_type)):
-            raise ValueError(f"{op}: {id_col!r} must be an integer id column, got {id_type}")
+def check_integer_ids(ds, id_col: str, op: str):
+    """``ds``, with ``id_col`` required to be an integer column: raise
+    ``ValueError`` naming it at once when ``ds``'s schema is known without
+    running its plan, else from a first map over every batch.  Fetching the
+    schema of a transformed input would run its first block, which the
+    operator then computes again."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        return ds.map_batches(
+            _IntegerIds(id_col, op), batch_format="pyarrow", zero_copy_batch=True
+        )
+    _require_integer_ids(schema, id_col, op)
+    return ds
+
+
+def _require_integer_ids(schema, id_col: str, op: str) -> None:
+    id_type = dict(zip(schema.names, schema.types)).get(id_col)
+    if not (isinstance(id_type, pa.DataType) and pa.types.is_integer(id_type)):
+        raise ValueError(f"{op}: {id_col!r} must be an integer id column, got {id_type}")
+
+
+class _IntegerIds:
+    """Identity map raising :func:`check_integer_ids`'s error on a batch
+    whose ``id_col`` is not an integer column."""
+
+    def __init__(self, id_col: str, op: str):
+        self.id_col = id_col
+        self.op = op
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        _require_integer_ids(batch.schema, self.id_col, self.op)
+        return batch
 
 
 def _mod_bucket_col(values: np.ndarray, num_buckets: int) -> pa.Array:
@@ -289,7 +313,7 @@ def minhash_lsh_pairs(
     dataset with no metadata count.  Pair sets are invariant to the value."""
     if sig_slot_bytes not in (1, 2, 4, 8):
         raise ValueError("sig_slot_bytes must be 1, 2, 4 or 8")
-    check_integer_ids(ds, id_col, "minhash_lsh_pairs")
+    ds = check_integer_ids(ds, id_col, "minhash_lsh_pairs")
     num_buckets = _resolve_num_buckets(ds, num_buckets, num_bands, approx_rows)
     stage = MinHashStage(
         text_col, id_col, num_perm, num_bands, gram, emit_texthash=verify_text_hash

@@ -108,12 +108,12 @@ class MultiKeyBuild:
         per_key = {}
         uniq = first_idx = counts = None
         for k in KEYS:
-            uniq, first_idx, counts, per_key[k] = batchbuild.build_grouped_sketches(
+            uniq, first_idx, counts, per_key[k] = batchbuild.build_grouped_column(
                 self.settings, ghash, raws[k]
             )
         out = batch.select(list(GROUP_COLS)).take(pa.array(first_idx))
         for k, c in zip(KEYS, SKETCH_COLS):
-            out = out.append_column(c, pa.array(per_key[k], type=pa.binary()))
+            out = out.append_column(c, per_key[k])
         out = out.append_column("rows_in", pa.array(counts, type=pa.int64()))
         out = out.append_column(build_stage.GHASH_COL, pa.array(uniq, type=pa.int64()))
         bucket = (uniq.view(np.uint64) % np.uint64(self.num_buckets)).astype(np.int64)

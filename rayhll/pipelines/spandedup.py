@@ -215,7 +215,7 @@ def duplicate_spans(
 
     if min_docs < 2:
         raise ValueError("min_docs must be >= 2 (cross-document duplication)")
-    check_integer_ids(ds, id_col, "duplicate_spans")
+    ds = check_integer_ids(ds, id_col, "duplicate_spans")
     if method == "broadcast":
         # pairs exchange carries ~distinct-grams-per-doc rows per input row
         buckets = resolve_num_buckets(ds, num_buckets, rows_per_input_row=50.0)

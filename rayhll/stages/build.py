@@ -20,9 +20,11 @@ the wide operation is tiny by construction —
 * A plan that is exactly a ``Datasource`` read and then this library's own
   maps runs as one plain Ray task per read task when that loses no
   parallelism (:func:`_direct_plan`); any other plan runs through Ray Data.
-* ``merge_sketch_rows`` / ``make_bucket_merger`` revive sketches with
-  ``from_bytes``, fold them with the associative ``union``
-  (reference semantics: python_hll/hll.py:491-691), and emit bytes again.
+* ``merge_sketch_rows`` revives sketches with ``from_bytes``, folds them
+  with the associative ``union`` (reference semantics:
+  python_hll/hll.py:491-691), and emits bytes again; ``make_bucket_merger``
+  merges many groups' sketches at once with the same result
+  (:mod:`rayhll.core.batchmerge`).
 
 Every stage output is a pure function of (block contents, settings), so Ray
 task retries are idempotent — a retried block reproduces the identical
@@ -147,11 +149,11 @@ class BuildPartials:
         # (rayhll.core.batchbuild), python loop only over threshold-crossing
         # groups.
         ghash = hashing.hash64_table(batch, self.group_cols, seed=GROUP_HASH_SEED)
-        uniq, first_idx, counts, sketches = batchbuild.build_grouped_sketches(
+        uniq, first_idx, counts, sketches = batchbuild.build_grouped_column(
             self.settings, ghash, raw, valid=valid
         )
         out = batch.select(self.group_cols).take(pa.array(first_idx))
-        out = out.append_column(SKETCH_COL, pa.array(sketches, type=pa.binary()))
+        out = out.append_column(SKETCH_COL, sketches)
         out = out.append_column(ROWS_COL, pa.array(counts, type=pa.int64()))
         # carry the group hash so the reduce side can merge many groups per
         # task, and a bucket id for the co-locating groupby
@@ -190,9 +192,9 @@ def make_bucket_merger(
     """Build the reduce fn for the bucketed grouped aggregation.
 
     Receives ALL partial rows of one hash bucket (many groups) and merges
-    every group's sketches vectorized (rayhll.core.batchmerge); per-group
-    Python work is limited to threshold-crossing groups.  Emits one row per
-    group: group cols, merged sketch(es), integer estimate(s), summed rows.
+    and estimates every group's sketches vectorized (rayhll.core.batchmerge).
+    Emits one row per group: group cols, merged sketch(es), integer
+    estimate(s), summed rows.
     """
     from rayhll.core import batchmerge
     from rayhll.core.serde import settings_from_bytes
@@ -217,10 +219,10 @@ def make_bucket_merger(
         for sc, ec in zip(sketch_cols, estimate_cols):
             col = tbl.column(sc)
             settings = settings_from_bytes(col[0].as_py())
-            _, _, merged = batchmerge.merge_grouped_blobs(settings, codes, col)
+            _, _, merged = batchmerge.merge_grouped_column(settings, codes, col)
             if include_sketch:
-                out = out.append_column(sc, pa.array(merged, type=pa.binary()))
-            ests = [batchmerge.blob_cardinality(b) for b in merged]
+                out = out.append_column(sc, merged)
+            ests = batchmerge.cardinalities(settings, merged)
             out = out.append_column(ec, pa.array(ests, type=pa.int64()))
         rows = np.bincount(inv, weights=tbl.column(ROWS_COL).to_numpy()).astype(np.int64)
         return out.append_column(ROWS_COL, pa.array(rows, type=pa.int64()))

@@ -142,3 +142,24 @@ def test_grouped_callables_zero_row_batch():
         assert full.num_rows == 3
         assert out.num_rows == 0
         assert out.schema == full.schema
+
+
+def test_grouped_crossing_on_the_last_value():
+    """With explicit 64 >= sparse 16, a group of exactly 65 distinct values
+    crosses on its last sorted value and stays SPARSE over its threshold, as
+    a fresh HllSketch adding those values does; one more value makes it
+    FULL.  Groups below the threshold stay EXPLICIT."""
+    settings = HllSettings.for_testing(8, 5, 64, 16)
+    rng = np.random.default_rng(9)
+    sizes = [1, 63, 64, 65, 66, 300]
+    codes = np.repeat(np.arange(len(sizes)), sizes)
+    raws = rng.integers(-(2**63), 2**63 - 1, size=len(codes), dtype=np.int64)
+    order = rng.permutation(len(codes))
+    _, _, _, blobs = build_grouped_sketches(settings, codes[order], raws[order])
+    types = []
+    for g, blob in enumerate(blobs):
+        ref = HllSketch(settings)
+        ref.add_batch(np.unique(raws[codes == g]))
+        assert blob == ref.to_bytes(), sizes[g]
+        types.append(ref.get_type().name)
+    assert types == ["EXPLICIT", "EXPLICIT", "EXPLICIT", "SPARSE", "FULL", "FULL"]

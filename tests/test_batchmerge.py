@@ -6,7 +6,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from rayhll.core.batchmerge import blob_cardinality, merge_grouped_blobs
+from rayhll.core.batchmerge import cardinalities, merge_grouped_blobs
+from rayhll.core.hlltype import HllType
 from rayhll.core.serde import from_bytes
 from rayhll.core.settings import HllSettings
 from rayhll.core.sketch import HllSketch
@@ -49,7 +50,7 @@ def test_merge_matches_sequential_union(expthresh, as_arrow):
             else:
                 acc.union(part)
         assert blob == acc.to_bytes(), g
-        assert blob_cardinality(blob) == acc.cardinality()
+        assert cardinalities(settings, [blob]).tolist() == [acc.cardinality()]
 
 
 def test_merge_with_empty_blobs():
@@ -74,3 +75,159 @@ def test_merge_sliced_arrow_column():
     acc = HllSketch(settings)
     acc.add_batch(np.arange(4, 11, dtype=np.int64))
     assert merged[0] == acc.to_bytes()
+
+
+# ----------------------------------------------------------------------
+# members of every type, in any row order
+
+
+def _members(settings, rng):
+    """(kind, sketch) pairs: EMPTY, EXPLICIT, SPARSE (one over its threshold,
+    from the last-element crossing), and FULL."""
+
+    def sketch(n):
+        sk = HllSketch(settings)
+        if n:
+            sk.add_batch(rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64))
+        return sk
+
+    t = settings.explicit_threshold
+    out = [("empty", sketch(0)), ("explicit", sketch(3)), ("explicit", sketch(t))]
+    out += [("sparse", sketch(t + 2)), ("full", sketch(8 * settings.m))]
+    thin = HllSketch(settings, HllType.FULL)  # FULL with few registers set
+    thin.add_batch(np.arange(1, 4, dtype=np.int64) << 20)
+    out.append(("thin_full", thin))
+    while not settings.sparse_off and t >= settings.sparse_threshold:
+        sk = sketch(t + 1)  # crosses on its last value: no SPARSE check
+        if sk._nnz > settings.sparse_threshold:
+            assert sk.get_type().name == "SPARSE"
+            return out + [("overfull", sk)]
+    return out
+
+
+SETTINGS = {
+    "default": HllSettings(11, 5),
+    "exact": HllSettings(11, 5, expthresh=18),
+    # explicit 64 >= sparse 16: an EXPLICIT -> SPARSE crossing can leave
+    # SPARSE over its threshold
+    "for_testing": HllSettings.for_testing(8, 5, 64, 16),
+    "sparse_off": HllSettings(8, 5, expthresh=4, sparseon=False),
+}
+
+
+def _sequential(settings, sketches):
+    acc = sketches[0].copy()
+    for sk in sketches[1:]:
+        acc.union(sk.copy())
+    return acc
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+@pytest.mark.parametrize("name", sorted(SETTINGS))
+def test_mixed_members_match_sequential_union(name, chunk_rows, monkeypatch):
+    from rayhll.core import batchbuild
+
+    settings = SETTINGS[name]
+    if chunk_rows:  # several register-matrix chunks
+        monkeypatch.setattr(batchbuild, "MATRIX_CHUNK_BYTES", chunk_rows * settings.m)
+    rng = np.random.default_rng(7)
+    if name == "exact":  # EXPLICIT members only: a FULL one would need 131k values
+        pool = [("empty", HllSketch(settings))]
+        for n in (1, 50, 5000):
+            sk = HllSketch(settings)
+            sk.add_batch(rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64))
+            pool.append(("explicit", sk))
+    else:
+        pool = _members(settings, rng)
+    groups = {}
+    for g in range(60):
+        k = int(rng.integers(1, 6))
+        groups[g] = [pool[i][1] for i in rng.integers(0, len(pool), size=k)]
+    # EXPLICIT members whose union crosses the threshold, by more than one
+    t = settings.explicit_threshold
+    for g in range(60, 64):
+        vals = rng.integers(-(2**63), 2**63 - 1, size=t + 2 + g, dtype=np.int64)
+        parts = []
+        for part in np.array_split(vals, 3):
+            sk = HllSketch(settings)
+            sk.add_batch(part)
+            parts.append(sk)
+        groups[g] = parts
+    rows = [(g, sk) for g, sks in groups.items() for sk in sks]
+    order = rng.permutation(len(rows))
+    rows = [rows[i] for i in order]
+    codes = np.array([g for g, _ in rows], dtype=np.int64)
+    col = pa.array([sk.to_bytes() for _, sk in rows], type=pa.binary())
+
+    uniq, first_idx, merged = merge_grouped_blobs(settings, codes, col)
+    assert uniq.tolist() == sorted(groups)
+    want = []
+    for g, blob in zip(uniq.tolist(), merged):
+        members = [sk for gg, sk in rows if gg == g]  # in row order
+        acc = _sequential(settings, members)
+        assert blob == acc.to_bytes(), (name, g, [sk.get_type().name for sk in members])
+        want.append(acc.cardinality())
+    assert cardinalities(settings, merged).tolist() == want
+
+
+def test_merge_without_constructing_a_sketch(monkeypatch):
+    """The seed-601 benchmark corpus builds and merges with no HllSketch:
+    no group falls back to the union loop."""
+    from rayhll.core import batchbuild
+    from rayhll.pipelines import distinct
+    from rayhll.sources.synth import synth_code_batch
+    from rayhll.stages import build
+
+    files, rows = 8, 32768  # perfbench's corpus shape
+    table = synth_code_batch(np.arange(files * rows), files * rows, seed=601)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("HllSketch constructed")
+
+    monkeypatch.setattr(HllSketch, "__init__", refuse)
+    builder = distinct.MultiKeyBuild(HllSettings(11, 5), grouped=True)
+    partials = pa.concat_tables([builder(table.slice(i * rows, rows)) for i in range(files)])
+    merger = build.make_bucket_merger(
+        list(distinct.GROUP_COLS), list(distinct.SKETCH_COLS), list(distinct.EST_COLS)
+    )
+    out = merger(partials)
+    assert out.num_rows == len(np.unique(partials.column(build.GHASH_COL).to_numpy()))
+    types = [b[0] & 0x0F for b in out.column(distinct.SKETCH_COLS[0]).to_pylist()]
+    # the register matrix ran: some merged groups are probabilistic
+    assert types.count(int(HllType.SPARSE)) + types.count(int(HllType.FULL)) > 100
+    assert batchbuild.MATRIX_CHUNK_BYTES  # a module constant, not a setting
+
+
+def test_cardinalities_of_high_registers():
+    """A register above 53 - log2m makes the indicator sum inexact in
+    float64; such rows are estimated as HllSketch.cardinality does."""
+    settings = HllSettings(11, 6, expthresh=1)
+    high = np.array([(1 << (49 + 11)) | 5, 123456789, 987654321], dtype=np.int64)
+    blobs = []
+    for n in (3, 4000):
+        sk = HllSketch(settings)
+        sk.add_batch(np.concatenate([high, np.arange(1, n, dtype=np.int64) * 7919]))
+        blobs.append(sk.to_bytes())
+    want = [from_bytes(b).cardinality() for b in blobs]
+    assert [from_bytes(b).get_type().name for b in blobs] == ["SPARSE", "FULL"]
+    assert cardinalities(settings, blobs).tolist() == want
+
+
+def test_merge_groups_of_empty_members_out_of_order():
+    """Groups with no content keep their first member's type, whatever the
+    order of those first members in the column."""
+    settings = HllSettings(11, 5)
+    empty = HllSketch(settings).to_bytes()
+    wordless = HllSketch(settings, HllType.EXPLICIT).to_bytes()
+    codes = np.array([1, 0, 0, 1], dtype=np.int64)
+    _, first_idx, merged = merge_grouped_blobs(settings, codes, [empty, wordless, empty, wordless])
+    assert first_idx.tolist() == [1, 0]
+    assert merged == [wordless, empty]
+    assert cardinalities(settings, merged).tolist() == [0, 0]
+
+
+def test_merge_and_estimate_zero_rows():
+    settings = HllSettings(11, 5)
+    uniq, first_idx, merged = merge_grouped_blobs(settings, np.empty(0, dtype=np.int64), [])
+    assert (len(uniq), len(first_idx), merged) == (0, 0, [])
+    assert cardinalities(settings, []).tolist() == []

@@ -59,3 +59,35 @@ def test_ascending_sequence_roundtrip(word_length):
     data = bytes(pack_words(words, word_length, byte_padding=0))
     back = unpack_words(data, word_length, byte_padding=0)
     assert np.array_equal(back[: len(words)], words)
+
+
+@pytest.mark.parametrize("word_length", [1, 5, 8, 13, 16, 24, 33, 38, 63, 64])
+def test_rows_pack_as_separate_streams(word_length):
+    """pack_rows / unpack_rows equal pack_words / unpack_words row by row,
+    including rows of zero words."""
+    from rayhll.core.bitpack import pack_rows, unpack_rows
+
+    rng = np.random.default_rng(word_length)
+    counts = np.array([3, 0, 1, 17, 8, 0, 5], dtype=np.int64)
+    words = rng.integers(0, 2**63, size=counts.sum(), dtype=np.uint64) >> np.uint64(64 - word_length)
+    data, nbytes = pack_rows(words, counts, word_length)
+    rows = np.split(words, np.cumsum(counts)[:-1])
+    want = [bytes(pack_words(r, word_length, byte_padding=0)) for r in rows]
+    assert nbytes.tolist() == [len(w) for w in want]
+    assert data.tobytes() == b"".join(want)
+    back, back_counts = unpack_rows(data, nbytes, word_length)
+    assert back_counts.tolist() == [len(unpack_words(w, word_length, 0)) for w in want]
+    assert np.array_equal(back, np.concatenate([unpack_words(w, word_length, 0) for w in want]))
+
+
+@pytest.mark.parametrize("regwidth", range(1, 9))
+def test_registers_pack_as_word_streams(regwidth):
+    from rayhll.core.bitpack import pack_registers, unpack_registers
+
+    rng = np.random.default_rng(regwidth)
+    regs = rng.integers(0, 1 << regwidth, size=(3, 64), dtype=np.uint8)
+    packed = pack_registers(regs, regwidth)
+    assert [row.tobytes() for row in packed] == [
+        bytes(pack_words(r, regwidth, byte_padding=0)) for r in regs
+    ]
+    assert np.array_equal(unpack_registers(packed, regwidth), regs)

@@ -1835,3 +1835,29 @@ def test_hamming64_pairs_matches_brute_force(ray_session):
     # reported distances are exact
     for r in got.itertuples():
         assert bin(int(u[r.id_a]) ^ int(u[r.id_b])).count("1") == r.hamming
+
+
+def test_minhash_id_check_runs_no_extra_execution(ray_session, executions):
+    """Behind a filter the schema is unknown until the plan runs: the id
+    type is checked in the first map, not by fetching the schema, which
+    would run the input's first block once more."""
+    import ray.data as rd
+
+    from rayhll.pipelines.dedup import minhash_lsh_pairs
+    from tests.conftest import _executions_of
+
+    table = _near_dup_docs()
+    plain = rd.from_arrow(table)
+    filtered = rd.from_arrow(table).filter(lambda row: row["doc_id"] >= 0)
+    got = []
+
+    def run(ds):
+        return lambda: got.append(minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas())
+
+    assert _executions_of(executions, run(filtered)) == _executions_of(executions, run(plain))
+    assert got[0].sort_values(["id_a", "id_b"]).values.tolist() == got[1].sort_values(["id_a", "id_b"]).values.tolist()
+
+    floats = rd.from_arrow(table.set_column(0, "doc_id", table.column("doc_id").cast(pa.float64())))
+    # raised in a Ray task: the driver sees the ValueError wrapped
+    with pytest.raises(Exception, match="ValueError: minhash_lsh_pairs: 'doc_id' must be an integer"):
+        minhash_lsh_pairs(floats.filter(lambda row: True), "text", "doc_id", threshold=0.5).to_pandas()

@@ -240,3 +240,25 @@ def test_merge_spans_kernel():
     assert list(zip(d, s, e)) == [(1, 0, 11), (1, 20, 36), (2, 5, 13)]
     d, s, e = _merge_spans(np.empty(0, np.int64), np.empty(0, np.int64), 8)
     assert len(d) == 0
+
+
+@pytest.mark.parametrize("method", ["broadcast", "join"])
+def test_id_check_behind_a_filter(ray_session, executions, method):
+    """A filtered input's id type is checked in the first map: no execution
+    to fetch its schema, and a float id still raises."""
+    from tests.conftest import _executions_of
+
+    rows = _template_corpus(60)
+    got = []
+
+    def run(ds):
+        return lambda: got.append(_spans(ds, method=method))
+
+    table = pa.Table.from_pylist(rows)
+    filtered = rd.from_arrow(table).filter(lambda row: row["doc_id"] >= 0)
+    assert _executions_of(executions, run(filtered)) == _executions_of(executions, run(rd.from_arrow(table)))
+    assert got[0] == got[1]
+    floats = rd.from_arrow(pa.Table.from_pylist([{"doc_id": float(i), "text": SHARED} for i in range(3)]))
+    # raised in a Ray task: the driver sees the ValueError wrapped
+    with pytest.raises(Exception, match="ValueError: duplicate_spans: 'doc_id' must be an integer"):
+        _spans(floats.filter(lambda row: True), method=method)
