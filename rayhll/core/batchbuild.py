@@ -5,7 +5,8 @@ per batch; with high-cardinality group keys that is thousands of small
 sketches per batch, and generic per-sketch object overhead dominates.  This
 module builds ALL of a batch's per-group sketches in one pass:
 
-* ``np.unique`` maps group codes to dense ids; an argsort of the raw
+* ``np.unique`` maps group codes to dense ids, once for all the value
+  columns of a batch (:func:`build_grouped_columns`); an argsort of the raw
   values, then a stable radix argsort of the dense ids (``uint16`` up to
   65,536 groups) orders every (group, value) pair exactly as a lexsort
   would, and one pass dedups every group's values simultaneously;
@@ -77,18 +78,41 @@ def build_grouped_column(
         ORIGINAL array, row count per code, binary array of the serialized
         sketch per code).  Zero rows give four empty arrays.
     """
-    codes = np.ascontiguousarray(codes)
-    raws = np.ascontiguousarray(raws, dtype=np.int64)
-    uniq_codes, dense = np.unique(codes, return_inverse=True)
+    uniq_codes, first_idx, counts, (col,) = build_grouped_columns(settings, codes, [raws], valid)
+    return uniq_codes, first_idx, counts, col
+
+
+def build_grouped_columns(
+    settings: HllSettings,
+    codes: np.ndarray,
+    raws: list[np.ndarray],
+    valid: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[pa.Array]]:
+    """:func:`build_grouped_column` of every value column in ``raws`` over
+    one grouping of ``codes``: the sketch columns come out in ``raws``'s
+    order, and ``valid`` masks the rows of every one."""
+    uniq_codes, dense, first_idx = group_codes(codes)
     ngroups = len(uniq_codes)
-    first_idx = np.full(ngroups, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first_idx, dense, np.arange(len(codes), dtype=np.int64))
     counts = np.bincount(dense, minlength=ngroups).astype(np.int64)
     if valid is not None:
         dense = dense[valid]
-        raws = raws[valid]
-    pieces = group_pieces(settings, dense, raws, ngroups)
-    return uniq_codes, first_idx, counts, blob_column(settings, ngroups, pieces)
+    cols = []
+    for values in raws:
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        if valid is not None:
+            values = values[valid]
+        cols.append(blob_column(settings, ngroups, group_pieces(settings, dense, values, ngroups)))
+    return uniq_codes, first_idx, counts, cols
+
+
+def group_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(unique codes ascending, each row's index into them, first row index
+    of each code): the one grouping pass that every column of a grouped
+    build or merge shares."""
+    uniq_codes, dense = np.unique(np.ascontiguousarray(codes), return_inverse=True)
+    first_idx = np.full(len(uniq_codes), np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(first_idx, dense, np.arange(len(dense), dtype=np.int64))
+    return uniq_codes, dense, first_idx
 
 
 def group_pieces(

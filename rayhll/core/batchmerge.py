@@ -4,9 +4,11 @@ Counterpart of :mod:`rayhll.core.batchbuild` for the reduce side: merge the
 partial sketches of MANY groups in one call.  Used by the bucketed grouped
 aggregation (`rayhll.ray_agg`): partials are hash-bucketed so each reduce
 task receives thousands of (group, sketch) rows, and per-group / per-blob
-Python overhead would dominate a naive loop.  Every member is decoded for the
-whole batch at once, straight from the Arrow binary column's offsets and
-data buffers (byte masks; no per-blob ``bytes`` objects):
+Python overhead would dominate a naive loop.  The rows are grouped once for
+all their sketch columns (:func:`merge_grouped_columns`), and every member
+is decoded for the whole batch at once, straight from the Arrow binary
+column's offsets and data buffers (byte masks; no per-blob ``bytes``
+objects):
 
 * a group whose members are all EXPLICIT or EMPTY is merged by the grouped
   builder over its (group, value) pairs: union of EXPLICIT sets == set union
@@ -120,14 +122,32 @@ def merge_grouped_column(
     :returns: (unique codes ascending, first input row index per code,
         binary array of the merged sketch per code).
     """
-    codes = np.ascontiguousarray(codes)
-    col = _as_array(col)
+    uniq, first_idx, _, (merged,) = merge_grouped_columns([settings], codes, [col])
+    return uniq, first_idx, merged
+
+
+def merge_grouped_columns(
+    settings: list[HllSettings], codes: np.ndarray, cols: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[pa.Array]]:
+    """:func:`merge_grouped_column` of every sketch column in ``cols``, each
+    under its entry of ``settings``, over one grouping of ``codes``.
+
+    :returns: (unique codes ascending, first input row index per code, each
+        input row's index into the unique codes, the merged columns in
+        ``cols``'s order)."""
+    uniq, inv, first_idx = batchbuild.group_codes(codes)
+    merged = [_merge_column(s, inv, first_idx, _as_array(col)) for s, col in zip(settings, cols)]
+    return uniq, first_idx, inv, merged
+
+
+def _merge_column(
+    settings: HllSettings, inv: np.ndarray, first_idx: np.ndarray, col: pa.Array
+) -> pa.Array:
+    """The merged sketch of every group of the rows of ``col``, row ``i``
+    in group ``inv[i]``, whose first row is ``first_idx``."""
     offsets, data = _column_parts(col)
     types = _types(offsets, data)
-    uniq, inv = np.unique(codes, return_inverse=True)
-    ngroups = len(uniq)
-    first_idx = np.full(ngroups, np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(first_idx, inv, np.arange(len(codes), dtype=np.int64))
+    ngroups = len(first_idx)
 
     def any_member(member_mask) -> np.ndarray:
         return np.bincount(inv, weights=member_mask, minlength=ngroups) > 0
@@ -164,7 +184,7 @@ def merge_grouped_column(
         first = np.sort(first_idx[first_only])
         lens = np.diff(offsets)[first] - HEADER_BYTES
         pieces.append((inv[first], types[first], lens, _bodies(data, starts[first], lens)))
-    return uniq, first_idx, batchbuild.blob_column(settings, ngroups, pieces)
+    return batchbuild.blob_column(settings, ngroups, pieces)
 
 
 def _nwords(offsets: np.ndarray, types: np.ndarray) -> np.ndarray:

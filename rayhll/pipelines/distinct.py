@@ -2,27 +2,28 @@
 
 The BASELINE north-star job: over a Parquet table ``(repo, path, commit,
 lang, content)``, estimate distinct ``content``, ``path`` and ``(repo,
-commit)`` — globally and per ``(repo, lang)`` group — with the per-row
-``sha256(content)`` invariant emitted alongside.
+commit)`` — globally and per ``(repo, lang)`` group.  :class:`HashStage`
+appends the per-row ``sha256(content)`` invariant for callers that want
+that column; the flagships do not return it.
 
-Stage layout (Ray-Data-native; over a bare ``read_parquet`` stages 1-2 may
+Stage layout (Ray-Data-native; over a bare ``read_parquet`` stage 1 may
 run fused with each read task instead, see ``stages.build.merge_partials``):
 
-1. :class:`HashStage` — a ``map_batches`` callable (both flagships pass an
-   instance, so it runs as tasks), zero-copy Arrow in/out: appends
-   ``content_sha256`` (the invariant digest) and ``content_raw64`` (first 8
-   digest bytes as signed int64 — the HLL raw value, so sha256 is computed
-   once per row, not once per use).
-2. :class:`MultiKeyBuild` — per batch, per group: three partial sketches
-   (content / path / repo+commit) in one pass over the batch; emits one
-   fixed-size row per (batch, group).
-3. ``stages.build.merge_grouped`` (``merge_to_row`` for the global variant)
-   — merges partial sketches per group.  The partials are sketch rows
+1. :class:`MultiKeyBuild` — a ``map_batches`` callable (both flagships pass
+   an instance, so it runs as tasks), zero-copy Arrow in: per batch, per
+   group, three partial sketches (content / path / repo+commit) over one
+   grouping of the batch (``batchbuild.build_grouped_columns``); emits one
+   fixed-size row per (batch, group).  With ``hash_content`` the content
+   sketch adds the first 8 bytes of each row's sha256 (the invariant hash,
+   computed once per row, in this map); else the fast vectorized hash.
+2. ``stages.build.merge_grouped`` (``merge_to_row`` for the global variant)
+   — merges partial sketches per group, grouping the partial rows once for
+   the three sketch columns.  The partials are sketch rows
    (~4 KiB per group per block), so a pathological repo costs O(#blocks)
    sketch rows, never O(rows).  Up to one block's worth
    (``DataContext.target_max_block_size``) they merge in one driver call;
    beyond that through a ``groupby(_bucket)`` shuffle.
-4. finalize — integer estimates per key.
+3. finalize — integer estimates per key.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class MultiKeyBuild:
     """One partial-sketch row per (batch, group) with all three key sketches.
 
     ``content`` uses the precomputed ``content_raw64`` column when present
-    (sha256-derived, the invariant hash), else the fast vectorized hash.
+    (:class:`HashStage` output), else the first 8 bytes of its sha256 with
+    ``hash_content`` (the same raw values, with a NULL hashed as b""), else
+    the fast vectorized hash.
     """
 
     def __init__(
@@ -73,14 +76,18 @@ class MultiKeyBuild:
         settings: HllSettings | None = None,
         grouped: bool = True,
         num_buckets: int = 64,
+        hash_content: bool = False,
     ):
         self.settings = settings or HllSettings(11, 5)
         self.grouped = grouped
         self.num_buckets = num_buckets
+        self.hash_content = hash_content
 
     def _raws(self, batch: pa.Table) -> dict[str, np.ndarray]:
         if "content_raw64" in batch.column_names:
             content_raw = batch.column("content_raw64").to_numpy()
+        elif self.hash_content:
+            content_raw = hashing.sha256_raw64(batch.column("content"))
         else:
             content_raw = hashing.hash64_table(batch, ["content"])
         return {
@@ -105,15 +112,12 @@ class MultiKeyBuild:
             cols["rows_in"] = pa.array([len(batch)], type=pa.int64())
             return pa.table(cols)
         ghash = hashing.hash64_table(batch, list(GROUP_COLS), seed=0x6E0)
-        per_key = {}
-        uniq = first_idx = counts = None
-        for k in KEYS:
-            uniq, first_idx, counts, per_key[k] = batchbuild.build_grouped_column(
-                self.settings, ghash, raws[k]
-            )
+        uniq, first_idx, counts, cols = batchbuild.build_grouped_columns(
+            self.settings, ghash, [raws[k] for k in KEYS]
+        )
         out = batch.select(list(GROUP_COLS)).take(pa.array(first_idx))
-        for k, c in zip(KEYS, SKETCH_COLS):
-            out = out.append_column(c, per_key[k])
+        for c, col in zip(SKETCH_COLS, cols):
+            out = out.append_column(c, col)
         out = out.append_column("rows_in", pa.array(counts, type=pa.int64()))
         out = out.append_column(build_stage.GHASH_COL, pa.array(uniq, type=pa.int64()))
         bucket = (uniq.view(np.uint64) % np.uint64(self.num_buckets)).astype(np.int64)
@@ -171,25 +175,14 @@ def flagship_grouped(
     from rayhll.functions.partitioning import resolve_num_buckets
 
     num_buckets = resolve_num_buckets(ds, num_buckets, warn_on_floor=False)
-    if hash_content:
-        ds = ds.map_batches(
-            HashStage(), batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-        )
     kwargs = dict(batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
+    build = dict(settings=settings, grouped=True, num_buckets=num_buckets, hash_content=hash_content)
     if concurrency is not None:
         partials = ds.map_batches(
-            MultiKeyBuild,
-            fn_constructor_kwargs=dict(
-                settings=settings, grouped=True, num_buckets=num_buckets
-            ),
-            concurrency=concurrency,
-            **kwargs,
+            MultiKeyBuild, fn_constructor_kwargs=build, concurrency=concurrency, **kwargs
         )
     else:
-        partials = ds.map_batches(
-            MultiKeyBuild(settings=settings, grouped=True, num_buckets=num_buckets),
-            **kwargs,
-        )
+        partials = ds.map_batches(MultiKeyBuild(**build), **kwargs)
     merger = build_stage.make_bucket_merger(
         list(GROUP_COLS),
         list(SKETCH_COLS),
@@ -209,12 +202,8 @@ def flagship_global(
     (zeros for an empty input).  The partials merge on the driver, after a
     parallel level-1 merge when they exceed one block
     (``stages.build.merge_to_row``)."""
-    if hash_content:
-        ds = ds.map_batches(
-            HashStage(), batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
-        )
     partials = ds.map_batches(
-        MultiKeyBuild(settings=settings, grouped=False),
+        MultiKeyBuild(settings=settings, grouped=False, hash_content=hash_content),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,

@@ -192,7 +192,8 @@ def make_bucket_merger(
     """Build the reduce fn for the bucketed grouped aggregation.
 
     Receives ALL partial rows of one hash bucket (many groups) and merges
-    and estimates every group's sketches vectorized (rayhll.core.batchmerge).
+    and estimates every group's sketches vectorized, grouping the rows once
+    for all sketch columns (``rayhll.core.batchmerge.merge_grouped_columns``).
     Emits one row per group: group cols, merged sketch(es), integer
     estimate(s), summed rows.
     """
@@ -211,19 +212,16 @@ def make_bucket_merger(
                     out = out.append_column(sc, pa.array([], type=pa.binary()))
                 out = out.append_column(ec, pa.array([], type=pa.int64()))
             return out.append_column(ROWS_COL, pa.array([], type=pa.int64()))
-        codes = tbl.column(GHASH_COL).to_numpy()
-        uniq, inv = np.unique(codes, return_inverse=True)
-        first_idx = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(first_idx, inv, np.arange(len(codes), dtype=np.int64))
+        cols = [tbl.column(sc) for sc in sketch_cols]
+        settings = [settings_from_bytes(col[0].as_py()) for col in cols]
+        _, first_idx, inv, merged = batchmerge.merge_grouped_columns(
+            settings, tbl.column(GHASH_COL).to_numpy(), cols
+        )
         out = tbl.select(group_cols).take(pa.array(first_idx))
-        for sc, ec in zip(sketch_cols, estimate_cols):
-            col = tbl.column(sc)
-            settings = settings_from_bytes(col[0].as_py())
-            _, _, merged = batchmerge.merge_grouped_column(settings, codes, col)
+        for sc, ec, s, col in zip(sketch_cols, estimate_cols, settings, merged):
             if include_sketch:
-                out = out.append_column(sc, merged)
-            ests = batchmerge.cardinalities(settings, merged)
-            out = out.append_column(ec, pa.array(ests, type=pa.int64()))
+                out = out.append_column(sc, col)
+            out = out.append_column(ec, pa.array(batchmerge.cardinalities(s, col), type=pa.int64()))
         rows = np.bincount(inv, weights=tbl.column(ROWS_COL).to_numpy()).astype(np.int64)
         return out.append_column(ROWS_COL, pa.array(rows, type=pa.int64()))
 

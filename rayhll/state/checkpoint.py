@@ -55,11 +55,15 @@ while an interrupted build leaves only ``sigs.tmp`` and is rebuilt.
 A *partition* of :func:`run_checkpointed` is one input file (or one pair
 bucket) — the unit of skip-on-resume.  At 100 TB the partition table is the
 file list, a rerun costs only the unfinished tail, and the merge input is
-partials/ (thousands of KB-scale sketch files), not the corpus.
+partials/ (thousands of KB-scale sketch files), not the corpus.  Each
+pending partition runs as one plain Ray task (no Ray Data execution: the
+partitions are not a dataset), and the driver rewrites ``manifest.json``
+once per batch of receipts it collects, not once per partition.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -170,8 +174,16 @@ class Manifest:
         return [p for p, st in self.partitions.items() if st.get("status") != "done"]
 
     def mark_done(self, pid: str, **metrics) -> None:
-        self.partitions[pid] = {"status": "done", **metrics}
-        self.flush()
+        self.record([{"partition": pid, **metrics}])
+
+    def record(self, receipts: list[dict]) -> None:
+        """Mark the partition of every receipt done with the receipt's
+        metrics, in one write of the manifest (none for no receipt)."""
+        for receipt in receipts:
+            metrics = dict(receipt)
+            self.partitions[metrics.pop("partition")] = {"status": "done", **metrics}
+        if receipts:
+            self.flush()
 
     def mark_result(self, pids: list[str] | None) -> None:
         self.result = pids
@@ -187,26 +199,28 @@ def run_checkpointed(
     fail_after: int | None = None,
 ):
     """Run ``partial_fn(partition_input) -> pyarrow.Table`` for every
-    pending partition in ONE Ray Data execution, one task per partition:
-    the task writes its partial atomically, then its metrics receipt, and
-    the driver records each receipt in the manifest as it streams in.  Then
-    ``merge_fn(list_of_partial_paths) -> pyarrow.Table`` runs on the driver
-    over ALL partials, written to ``result/result.parquet``.  The manifest's
-    ``result`` key names the partitions that file merges (cleared before
-    the file is replaced, set after it lands); a rerun over exactly those
-    partitions returns the stored result and writes nothing.  Returns the
-    final table.
+    pending partition, one plain Ray task per partition: the task writes its
+    partial atomically, then its metrics receipt, and the driver records the
+    receipts in the manifest as they land, one manifest write per batch of
+    receipts.  Then ``merge_fn(list_of_partial_paths) -> pyarrow.Table``
+    runs on the driver over ALL partials, written to
+    ``result/result.parquet``.  The manifest's ``result`` key names the
+    partitions that file merges (cleared before the file is replaced, set
+    after it lands); a rerun over exactly those partitions returns the
+    stored result and writes nothing.  Returns the final table.
 
     ``partial_fn`` runs inside a Ray task: it must be picklable (with the
-    partition inputs) and must not itself execute a Ray Dataset.  A pending
-    partition whose receipt is on disk (the driver died before recording
-    it) counts as done.
+    partition inputs).  A pending partition whose receipt is on disk (the
+    driver died before recording it) counts as done.  When a task raises,
+    the tasks not yet finished are cancelled and every task of the run has
+    stopped before the first error is re-raised, so nothing of this run
+    writes into ``out_dir`` after it returns.
 
     :param fail_after: test hook — run only the first N pending partitions,
         then raise once their receipts have landed, to simulate a crash for
         resume testing.
     """
-    import ray.data as rd
+    import ray
 
     pids = sorted(partition_inputs)
     manifest = Manifest.load_or_create(out_dir, settings_fingerprint(settings_obj), pids)
@@ -214,52 +228,95 @@ def run_checkpointed(
     if manifest.result == pids and os.path.exists(result_path):
         return pq.read_table(result_path)
 
-    part_path = lambda pid: os.path.join(out_dir, "partials", f"part-{pid}.parquet")  # noqa: E731
-    receipt_path = lambda pid: os.path.join(out_dir, "metrics", f"part-{pid}.json")  # noqa: E731
-    pending = []
-    for pid in pids:
-        if manifest.partitions[pid].get("status") == "done":
-            continue
-        receipt = read_record(receipt_path(pid))
-        if receipt is None:
-            pending.append(pid)
-        else:
-            manifest.mark_done(receipt.pop("partition"), **receipt)
+    pending, landed = _receipts_on_disk(out_dir, manifest, pids)
+    manifest.record(landed)
     crash = fail_after is not None and len(pending) >= fail_after
     if crash:
         pending = pending[:fail_after]
 
     if pending:
-        inputs = {pid: partition_inputs[pid] for pid in pending}
-        attempts = {pid: manifest.partitions[pid].get("attempts", 0) + 1 for pid in pending}
-
-        def run_one(batch: pa.Table) -> pa.Table:
-            pid = batch.column("pid")[0].as_py()
-            t0 = time.perf_counter()
-            table = partial_fn(inputs[pid])
-            metrics = {
-                "rows_out": table.num_rows,
-                "bytes_out": atomic_write(part_path(pid), table),
-                "wall_s": round(time.perf_counter() - t0, 4),
-                "attempts": attempts[pid],
-            }
-            atomic_write(receipt_path(pid), {"partition": pid, **metrics})
-            return pa.Table.from_pylist([{"pid": pid, **metrics}])
-
-        done = rd.from_items([{"pid": p} for p in pending], override_num_blocks=len(pending))
-        done = done.map_batches(run_one, batch_size=1, batch_format="pyarrow")
-        for batch in done.iter_batches(batch_format="pyarrow", batch_size=None):
-            for row in batch.to_pylist():
-                manifest.mark_done(row.pop("pid"), **row)
+        fn = ray.put(partial_fn)
+        task = _partition_task()
+        running = [
+            task.remote(
+                out_dir, pid, fn, partition_inputs[pid],
+                manifest.partitions[pid].get("attempts", 0) + 1,
+            )
+            for pid in pending
+        ]
+        error = None
+        while running:
+            ray.wait(running, num_returns=1, fetch_local=False)
+            ready, running = ray.wait(running, num_returns=len(running), timeout=0)
+            landed = []
+            for ref in ready:
+                try:
+                    landed.append(ray.get(ref))
+                except ray.exceptions.RayError as e:  # a failed, or then a cancelled, task
+                    if error is None:
+                        error = e
+                        for other in running:
+                            ray.cancel(other)
+            manifest.record(landed)
+        if error is not None:
+            # a task cancelled between its receipt and its return left the receipt
+            manifest.record(_receipts_on_disk(out_dir, manifest, pending)[1])
+            raise error
     if crash:
         raise RuntimeError(f"simulated crash after {len(pending)} partitions")
 
-    final = merge_fn([part_path(pid) for pid in pids])
+    final = merge_fn([_part_path(out_dir, pid) for pid in pids])
     if manifest.result is not None:
         manifest.mark_result(None)
     atomic_write(result_path, final)
     manifest.mark_result(pids)
     return final
+
+
+def _receipts_on_disk(out_dir: str, manifest: Manifest, pids: list[str]) -> tuple[list, list]:
+    """(the ``pids`` the manifest does not record as done and that have no
+    receipt on disk, the receipts on disk of the others not recorded)."""
+    missing, found = [], []
+    for pid in pids:
+        if manifest.partitions[pid].get("status") == "done":
+            continue
+        receipt = read_record(_receipt_path(out_dir, pid))
+        if receipt is None:
+            missing.append(pid)
+        else:
+            found.append(receipt)
+    return missing, found
+
+
+def _part_path(out_dir: str, pid: str) -> str:
+    return os.path.join(out_dir, "partials", f"part-{pid}.parquet")
+
+
+def _receipt_path(out_dir: str, pid: str) -> str:
+    return os.path.join(out_dir, "metrics", f"part-{pid}.json")
+
+
+@functools.cache
+def _partition_task():
+    import ray
+
+    return ray.remote(_run_partition)
+
+
+def _run_partition(out_dir: str, pid: str, partial_fn, partition_input, attempts: int) -> dict:
+    """One partition of :func:`run_checkpointed`: its partial, then its
+    receipt, each written atomically.  Returns the receipt."""
+    t0 = time.perf_counter()
+    table = partial_fn(partition_input)
+    receipt = {
+        "partition": pid,
+        "rows_out": table.num_rows,
+        "bytes_out": atomic_write(_part_path(out_dir, pid), table),
+        "wall_s": round(time.perf_counter() - t0, 4),
+        "attempts": attempts,
+    }
+    atomic_write(_receipt_path(out_dir, pid), receipt)
+    return receipt
 
 
 def flagship_checkpointed(

@@ -163,3 +163,54 @@ def test_grouped_crossing_on_the_last_value():
         assert blob == ref.to_bytes(), sizes[g]
         types.append(ref.get_type().name)
     assert types == ["EXPLICIT", "EXPLICIT", "EXPLICIT", "SPARSE", "FULL", "FULL"]
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_grouped_columns_match_one_build_per_column(chunk_rows, masked, monkeypatch):
+    """build_grouped_columns groups once and builds every column as
+    build_grouped_column builds it alone: EXPLICIT, over-threshold SPARSE
+    and FULL groups, under a valid mask, in one or several register-matrix
+    chunks."""
+    from rayhll.core import batchbuild
+
+    settings = HllSettings(11, 5)
+    if chunk_rows:  # several register-matrix chunks
+        monkeypatch.setattr(batchbuild, "MATRIX_CHUNK_BYTES", chunk_rows * settings.m)
+    rng = np.random.default_rng(23)
+    n = 20_000
+    codes = rng.integers(-20, 20, size=n, dtype=np.int64) * (2**50)
+    codes[:8000] = 7  # one group FULL in the first column
+    codes[-200:] = np.repeat(np.arange(10, dtype=np.int64) + 3, 20)  # EXPLICIT groups
+    raws = [
+        rng.integers(-(2**63), 2**63 - 1, size=n, dtype=np.int64),  # most groups cross
+        rng.integers(0, 60, size=n, dtype=np.int64),  # every group EXPLICIT
+        rng.integers(0, 400, size=n, dtype=np.int64) * 7919,
+    ]
+    valid = None
+    if masked:
+        valid = rng.random(n) < 0.7
+        valid[codes == codes[-1]] = False  # a group with no valid rows: EMPTY
+    uniq, first_idx, counts, cols = batchbuild.build_grouped_columns(settings, codes, raws, valid)
+    assert len(cols) == len(raws)
+    for values, col in zip(raws, cols):
+        want = batchbuild.build_grouped_column(settings, codes, values, valid)
+        np.testing.assert_array_equal(uniq, want[0])
+        np.testing.assert_array_equal(first_idx, want[1])
+        np.testing.assert_array_equal(counts, want[2])
+        assert col.equals(want[3])
+    types = {b[0] & 0x0F for b in batchbuild.blob_list(cols[0])}
+    assert {2, 3, 4} <= types  # EXPLICIT, SPARSE and FULL rows
+
+
+def test_grouped_columns_zero_rows():
+    from rayhll.core.batchbuild import build_grouped_columns
+
+    empty = np.empty(0, dtype=np.int64)
+    for valid in (None, np.empty(0, dtype=bool)):
+        uniq, first_idx, counts, cols = build_grouped_columns(
+            HllSettings(11, 5), empty, [empty, empty, empty], valid
+        )
+        assert len(uniq) == len(first_idx) == len(counts) == 0
+        assert [len(c) for c in cols] == [0, 0, 0]
+        assert all(c.type == pa.binary() for c in cols)

@@ -231,3 +231,56 @@ def test_merge_and_estimate_zero_rows():
     uniq, first_idx, merged = merge_grouped_blobs(settings, np.empty(0, dtype=np.int64), [])
     assert (len(uniq), len(first_idx), merged) == (0, 0, [])
     assert cardinalities(settings, []).tolist() == []
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 3])
+def test_merge_grouped_columns_match_one_merge_per_column(chunk_rows, monkeypatch):
+    """merge_grouped_columns groups the rows once and merges every column,
+    each under its own settings, as merge_grouped_column merges it alone."""
+    from rayhll.core import batchbuild
+    from rayhll.core.batchmerge import merge_grouped_column, merge_grouped_columns
+
+    if chunk_rows:
+        monkeypatch.setattr(batchbuild, "MATRIX_CHUNK_BYTES", chunk_rows * 2048)
+    rng = np.random.default_rng(29)
+    settings = [SETTINGS["default"], SETTINGS["for_testing"], HllSettings(10, 4)]
+    codes = rng.integers(0, 50, size=400, dtype=np.int64) * (2**40)
+    cols = []
+    for s in settings:
+        pool = [sk for _, sk in _members(s, rng)]
+        cols.append(pa.array([pool[i].to_bytes() for i in rng.integers(0, len(pool), 400)]))
+    uniq, first_idx, inv, merged = merge_grouped_columns(settings, codes, cols)
+    np.testing.assert_array_equal(uniq[inv], codes)
+    for s, col, got in zip(settings, cols, merged):
+        want_uniq, want_first, want = merge_grouped_column(s, codes, col)
+        np.testing.assert_array_equal(uniq, want_uniq)
+        np.testing.assert_array_equal(first_idx, want_first)
+        assert got.equals(want)
+
+
+def test_bucket_merger_of_three_columns_matches_one_merge_per_column():
+    """The flagship's three-column bucket merger gives each column's
+    merge_grouped_column result and its cardinalities."""
+    from rayhll.core.batchmerge import merge_grouped_column
+    from rayhll.pipelines import distinct
+    from rayhll.sources.synth import synth_code_batch
+    from rayhll.stages import build
+
+    settings = HllSettings(11, 5)
+    table = synth_code_batch(np.arange(4 * 4096), 4 * 4096, seed=601)
+    builder = distinct.MultiKeyBuild(settings, grouped=True)
+    partials = pa.concat_tables([builder(table.slice(i * 4096, 4096)) for i in range(4)])
+    merger = build.make_bucket_merger(
+        list(distinct.GROUP_COLS), list(distinct.SKETCH_COLS), list(distinct.EST_COLS)
+    )
+    out = merger(partials)
+    codes = partials.column(build.GHASH_COL).to_numpy()
+    for sc, ec in zip(distinct.SKETCH_COLS, distinct.EST_COLS):
+        _, first_idx, want = merge_grouped_column(settings, codes, partials.column(sc))
+        assert out.column(sc).combine_chunks().equals(want)
+        assert out.column(ec).to_pylist() == cardinalities(settings, want).tolist()
+    want_groups = partials.select(list(distinct.GROUP_COLS)).take(pa.array(first_idx))
+    assert out.select(list(distinct.GROUP_COLS)).equals(want_groups)
+    uniq, inv = np.unique(codes, return_inverse=True)
+    rows = np.bincount(inv, weights=partials.column("rows_in").to_numpy()).astype(np.int64)
+    assert out.column("rows_in").to_pylist() == rows.tolist()

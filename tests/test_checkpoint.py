@@ -551,21 +551,99 @@ def test_receipt_without_manifest_record_counts_as_done(ray_session, tmp_path):
     assert open(out / "result" / "result.parquet", "rb").read() == a
 
 
-def test_flagship_checkpointed_one_execution_per_run(ray_session, code_files, tmp_path, executions):
+def test_flagship_checkpointed_runs_no_execution(ray_session, code_files, tmp_path, executions):
     clean, crash = str(tmp_path / "clean"), str(tmp_path / "crash")
-    assert _executions_of(executions, lambda: flagship_checkpointed(code_files, clean)) == 1
+    assert _executions_of(executions, lambda: flagship_checkpointed(code_files, clean)) == 0
     assert _executions_of(executions, lambda: flagship_checkpointed(code_files, clean)) == 0
     crashed = lambda: flagship_checkpointed(code_files, crash, fail_after=1)  # noqa: E731
-    assert _executions_of(executions, crashed) == 1
-    assert _executions_of(executions, lambda: flagship_checkpointed(code_files, crash)) == 1
+    assert _executions_of(executions, crashed) == 0
+    assert _executions_of(executions, lambda: flagship_checkpointed(code_files, crash)) == 0
 
 
 def test_minhash_dedup_checkpointed_executions(ray_session, dup_docs_file, tmp_path, executions):
-    """A fresh directory: the signature store, then every pending bucket in
-    one execution; the resume reuses the store."""
+    """A fresh directory: the signature store's write is the one execution,
+    the buckets run as plain tasks; the resume reuses the store."""
     from rayhll.state.checkpoint import minhash_dedup_checkpointed
 
     out = str(tmp_path / "out")
     run = lambda **kw: minhash_dedup_checkpointed([dup_docs_file], out, num_buckets=8, **kw)  # noqa: E731
-    assert _executions_of(executions, lambda: run(fail_after=3)) == 2
-    assert _executions_of(executions, run) == 1
+    assert _executions_of(executions, lambda: run(fail_after=3)) == 1
+    assert _executions_of(executions, run) == 0
+
+
+def _sleepy_partial_fn(runs_dir: str, fail_pid: str, slow_pid: str):
+    """A partial_fn over pid inputs: ``fail_pid`` raises once ``slow_pid``
+    has started; ``slow_pid`` sleeps 2 s, then writes ``runs_dir/<pid>.late``
+    before it returns."""
+
+    def partial_fn(pid: str) -> pa.Table:
+        import time
+
+        started = os.path.join(runs_dir, f"{slow_pid}.started")
+        if pid == slow_pid:
+            open(started, "w").close()
+            time.sleep(2)
+            open(os.path.join(runs_dir, f"{pid}.late"), "w").close()
+        if pid == fail_pid:
+            deadline = time.time() + 60
+            while time.time() < deadline and not os.path.exists(started):
+                time.sleep(0.01)
+            raise RuntimeError(f"partition {pid} failed")
+        return pa.table({"pid": [pid]})
+
+    return partial_fn
+
+
+def test_failed_task_settles_every_task_before_raising(ray_session, tmp_path):
+    """When a partition's task raises, no task of that run still writes
+    after run_checkpointed re-raises: the slow sibling has finished or been
+    cancelled, and a receipt that landed is in the manifest."""
+    import time
+
+    pids = [f"p{i}" for i in range(8)]  # more than the session's 4 CPUs
+    out, runs = tmp_path / "out", tmp_path / "runs"
+    runs.mkdir()
+    fn = _sleepy_partial_fn(str(runs), fail_pid="p0", slow_pid="p1")
+
+    with pytest.raises(Exception, match="partition p0 failed"):
+        run_checkpointed(str(out), {p: p for p in pids}, fn, _concat_partials)
+    before_out, before_runs = _mtimes(str(out)), _mtimes(str(runs))
+    time.sleep(3)
+    assert _mtimes(str(out)) == before_out
+    assert _mtimes(str(runs)) == before_runs
+    manifest = json.load(open(out / "manifest.json"))
+    for pid in pids:
+        landed = os.path.exists(out / "metrics" / f"part-{pid}.json")
+        assert (manifest["partitions"][pid]["status"] == "done") == landed
+    assert manifest["partitions"]["p0"]["status"] == "pending"
+
+
+def test_resume_flushes_the_manifest_once_for_all_receipts_on_disk(
+    ray_session, tmp_path, monkeypatch
+):
+    """A resume that finds N receipts on disk that the manifest does not
+    record writes the manifest a fixed number of times, not N."""
+    pids = [f"p{i:02d}" for i in range(12)]
+    inputs = {p: p for p in pids}
+    out, runs = tmp_path / "out", tmp_path / "runs"
+    runs.mkdir()
+    clean = run_checkpointed(str(out), inputs, _recording_partial_fn(str(runs)), _concat_partials)
+    manifest = json.load(open(out / "manifest.json"))
+    manifest["partitions"] = {p: {"status": "pending"} for p in pids}
+    manifest["result"] = None
+    with open(out / "manifest.json", "w") as f:
+        json.dump(manifest, f)
+
+    flushes = [0]
+    flush = Manifest.flush
+
+    def counted(self):
+        flushes[0] += 1
+        flush(self)
+
+    monkeypatch.setattr(Manifest, "flush", counted)
+    resumed = run_checkpointed(str(out), inputs, _recording_partial_fn(str(runs)), _concat_partials)
+    assert resumed.equals(clean)
+    assert {p: _runs(runs, p) for p in pids} == {p: 1 for p in pids}  # nothing re-ran
+    assert flushes[0] == 2  # the receipts, then the result
+    assert all(st["status"] == "done" for st in json.load(open(out / "manifest.json"))["partitions"].values())

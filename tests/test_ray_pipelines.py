@@ -1861,3 +1861,71 @@ def test_minhash_id_check_runs_no_extra_execution(ray_session, executions):
     # raised in a Ray task: the driver sees the ValueError wrapped
     with pytest.raises(Exception, match="ValueError: minhash_lsh_pairs: 'doc_id' must be an integer"):
         minhash_lsh_pairs(floats.filter(lambda row: True), "text", "doc_id", threshold=0.5).to_pandas()
+
+
+def _code_blocks(rows: int):
+    """Three code-table blocks; one row of the first has a NULL content."""
+    rng = np.random.default_rng(13)
+    tables = []
+    for _ in range(3):
+        content = [f"c{i}" for i in rng.integers(0, 500, rows)]
+        if content:
+            content[0] = None
+        tables.append(
+            pa.table(
+                {
+                    "repo": pa.array([f"r{i}" for i in rng.integers(0, 3, rows)], type=pa.string()),
+                    "path": pa.array([f"p{i}" for i in rng.integers(0, 900, rows)], type=pa.string()),
+                    "commit": pa.array([f"k{i}" for i in rng.integers(0, 30, rows)], type=pa.string()),
+                    "lang": pa.array(rng.choice(["py", "go"], rows).tolist(), type=pa.string()),
+                    "content": pa.array(content, type=pa.string()),
+                }
+            )
+        )
+    return tables
+
+
+@pytest.mark.parametrize("rows", [700, 0])
+def test_flagships_hash_content_in_the_build(ray_session, rows):
+    """With hash_content, both flagships hash content inside MultiKeyBuild
+    and give the bytes of a HashStage map chained before it, NULL content
+    (hashed as b"") and an empty input included."""
+    import ray
+    import ray.data as rd
+
+    from rayhll.core.serde import from_bytes
+    from rayhll.pipelines import distinct
+    from rayhll.stages import build
+
+    tables = _code_blocks(rows)
+    kw = dict(batch_format="pyarrow", zero_copy_batch=True, batch_size=500)
+
+    def chained(grouped: bool):
+        hashed = rd.from_arrow(tables).map_batches(distinct.HashStage(), **kw)
+        return hashed.map_batches(distinct.MultiKeyBuild(grouped=grouped, num_buckets=8), **kw)
+
+    merger = build.make_bucket_merger(
+        list(distinct.GROUP_COLS), list(distinct.SKETCH_COLS), list(distinct.EST_COLS)
+    )
+    def collect(ds) -> pa.Table:
+        tables = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+        return pa.concat_tables(tables).sort_by(by) if tables else None
+
+    by = [("repo", "ascending"), ("lang", "ascending")]
+    got = distinct.flagship_grouped(
+        rd.from_arrow(tables), batch_size=500, include_sketches=True, num_buckets=8
+    )
+    want = collect(build.merge_grouped(chained(True), merger))
+    assert (collect(got) is None) if want is None else collect(got).equals(want)
+    assert (want is None) == (rows == 0)
+
+    row = build.merge_to_row(chained(False), distinct.merge_partials_block, 4096)
+    direct = rd.from_arrow(tables).map_batches(
+        distinct.MultiKeyBuild(grouped=False, hash_content=True), **kw
+    )
+    assert build.merge_to_row(direct, distinct.merge_partials_block, 4096).equals(row)
+    row = row.to_pylist()[0]
+    ests = [from_bytes(row[c]).cardinality() if row[c] else 0 for c in distinct.SKETCH_COLS]
+    out = distinct.flagship_global(rd.from_arrow(tables), batch_size=500).to_pylist()[0]
+    assert [out[c] for c in distinct.EST_COLS] == ests
+    assert out["rows_in"] == 3 * rows

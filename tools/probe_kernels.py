@@ -16,6 +16,14 @@ call) as rates:
 * ``estimates_per_s``: merged sketches per second estimated by
   ``batchmerge.cardinalities``.
 
+and two timings of the flagship's three sketch keys on the corpus:
+
+* ``three_key_build_ms``: one ``MultiKeyBuild(grouped=True)`` call on the
+  first file (the hashes and the three grouped sketch columns);
+* ``three_col_merge_ms``: the three-column bucket merger
+  (``stages.build.make_bucket_merger``, sketches kept) over the partials
+  of all the corpus files, as the driver merges them.
+
 The inputs: ``corpus`` is the first file of the seed's ``perfbench``
 corpus (32,768 rows; ``content`` values grouped by ``(repo, lang)``, as
 ``flagship_grouped`` builds them) and its partials are the builds of all
@@ -105,6 +113,22 @@ def probe(one, parts, k: int) -> dict:
     return out
 
 
+def probe_flagship(seed: int, root: str, k: int) -> dict:
+    from rayhll.pipelines import distinct
+    from rayhll.stages import build
+
+    tables = [pq.read_table(path) for path in inputs.corpus(root, seed)["files"]]
+    builder = distinct.MultiKeyBuild(SETTINGS, grouped=True)
+    partials = pa.concat_tables([builder(t) for t in tables])
+    merger = build.make_bucket_merger(
+        list(distinct.GROUP_COLS), list(distinct.SKETCH_COLS), list(distinct.EST_COLS)
+    )
+    return {
+        "three_key_build_ms": 1e3 * _best(lambda: builder(tables[0]), k),
+        "three_col_merge_ms": 1e3 * _best(lambda: merger(partials), k),
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=601)
@@ -119,6 +143,8 @@ def main() -> None:
     for name, (one, parts) in shapes.items():
         for metric, value in probe(one, parts, args.k).items():
             print(f"{name:8s} {metric:24s} {value:14,.0f}")
+    for metric, value in probe_flagship(args.seed, args.data_root, args.k).items():
+        print(f"{'corpus':8s} {metric:24s} {value:14,.1f}")
 
 
 if __name__ == "__main__":
