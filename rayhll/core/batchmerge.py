@@ -1,14 +1,16 @@
 """Vectorized many-group sketch merging and estimation.
 
 Counterpart of :mod:`rayhll.core.batchbuild` for the reduce side: merge the
-partial sketches of MANY groups in one call.  Used by the bucketed grouped
-aggregation (`rayhll.ray_agg`): partials are hash-bucketed so each reduce
-task receives thousands of (group, sketch) rows, and per-group / per-blob
-Python overhead would dominate a naive loop.  The rows are grouped once for
-all their sketch columns (:func:`merge_grouped_columns`), and every member
-is decoded for the whole batch at once, straight from the Arrow binary
-column's offsets and data buffers (byte masks; no per-blob ``bytes``
-objects):
+partial sketches of MANY groups in one call.  Every HLL merge outside the
+scalar ``HllSketch`` API goes through it: the bucketed grouped aggregations,
+the column profile among them (``stages.build.make_bucket_merger``: each
+reduce receives thousands of (group, sketch) rows, and per-group / per-blob
+Python overhead would dominate a naive loop), the global merges as one
+group (``stages.build.merge_rows``), and the live service's updates and
+seeds (``state.live``).  The rows are grouped once for all their sketch
+columns (:func:`merge_grouped_columns`), and every member is decoded for
+the whole batch at once, straight from the Arrow binary column's offsets
+and data buffers (byte masks; no per-blob ``bytes`` objects):
 
 * a group whose members are all EXPLICIT or EMPTY is merged by the grouped
   builder over its (group, value) pairs: union of EXPLICIT sets == set union
@@ -118,7 +120,9 @@ def merge_grouped_column(
 
     :param codes: int group code per input row.
     :param col: the blobs — a pyarrow binary (Chunked)Array, or a list of
-        ``bytes`` (converted).
+        ``bytes`` (converted).  A non-EMPTY blob with another (log2m,
+        regwidth) than ``settings`` raises ``ValueError``, as
+        ``HllSketch.union`` does.
     :returns: (unique codes ascending, first input row index per code,
         binary array of the merged sketch per code).
     """
@@ -147,6 +151,7 @@ def _merge_column(
     in group ``inv[i]``, whose first row is ``first_idx``."""
     offsets, data = _column_parts(col)
     types = _types(offsets, data)
+    _check_settings(settings, data, offsets[:-1][types != EMPTY])
     ngroups = len(first_idx)
 
     def any_member(member_mask) -> np.ndarray:
@@ -187,6 +192,13 @@ def _merge_column(
     return batchbuild.blob_column(settings, ngroups, pieces)
 
 
+def _check_settings(settings: HllSettings, data: np.ndarray, starts: np.ndarray) -> None:
+    """Raise ``ValueError`` when a blob at ``starts`` has another (log2m,
+    regwidth) than ``settings``, as ``HllSketch.union`` does."""
+    if (data[starts + 1] != header(settings, HllType.EMPTY)[1]).any():
+        raise ValueError("union-incompatible sketches: (log2m, regwidth) differ from the settings")
+
+
 def _nwords(offsets: np.ndarray, types: np.ndarray) -> np.ndarray:
     """Whole 8-byte values of each blob: its EXPLICIT words, else 0."""
     return np.where(types == EXPLICIT, (np.diff(offsets) - HEADER_BYTES) // 8, 0)
@@ -202,8 +214,6 @@ def _matrix_pieces(settings, in_matrix, inv, offsets, data, words, word_member):
     nrows = int(in_matrix.sum())
     member_row = np.where(in_matrix[inv], np.cumsum(in_matrix)[inv] - 1, -1)
     probabilistic = (member_row >= 0) & (types > EXPLICIT)
-    if (data[starts[probabilistic] + 1] != header(settings, HllType.EMPTY)[1]).any():
-        raise ValueError("union-incompatible sketches: (log2m, regwidth) differ from the settings")
 
     word_row = member_row[word_member]
     j, p_w = register_pairs(settings, words[word_row >= 0])
@@ -248,14 +258,16 @@ def _union_piece(settings, in_loop, inv, col) -> batchbuild.Piece:
 
 
 def cardinalities(settings: HllSettings, col) -> np.ndarray:
-    """Integer cardinality of every serialized sketch in ``col`` (all of
-    ``settings``'s log2m and regwidth), as ``HllSketch.cardinality``; ``col``
-    as for :func:`merge_grouped_column`."""
+    """Integer cardinality of every serialized sketch in ``col``, as
+    ``HllSketch.cardinality``; ``col`` as for :func:`merge_grouped_column`.
+    Raises ``ValueError`` when a sketch has another (log2m, regwidth) than
+    ``settings``."""
     col = _as_array(col)
     offsets, data = _column_parts(col)
     starts = offsets[:-1]
     lens = np.diff(offsets) - HEADER_BYTES
     types = _types(offsets, data)
+    _check_settings(settings, data, starts)
     out = np.where(types == EXPLICIT, lens // 8, 0)
     m, w, log2m = settings.m, settings.regwidth, settings.log2m
     weights = np.ldexp(1.0, -np.arange(1 << w))

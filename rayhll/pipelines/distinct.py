@@ -16,24 +16,23 @@ run fused with each read task instead, see ``stages.build.merge_partials``):
    fixed-size row per (batch, group).  With ``hash_content`` the content
    sketch adds the first 8 bytes of each row's sha256 (the invariant hash,
    computed once per row, in this map); else the fast vectorized hash.
-2. ``stages.build.merge_grouped`` (``merge_to_row`` for the global variant)
-   — merges partial sketches per group, grouping the partial rows once for
-   the three sketch columns.  The partials are sketch rows
+2. ``stages.build.merge_grouped`` (``merge_to_row`` for the global variant,
+   whose rows merge as one group) — merges partial sketches per group in
+   ``core.batchmerge``, grouping the partial rows once for the three sketch
+   columns.  The partials are sketch rows
    (~4 KiB per group per block), so a pathological repo costs O(#blocks)
    sketch rows, never O(rows).  Up to one block's worth
    (``DataContext.target_max_block_size``) they merge in one driver call;
    beyond that through a ``groupby(_bucket)`` shuffle.
-3. finalize — integer estimates per key.
+3. finalize — integer estimates per key (``batchmerge.cardinalities``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from rayhll.core import batchbuild
-from rayhll.core.serde import from_bytes
+from rayhll.core import batchbuild, batchmerge
 from rayhll.core.settings import HllSettings
 from rayhll.core.sketch import HllSketch
 from rayhll.functions import hashing
@@ -119,35 +118,12 @@ class MultiKeyBuild:
         for c, col in zip(SKETCH_COLS, cols):
             out = out.append_column(c, col)
         out = out.append_column("rows_in", pa.array(counts, type=pa.int64()))
-        out = out.append_column(build_stage.GHASH_COL, pa.array(uniq, type=pa.int64()))
-        bucket = (uniq.view(np.uint64) % np.uint64(self.num_buckets)).astype(np.int64)
-        return out.append_column(build_stage.BUCKET_COL, pa.array(bucket, type=pa.int64()))
-
-
-def _merge_rows(table: pa.Table) -> tuple[list[HllSketch], int]:
-    accs: list[HllSketch | None] = [None] * len(KEYS)
-    if not table.num_rows:
-        return accs, 0
-    for i, c in enumerate(SKETCH_COLS):
-        for blob in table.column(c):
-            sk = from_bytes(blob.as_py())
-            if accs[i] is None:
-                accs[i] = sk
-            else:
-                accs[i].union(sk)
-    rows = int(pc.sum(table.column("rows_in")).as_py() or 0)
-    return accs, rows
+        return build_stage.with_group_hash(out, uniq, self.num_buckets)
 
 
 def merge_partials_block(batch: pa.Table) -> pa.Table:
     """Merge step for the ungrouped variant: all rows to one row."""
-    accs, rows = _merge_rows(batch)
-    cols = {
-        c: pa.array([a.to_bytes() if a else b""], type=pa.binary())
-        for c, a in zip(SKETCH_COLS, accs)
-    }
-    cols["rows_in"] = pa.array([rows], type=pa.int64())
-    return pa.table(cols)
+    return build_stage.merge_rows(batch, list(SKETCH_COLS))
 
 
 def flagship_grouped(
@@ -208,14 +184,10 @@ def flagship_global(
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-    row = build_stage.merge_to_row(partials, merge_partials_block, 4096).to_pylist()[0]
-    empty = HllSketch(settings or HllSettings(11, 5))
-    cols: dict[str, list] = {}
-    for sc, ec in zip(SKETCH_COLS, EST_COLS):
-        # empty input merges to b"" blobs — substitute an EMPTY sketch
-        sk = from_bytes(row[sc]) if row[sc] else empty
-        cols[ec] = [sk.cardinality()]
-    cols["rows_in"] = [row["rows_in"]]
-    return pa.table(
-        {k: pa.array(v, type=pa.int64()) for k, v in cols.items()}
-    )
+    row = build_stage.merge_to_row(partials, merge_partials_block, 4096)
+    blobs = [row.column(sc)[0].as_py() for sc in SKETCH_COLS]
+    # an empty input merges to b"" blobs, whose estimates are 0
+    settings = settings or HllSettings(11, 5)
+    ests = batchmerge.cardinalities(settings, blobs) if all(blobs) else [0] * len(blobs)
+    cols = {ec: pa.array([e], type=pa.int64()) for ec, e in zip(EST_COLS, ests)}
+    return pa.table({**cols, "rows_in": row.column("rows_in")})

@@ -86,14 +86,13 @@ def sliding_window_distinct(
     fanout = size_us // step_us
     from rayhll.functions import hashing
     from rayhll.stages.build import (
-        BUCKET_COL,
         DEFAULT_NUM_BUCKETS,
-        GHASH_COL,
         GROUP_HASH_SEED,
         ROWS_COL,
         SKETCH_COL,
         make_bucket_merger,
         merge_grouped,
+        with_group_hash,
     )
 
     def assign(batch: pa.Table) -> pa.Table:
@@ -118,9 +117,7 @@ def sliding_window_distinct(
             parts.append(payload.add_column(0, "window_start", w))
         out = pa.concat_tables(parts)
         gh = hashing.hash64_table(out, ["window_start"], seed=GROUP_HASH_SEED)
-        out = out.append_column(GHASH_COL, pa.array(gh, type=pa.int64()))
-        bucket = (gh.view(np.uint64) % np.uint64(DEFAULT_NUM_BUCKETS)).astype(np.int64)
-        return out.append_column(BUCKET_COL, pa.array(bucket, type=pa.int64()))
+        return with_group_hash(out, gh, DEFAULT_NUM_BUCKETS)
 
     merger = make_bucket_merger(["window_start"], include_sketch=False)
     replicated = steps.map_batches(replicate, batch_format="pyarrow", zero_copy_batch=True)

@@ -41,7 +41,6 @@ from rayhll.core.sketch import HllSketch
 from rayhll.functions import hashing
 from rayhll.stages import build as build_stage
 from rayhll.stages.build import (
-    BUCKET_COL,
     ESTIMATE_COL,
     GHASH_COL,
     SKETCH_COL,
@@ -273,9 +272,7 @@ def grouped_aggregate_family(
             blobs.append(build_partial(sorted_batch.slice(lo, hi - lo)))
         out = batch.select(group_cols).take(pa.array(first_idx))
         out = out.append_column("blob", pa.array(blobs, type=pa.binary()))
-        out = out.append_column(GHASH_COL, pa.array(uniq, type=pa.int64()))
-        bucket = (uniq.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
-        return out.append_column(BUCKET_COL, pa.array(bucket, type=pa.int64()))
+        return build_stage.with_group_hash(out, uniq, num_buckets)
 
     merge_bucket = _make_blob_merge_bucket(group_cols, family_cls, "blob", finalize)
     p = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
@@ -339,15 +336,11 @@ def grouped_merge_family(
     driver when the blob rows fit in one block (``stages.build.merge_grouped``);
     otherwise the shuffle carries only blob rows, so a fixed ``num_buckets``
     is combiner-bounded by construction."""
-    import numpy as np
-
     from rayhll.functions.hashing import hash64_table
 
     def key_bucket(batch: pa.Table) -> pa.Table:
         gh = hash64_table(batch, group_cols, seed=0xFA71)
-        out = batch.append_column(GHASH_COL, pa.array(gh, type=pa.int64()))
-        bucket = (gh.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
-        return out.append_column(BUCKET_COL, pa.array(bucket, type=pa.int64()))
+        return build_stage.with_group_hash(batch, gh, num_buckets)
 
     merge_bucket = _make_blob_merge_bucket(group_cols, family_cls, blob_col, finalize)
     keyed = ds.map_batches(key_bucket, batch_format="pyarrow", zero_copy_batch=True)

@@ -20,11 +20,11 @@ the wide operation is tiny by construction —
 * A plan that is exactly a ``Datasource`` read and then this library's own
   maps runs as one plain Ray task per read task when that loses no
   parallelism (:func:`_direct_plan`); any other plan runs through Ray Data.
-* ``merge_sketch_rows`` revives sketches with ``from_bytes``, folds them
-  with the associative ``union`` (reference semantics:
-  python_hll/hll.py:491-691), and emits bytes again; ``make_bucket_merger``
-  merges many groups' sketches at once with the same result
-  (:mod:`rayhll.core.batchmerge`).
+* Every merge is the associative union (reference semantics:
+  python_hll/hll.py:491-691) of :mod:`rayhll.core.batchmerge`, straight
+  from the serialized bytes: ``make_bucket_merger`` merges many groups'
+  sketches at once, and :func:`merge_rows` (``merge_sketch_rows``) merges
+  all rows as one group.
 
 Every stage output is a pure function of (block contents, settings), so Ray
 task retries are idempotent — a retried block reproduces the identical
@@ -39,8 +39,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 import pyarrow as pa
 
-from rayhll.core import batchbuild
-from rayhll.core.serde import from_bytes
+from rayhll.core import batchbuild, batchmerge
+from rayhll.core.serde import from_bytes, settings_from_bytes
 from rayhll.core.settings import HllSettings
 from rayhll.core.sketch import HllSketch
 from rayhll.functions import hashing
@@ -67,6 +67,15 @@ GHASH_COL = "_ghash"
 BUCKET_COL = "_bucket"
 GROUP_HASH_SEED = 0x5EED_6800
 DEFAULT_NUM_BUCKETS = 64
+
+
+def with_group_hash(table: pa.Table, ghash: np.ndarray, num_buckets: int) -> pa.Table:
+    """``table`` with each row's group hash ``ghash`` (``GHASH_COL``, what the
+    merge keys on) and its bucket of ``num_buckets`` (``BUCKET_COL``, what
+    the exchange co-locates by) appended."""
+    bucket = (ghash.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
+    table = table.append_column(GHASH_COL, pa.array(ghash, type=pa.int64()))
+    return table.append_column(BUCKET_COL, pa.array(bucket, type=pa.int64()))
 
 
 def check_build_args(key_cols, hash_method: str) -> None:
@@ -157,30 +166,32 @@ class BuildPartials:
         out = out.append_column(ROWS_COL, pa.array(counts, type=pa.int64()))
         # carry the group hash so the reduce side can merge many groups per
         # task, and a bucket id for the co-locating groupby
-        out = out.append_column(GHASH_COL, pa.array(uniq, type=pa.int64()))
-        bucket = (uniq.view(np.uint64) % np.uint64(self.num_buckets)).astype(np.int64)
-        return out.append_column(BUCKET_COL, pa.array(bucket, type=pa.int64()))
+        return with_group_hash(out, uniq, self.num_buckets)
 
 
 def merge_sketch_rows(batch: pa.Table) -> pa.Table:
-    """Fold every sketch row of a batch into one row (the global merge step).
+    """Merge every sketch row of a batch into one row (the global merge step).
     Settings travel inside the serialized header, so this stage needs none."""
-    acc: HllSketch | None = None
-    for blob in batch.column(SKETCH_COL) if batch.num_rows else ():
-        sk = from_bytes(blob.as_py())
-        if acc is None:
-            acc = sk
-        else:
-            acc.union(sk)
+    return merge_rows(batch, [SKETCH_COL])
+
+
+def merge_rows(batch: pa.Table, sketch_cols: list[str]) -> pa.Table:
+    """All rows of ``batch`` as one row: each of ``sketch_cols`` merged as
+    one group by ``batchmerge.merge_grouped_columns``, under the settings in
+    its first blob's header, and ``ROWS_COL`` summed.  No rows merge to
+    ``b""`` sketches and ``rows_in`` 0."""
+    if not batch.num_rows:
+        out = {c: pa.array([b""], type=pa.binary()) for c in sketch_cols}
+        return pa.table({**out, ROWS_COL: pa.array([0], type=pa.int64())})
+    cols = [batch.column(c) for c in sketch_cols]
+    settings = [settings_from_bytes(col[0].as_py()) for col in cols]
+    codes = np.zeros(batch.num_rows, dtype=np.int64)
+    _, _, _, merged = batchmerge.merge_grouped_columns(settings, codes, cols)
     rows_in = 0
-    if batch.num_rows and ROWS_COL in batch.column_names:
+    if ROWS_COL in batch.column_names:
         rows_in = int(pa.compute.sum(batch.column(ROWS_COL)).as_py() or 0)
-    return pa.table(
-        {
-            SKETCH_COL: pa.array([acc.to_bytes() if acc else b""], type=pa.binary()),
-            ROWS_COL: pa.array([rows_in], type=pa.int64()),
-        }
-    )
+    out = dict(zip(sketch_cols, merged))
+    return pa.table({**out, ROWS_COL: pa.array([rows_in], type=pa.int64())})
 
 
 def make_bucket_merger(
@@ -197,9 +208,6 @@ def make_bucket_merger(
     Emits one row per group: group cols, merged sketch(es), integer
     estimate(s), summed rows.
     """
-    from rayhll.core import batchmerge
-    from rayhll.core.serde import settings_from_bytes
-
     estimate_cols = estimate_cols or [
         ESTIMATE_COL if c == SKETCH_COL else f"estimate_{c}" for c in sketch_cols
     ]

@@ -9,10 +9,12 @@ express the semantics").
 
 ``LiveSketchService`` shards per-key HLL state across N ``@ray.remote``
 actors by key hash (same bucketing discipline as the batch shuffle).
-Updates are vectorized inside each actor (the grouped one-pass builder);
-snapshots serialize per-key storage-spec bytes, so a live service can be
-seeded FROM a batch job's output and drained back INTO one — the two
-execution styles share the byte contract.
+Updates are vectorized inside each actor: the grouped one-pass builder
+sketches a micro-batch, and one ``batchmerge`` call unions every touched
+key's old and new sketch (the same union as every batch merge, also for
+``seed``).  Snapshots serialize per-key storage-spec bytes, so a live
+service can be seeded FROM a batch job's output and drained back INTO one —
+the two execution styles share the byte contract.
 
 Partitioning assumption: a key's entire state lives on exactly one actor
 (hash sharding); rebalancing means snapshot + reshard.
@@ -39,39 +41,32 @@ class SketchShardActor:
     def __init__(self, settings_args: tuple):
         self.settings = HllSettings(*settings_args)
         self.state: dict[int, bytes] = {}
+        self.key_names: dict[int, object] = {}
         self.rows_seen = 0
 
     def update(self, ghash: np.ndarray, raws: np.ndarray, keys: list) -> int:
         """Fold a pre-hashed micro-batch into the shard; returns rows."""
         uniq, first_idx, _, blobs = build_grouped_sketches(self.settings, ghash, raws)
-        self.key_names = getattr(self, "key_names", {})
-        for g, fi, blob in zip(uniq.tolist(), first_idx.tolist(), blobs):
-            self.key_names[g] = keys[fi]
-            old = self.state.get(g)
-            if old is None:
-                self.state[g] = blob
-            else:
-                merged_codes = np.zeros(2, dtype=np.int64)
-                col = pa.array([old, blob], type=pa.binary())
-                _, _, merged = batchmerge.merge_grouped_blobs(
-                    self.settings, merged_codes, col
-                )
-                self.state[g] = merged[0]
+        groups = uniq.tolist()
+        self.key_names.update(zip(groups, [keys[i] for i in first_idx.tolist()]))
+        self._merge(groups, blobs)
         self.rows_seen += len(raws)
         return len(raws)
 
     def seed(self, ghash: int, key, blob: bytes) -> None:
         """Union a serialized sketch (e.g. from a batch job's output) into
         this shard's state for ``key``."""
-        self.key_names = getattr(self, "key_names", {})
         self.key_names[ghash] = key
-        old = self.state.get(ghash)
-        if old is None:
-            self.state[ghash] = blob
-        else:
-            acc = from_bytes(old)
-            acc.union(from_bytes(blob))
-            self.state[ghash] = acc.to_bytes()
+        self._merge([ghash], [blob])
+
+    def _merge(self, groups: list[int], blobs: list[bytes]) -> None:
+        """Union ``blobs[i]`` into the state of ``groups[i]`` (distinct
+        groups), all in one ``batchmerge`` call over the old and new blobs."""
+        old = [g for g in groups if g in self.state]
+        codes = np.array(old + groups, dtype=np.int64)
+        col = [self.state[g] for g in old] + blobs
+        uniq, _, merged = batchmerge.merge_grouped_blobs(self.settings, codes, col)
+        self.state.update(zip(uniq.tolist(), merged))
 
     def cardinality(self, ghash: int) -> int:
         blob = self.state.get(ghash)

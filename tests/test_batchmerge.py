@@ -284,3 +284,36 @@ def test_bucket_merger_of_three_columns_matches_one_merge_per_column():
     uniq, inv = np.unique(codes, return_inverse=True)
     rows = np.bincount(inv, weights=partials.column("rows_in").to_numpy()).astype(np.int64)
     assert out.column("rows_in").to_pylist() == rows.tolist()
+
+
+@pytest.mark.parametrize("kinds", [("explicit", "explicit"), ("full", "explicit"), ("explicit", "sparse")])
+def test_merge_refuses_members_of_other_log2m(kinds):
+    """A member with another (log2m, regwidth) raises, whatever its type, as
+    HllSketch.union raises; EXPLICIT members used to merge silently."""
+    from rayhll.core.batchmerge import merge_grouped_columns
+
+    sizes = {"explicit": 5, "sparse": 400, "full": 5000}
+    blobs = [
+        _make_blob(HllSettings(log2m, 5), np.arange(1, sizes[kind] + 1) * 7919)
+        for log2m, kind in zip((11, 12), kinds)
+    ]
+    assert from_bytes(blobs[1]).get_type().name == kinds[1].upper()
+    codes = np.zeros(2, dtype=np.int64)
+    with pytest.raises(ValueError, match="union-incompatible"):
+        from_bytes(blobs[0]).union(from_bytes(blobs[1]))
+    with pytest.raises(ValueError, match="union-incompatible"):
+        merge_grouped_blobs(HllSettings(11, 5), codes, blobs)
+    with pytest.raises(ValueError, match="union-incompatible"):
+        merge_grouped_columns([HllSettings(11, 5)], codes, [blobs])
+
+
+def test_cardinalities_refuse_sketches_of_other_settings():
+    """A log2m=12 FULL sketch estimated under log2m=11 used to read half its
+    registers and return about half its estimate."""
+    blob = _make_blob(HllSettings(12, 5), np.arange(1, 100_001) * 7919)
+    assert from_bytes(blob).get_type().name == "FULL"
+    assert cardinalities(HllSettings(12, 5), [blob]).tolist() == [from_bytes(blob).cardinality()]
+    with pytest.raises(ValueError, match="union-incompatible"):
+        cardinalities(HllSettings(11, 5), [blob])
+    with pytest.raises(ValueError, match="union-incompatible"):
+        cardinalities(HllSettings(11, 5), [_make_blob(HllSettings(11, 6), [1, 2])])

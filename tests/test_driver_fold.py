@@ -108,6 +108,19 @@ def _flagship_global():
     return distinct.flagship_global(_input())
 
 
+def _profile_distinct():
+    from rayhll.pipelines.profile import profile_distinct
+
+    # every column of the input, each merged as a group
+    return _sorted(profile_distinct(_input()), ["col_name"])
+
+
+def _profile_distinct_of_columns():
+    from rayhll.pipelines.profile import profile_distinct
+
+    return _sorted(profile_distinct(_input(), ["path", "v"]), ["col_name"])
+
+
 ENTRY_POINTS = [
     _grouped_approx_distinct,
     _grouped_aggregate_family,
@@ -117,6 +130,7 @@ ENTRY_POINTS = [
     _approx_distinct_sketch,
     _aggregate_family,
     _flagship_global,
+    _profile_distinct,
 ]
 
 
@@ -221,6 +235,8 @@ DIRECT_ENTRY_POINTS = [
     _aggregate_family,
     _flagship_global,
     _flagship_grouped,
+    _profile_distinct,
+    _profile_distinct_of_columns,
 ]
 
 

@@ -102,3 +102,41 @@ def test_live_service_seeded_from_batch_job(ray_session):
             assert svc.cardinality(k) == v, k
     finally:
         svc.shutdown()
+
+
+def test_live_snapshot_bytes_equal_the_batch_merge(ray_session):
+    """Micro-batch updates (one chunk re-delivered) plus seeds from a batch
+    job leave every key with the bytes the batch grouped merge gives over
+    all the rows: keys of EXPLICIT, SPARSE and FULL sketches."""
+    import numpy as np
+    import ray.data as rd
+
+    from rayhll import ray_agg
+    from rayhll.state.live import LiveSketchService
+
+    rng = np.random.default_rng(23)
+    sizes = {"a": 40, "b": 200, "c": 300, "d": 3000}
+    keys = np.concatenate([np.full(3 * n, k) for k, n in sizes.items()])
+    values = np.concatenate([rng.integers(0, n, 3 * n) for n in sizes.values()])
+    order = rng.permutation(len(keys))
+    table = pa.table({"k": keys[order].tolist(), "v": values[order]})
+    half = table.num_rows // 2
+
+    def grouped(rows: pa.Table) -> dict:
+        out = ray_agg.grouped_approx_distinct(rd.from_arrow(rows), ["k"], ["v"], include_sketch=True)
+        return {row["k"]: row["sketch"] for row in out.take_all()}
+
+    svc = LiveSketchService(num_shards=2)
+    try:
+        for key, blob in grouped(table.slice(0, half)).items():
+            svc.seed(key, blob)
+        chunks = [table.slice(i, 700) for i in range(half, table.num_rows, 700)]
+        for chunk in chunks + chunks[:1]:
+            svc.update_batch(chunk, "k", ["v"])
+        snap = svc.snapshot()
+        got = dict(zip(snap.column("key").to_pylist(), snap.column("sketch").to_pylist()))
+        want = grouped(table)
+        assert sorted(b[0] & 0x0F for b in want.values()) == [2, 3, 3, 4]
+        assert got == want
+    finally:
+        svc.shutdown()

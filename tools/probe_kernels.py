@@ -24,6 +24,15 @@ and two timings of the flagship's three sketch keys on the corpus:
   (``stages.build.make_bucket_merger``, sketches kept) over the partials
   of all the corpus files, as the driver merges them.
 
+and four timings of the global (one-group) merges, in ms:
+
+* ``merge_sketch_rows_ms`` and ``merge_partials_block_ms`` on ``corpus``:
+  ``stages.build.merge_sketch_rows`` of the content sketches and
+  ``pipelines.distinct.merge_partials_block`` of all three, over the
+  ``MultiKeyBuild(grouped=False)`` partials of all the corpus files;
+* the same two on ``exact``: one partial of 50,000 distinct values under
+  ``ray_agg.EXACT_MODE`` (an EXPLICIT sketch), in every sketch column.
+
 The inputs: ``corpus`` is the first file of the seed's ``perfbench``
 corpus (32,768 rows; ``content`` values grouped by ``(repo, lang)``, as
 ``flagship_grouped`` builds them) and its partials are the builds of all
@@ -129,6 +138,33 @@ def probe_flagship(seed: int, root: str, k: int) -> dict:
     }
 
 
+def probe_global(seed: int, root: str, k: int) -> dict:
+    from rayhll.pipelines import distinct
+    from rayhll.ray_agg import EXACT_MODE
+    from rayhll.stages import build
+
+    tables = [pq.read_table(path) for path in inputs.corpus(root, seed)["files"]]
+    builder = distinct.MultiKeyBuild(SETTINGS, grouped=False)
+    partials = pa.concat_tables([builder(t) for t in tables])
+    exact = HllSketch(EXACT_MODE)
+    exact.add_batch(np.random.default_rng(seed).permutation(50_000).astype(np.int64) * 7919)
+    blob = pa.array([exact.to_bytes()], type=pa.binary())
+    shapes = {
+        "corpus": partials,
+        "exact": pa.table({**{c: blob for c in distinct.SKETCH_COLS}, "rows_in": [50_000]}),
+    }
+    out = {}
+    for name, table in shapes.items():
+        rows = table.select([distinct.SKETCH_COLS[0], "rows_in"]).rename_columns(
+            [build.SKETCH_COL, build.ROWS_COL]
+        )
+        out[name] = {
+            "merge_sketch_rows_ms": 1e3 * _best(lambda: build.merge_sketch_rows(rows), k),
+            "merge_partials_block_ms": 1e3 * _best(lambda: distinct.merge_partials_block(table), k),
+        }
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=601)
@@ -145,6 +181,9 @@ def main() -> None:
             print(f"{name:8s} {metric:24s} {value:14,.0f}")
     for metric, value in probe_flagship(args.seed, args.data_root, args.k).items():
         print(f"{'corpus':8s} {metric:24s} {value:14,.1f}")
+    for name, metrics in probe_global(args.seed, args.data_root, args.k).items():
+        for metric, value in metrics.items():
+            print(f"{name:8s} {metric:24s} {value:14,.2f}")
 
 
 if __name__ == "__main__":
