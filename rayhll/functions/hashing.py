@@ -17,7 +17,8 @@ Two hash families:
   (``HASHLIB_GIL_MINSIZE``), far above a typical source file row.
 * :func:`hash64_table` — the fast path for every other key: polars' vectorized
   64-bit xxhash over one column or a struct of columns (~60M rows/s/core),
-  deterministic for a fixed seed.
+  deterministic for a fixed seed; :func:`hash64_keys` hashes several keys
+  of one batch from one frame.
 * :func:`splitmix64` — numpy-vectorized integer mixer (Steele et al. 2014,
   public domain constants) for derived hash streams (MinHash permutations,
   count-min rows, Bloom probes).
@@ -131,14 +132,24 @@ def hash64_table(
     Multi-column keys hash the column struct, so ``("repo", "commit")`` is a
     composite key with no separator-collision hazard.
     """
+    return hash64_keys(table, [(cols, seed)])[0]
+
+
+def hash64_keys(
+    table: pa.Table | pa.RecordBatch, keys: list[tuple[list[str], int]]
+) -> list[np.ndarray]:
+    """:func:`hash64_table` of several ``(cols, seed)`` keys of one batch,
+    from one polars frame: the batch converts once and one ``select``
+    evaluates every key's hash expression."""
     if isinstance(table, pa.RecordBatch):
         table = pa.Table.from_batches([table])
-    df = pl.from_arrow(table.select(cols))
-    if len(cols) == 1:
-        h = df.select(pl.col(cols[0]).hash(seed=seed).alias("h"))["h"]
-    else:
-        h = df.select(pl.struct(cols).hash(seed=seed).alias("h"))["h"]
-    return h.to_numpy().view(np.int64)
+    cols = list(dict.fromkeys(c for key, _ in keys for c in key))
+    exprs = [
+        (pl.col(key[0]) if len(key) == 1 else pl.struct(key)).hash(seed=seed).alias(f"h{i}")
+        for i, (key, seed) in enumerate(keys)
+    ]
+    out = pl.from_arrow(table.select(cols)).select(exprs)
+    return [out[f"h{i}"].to_numpy().view(np.int64) for i in range(len(keys))]
 
 
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)

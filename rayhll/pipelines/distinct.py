@@ -82,18 +82,23 @@ class MultiKeyBuild:
         self.num_buckets = num_buckets
         self.hash_content = hash_content
 
-    def _raws(self, batch: pa.Table) -> dict[str, np.ndarray]:
+    def _hashes(self, batch: pa.Table) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+        """The three keys' raw values and the group hash (``None`` when
+        ungrouped); every polars hash comes from one frame."""
+        keys = {"path": ["path"], "repo_commit": ["repo", "commit"]}
+        raws = {}
         if "content_raw64" in batch.column_names:
-            content_raw = batch.column("content_raw64").to_numpy()
+            raws["content"] = batch.column("content_raw64").to_numpy()
         elif self.hash_content:
-            content_raw = hashing.sha256_raw64(batch.column("content"))
+            raws["content"] = hashing.sha256_raw64(batch.column("content"))
         else:
-            content_raw = hashing.hash64_table(batch, ["content"])
-        return {
-            "content": content_raw,
-            "path": hashing.hash64_table(batch, ["path"]),
-            "repo_commit": hashing.hash64_table(batch, ["repo", "commit"]),
-        }
+            keys["content"] = ["content"]
+        seeded = [(cols, hashing.DEFAULT_SEED) for cols in keys.values()]
+        if self.grouped:
+            seeded.append((list(GROUP_COLS), 0x6E0))
+        hashes = hashing.hash64_keys(batch, seeded)
+        raws.update(zip(keys, hashes))
+        return raws, hashes[-1] if self.grouped else None
 
     def _sketch_row(self, raws: dict[str, np.ndarray], sel: np.ndarray | slice) -> list[bytes]:
         out = []
@@ -104,13 +109,12 @@ class MultiKeyBuild:
         return out
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        raws = self._raws(batch)
+        raws, ghash = self._hashes(batch)
         if not self.grouped:
             blobs = self._sketch_row(raws, slice(None))
             cols = {c: pa.array([b], type=pa.binary()) for c, b in zip(SKETCH_COLS, blobs)}
             cols["rows_in"] = pa.array([len(batch)], type=pa.int64())
             return pa.table(cols)
-        ghash = hashing.hash64_table(batch, list(GROUP_COLS), seed=0x6E0)
         uniq, first_idx, counts, cols = batchbuild.build_grouped_columns(
             self.settings, ghash, [raws[k] for k in KEYS]
         )

@@ -17,18 +17,16 @@ sha256 runs over the tiny id string only — the same documented hashlib
 exception as :func:`rayhll.functions.hashing.sha256_hex`, NOT a per-row
 loop over content.
 
-Global rank is a sequential recurrence, solved with the same two-pass
-range prefix as :func:`rayhll.pipelines.packing.pack_sequences`: ONE
-projection to compact ``(id, key)`` rows, a bounded boundary sample over
-the KEY space (uniform by construction — sha256 output — so sampled
-quantiles split evenly), exact per-range counts + a driver exclusive
-prefix, then ONE key-range-co-located exchange where each range sorts
-locally and adds its offset.  No task ever holds the corpus; nothing
-text-sized moves at all.
+Global rank is a running row count in ``(key, id)`` order: ONE
+projection to compact ``(id, key)`` rows, then
+:func:`rayhll.stages.prefix.range_prefix` (weight = one per row) gives each
+row the count of rows before it.  The key is sha256 output, uniform by
+construction, so the sampled key ranges split evenly.  Nothing text-sized
+moves at all.
 
-Input contract: ``id_col`` is UNIQUE and non-null; for the SQL mirror to
-hold it must render identically via ``str(id)`` and ``CAST(id AS
-VARCHAR)`` (integer ids do).
+Input contract: ``id_col`` is UNIQUE and non-null (a null or duplicate
+id raises ``ValueError``); for the SQL mirror to hold it must render
+identically via ``str(id)`` and ``CAST(id AS VARCHAR)`` (integer ids do).
 
 reference: no counterpart in /root/reference (python-hll is sketch-only);
 builder-brief training-data-pipeline requirement (epoch shuffling).
@@ -41,6 +39,8 @@ import os
 
 import numpy as np
 import pyarrow as pa
+
+from rayhll.stages.prefix import range_prefix
 
 __all__ = ["shuffle_manifest", "write_shards"]
 
@@ -74,86 +74,26 @@ def shuffle_manifest(
             )
         return pa.table({id_col: ids, "_k": pa.array(keys, type=pa.uint64())})
 
-    proj = ds.map_batches(
-        project, batch_format="pyarrow", zero_copy_batch=True
-    ).materialize()
-    total_rows = proj.count()
-    if total_rows == 0:
-        return proj.map_batches(
-            lambda t: pa.table(
-                {
-                    id_col: t.column(id_col),
-                    "rank": pa.array([], type=pa.int64()),
-                    "shard": pa.array([], type=pa.int64()),
-                    "pos": pa.array([], type=pa.int64()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    num_ranges = int(min(max_ranges, max(1, -(-total_rows // target_rows_per_range))))
-
-    # bounded boundary sample over the KEY space: <= 64 keys per block
-    def sample_keys(batch: pa.Table) -> pa.Table:
-        k = batch.column("_k").to_numpy()
-        stride = max(1, len(k) // 64)
-        return pa.table({"_k": pa.array(k[::stride], type=pa.uint64())})
-
-    sampled = np.sort(
-        proj.map_batches(sample_keys, batch_format="pyarrow", batch_size=None)
-        .to_pandas()["_k"]
-        .to_numpy()
-        .astype(np.uint64)
-    )
-    if num_ranges > 1:
-        qpos = (np.arange(1, num_ranges) * len(sampled)) // num_ranges
-        bounds = np.unique(sampled[qpos])  # range r = keys in [bounds[r-1], bounds[r])
-    else:
-        bounds = np.empty(0, dtype=np.uint64)
-    n_ranges = len(bounds) + 1
-
-    def range_counts(batch: pa.Table) -> pa.Table:
-        k = batch.column("_k").to_numpy()
-        r = np.searchsorted(bounds, k, side="right")
-        counts = np.bincount(r, minlength=n_ranges).astype(np.int64)
+    def rank_range(tbl: pa.Table, offset: int) -> pa.Table:
+        rank = offset + np.arange(tbl.num_rows, dtype=np.int64)
         return pa.table(
             {
-                "_r": pa.array(np.arange(n_ranges, dtype=np.int64)),
-                "_count": pa.array(counts, type=pa.int64()),
-            }
-        )
-
-    per_block = proj.map_batches(range_counts, batch_format="pyarrow", batch_size=None).to_pandas()
-    range_totals = np.zeros(n_ranges, dtype=np.int64)
-    np.add.at(range_totals, per_block["_r"].to_numpy(), per_block["_count"].to_numpy())
-    offsets = np.concatenate(([0], np.cumsum(range_totals)[:-1]))
-    if stats_out is not None:
-        stats_out["n_ranges"] = n_ranges
-        stats_out["range_totals"] = range_totals.tolist()
-
-    def attach_range(batch: pa.Table) -> pa.Table:
-        k = batch.column("_k").to_numpy()
-        r = np.searchsorted(bounds, k, side="right").astype(np.int64)
-        return batch.append_column("_r", pa.array(r, type=pa.int64()))
-
-    def rank_range(tbl: pa.Table) -> pa.Table:
-        ids = tbl.column(id_col).to_numpy(zero_copy_only=False)
-        k = tbl.column("_k").to_numpy()
-        r = int(tbl.column("_r")[0].as_py())
-        order = np.lexsort((ids, k))
-        rank = int(offsets[r]) + np.arange(len(k), dtype=np.int64)
-        return pa.table(
-            {
-                id_col: pa.array(ids[order]),
+                id_col: tbl.column(id_col),
                 "rank": pa.array(rank, type=pa.int64()),
                 "shard": pa.array(rank % num_shards, type=pa.int64()),
                 "pos": pa.array(rank // num_shards, type=pa.int64()),
             }
         )
 
-    return (
-        proj.map_batches(attach_range, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_r")
-        .map_groups(rank_range, batch_format="pyarrow")
+    return range_prefix(
+        ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True),
+        id_col,
+        "_k",
+        None,
+        rank_range,
+        target_rows_per_range,
+        max_ranges,
+        stats_out,
     )
 
 

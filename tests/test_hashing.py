@@ -139,3 +139,32 @@ def test_hash_stage_zero_rows():
     assert out.num_rows == 0
     assert out.schema.field("content_sha256").type == pa.string()
     assert out.schema.field("content_raw64").type == pa.int64()
+
+
+@pytest.mark.parametrize("grouped", [True, False])
+def test_multikey_build_hashes_equal_separate_hash64_table_calls(grouped):
+    """MultiKeyBuild hashes the group key and three sketch keys from one
+    polars frame; each array equals its own ``hash64_table`` call."""
+    from rayhll.pipelines.distinct import MultiKeyBuild
+
+    rows = {
+        "repo": ["r1", "r2", None, "r1", "r3", "r2"],
+        "lang": ["py", None, "go", "py", "rs", "go"],
+        "commit": ["c1", "c2", "c2", None, "c9", "c2"],
+        "path": ["a.py", "b.go", None, "a.py", "x.rs", ""],
+        "content": ["x", None, "", "y", "zz", "x"],
+    }
+    table = pa.concat_tables([pa.table(rows).slice(0, 4), pa.table(rows).slice(4)])
+    raws, ghash = MultiKeyBuild(grouped=grouped)._hashes(table)
+    assert sorted(raws) == ["content", "path", "repo_commit"]
+    want = {
+        "content": hashing.hash64_table(table, ["content"]),
+        "path": hashing.hash64_table(table, ["path"]),
+        "repo_commit": hashing.hash64_table(table, ["repo", "commit"]),
+    }
+    for k, v in want.items():
+        assert raws[k].dtype == np.int64 and np.array_equal(raws[k], v), k
+    if grouped:
+        assert np.array_equal(ghash, hashing.hash64_table(table, ["repo", "lang"], seed=0x6E0))
+    else:
+        assert ghash is None

@@ -8,8 +8,10 @@ the range count confirms the two-pass prefix actually sharded (no task
 held the corpus).
 
 Usage: python tools/stress_packing.py [n_docs] [num_cpus] [seq_len]
+(num_cpus defaults to the CPUs this process may run on).
 """
 
+import os
 import sys
 import time
 
@@ -25,7 +27,7 @@ from rayhll.pipelines.packing import pack_sequences  # noqa: E402
 
 def main() -> None:
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 50_000_000
-    num_cpus = int(sys.argv[2]) if len(sys.argv) > 2 else 32
+    num_cpus = int(sys.argv[2]) if len(sys.argv) > 2 else len(os.sched_getaffinity(0))
     seq_len = int(sys.argv[3]) if len(sys.argv) > 3 else 4096
 
     ray.init(
@@ -53,7 +55,7 @@ def main() -> None:
     stats: dict = {}
     t0 = time.perf_counter()
     out = pack_sequences(ds, seq_len, weight_col="n_tok", stats_out=stats)
-    total = out.sum(["n_tokens"])["sum(n_tokens)"]
+    total = out.sum("n_tokens")
     dt = time.perf_counter() - t0
 
     want = int(np.sum((np.arange(n_docs, dtype=np.int64) * 7919) % 900 + 10))

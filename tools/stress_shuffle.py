@@ -4,8 +4,10 @@ the two-pass range prefix, verifying the exact-permutation invariants
 printing throughput.
 
 Usage: python tools/stress_shuffle.py [n_rows]
+(Ray gets one CPU per CPU this process may run on.)
 """
 
+import os
 import sys
 import time
 
@@ -23,7 +25,7 @@ from rayhll.pipelines.shuffle import shuffle_manifest  # noqa: E402
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000_000
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False)
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)), include_dashboard=False)
 
     ids = rd.range(n).map_batches(
         lambda t: pa.table({"doc_id": t.column("id")}), batch_format="pyarrow"
