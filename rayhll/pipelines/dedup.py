@@ -977,7 +977,9 @@ def simhash_pairs(
     bucket that large means near-identical content en masse, which exact
     dedup handles; verifying it would be O(b²) pairs).  ``num_buckets``
     as in ``minhash_lsh_pairs`` (auto-sized when ``None``, from
-    ``approx_rows`` for transformed inputs)."""
+    ``approx_rows`` for transformed inputs).  ``id_col`` must be an integer
+    column; another id type raises ``ValueError`` at entry."""
+    ds = check_integer_ids(ds, id_col, "simhash_pairs")
     signed = ds.map_batches(
         SimHashStage(text_col, id_col, emit_chunks=False),
         batch_format="pyarrow",
@@ -1256,7 +1258,11 @@ def embedding_near_dup_pairs(
       volume drops from num_tables×vectors to 2×candidate-pairs.
     * ``num_buckets`` as in ``minhash_lsh_pairs`` (auto-sized when
       ``None``).
+
+    ``id_col`` must be an integer column; another id type raises
+    ``ValueError`` at entry.
     """
+    ds = check_integer_ids(ds, id_col, "embedding_near_dup_pairs")
     num_buckets = _resolve_num_buckets(ds, num_buckets, num_tables, approx_rows)
     stage = HyperplaneStage(vec_col, id_col, dim, num_planes, num_tables)
     signed = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)

@@ -54,6 +54,11 @@ class HashStage:
     keys contribute nothing; the flagship's digest column is a per-row
     invariant and must exist for every row."""
 
+    @property
+    def input_columns(self) -> None:
+        """Every column: the batch passes through to the next map."""
+        return None
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         digests = hashing.sha256_digests(batch.column("content"))
         batch = batch.append_column("content_sha256", hashing.digests_hex(digests))
@@ -81,6 +86,13 @@ class MultiKeyBuild:
         self.grouped = grouped
         self.num_buckets = num_buckets
         self.hash_content = hash_content
+
+    @property
+    def input_columns(self) -> list[str]:
+        """The columns a batch may be read from: the group columns when
+        grouped, the three keys' columns and ``content_raw64``."""
+        group = list(GROUP_COLS) if self.grouped else []
+        return group + ["path", "repo", "commit", "content", "content_raw64"]
 
     def _hashes(self, batch: pa.Table) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
         """The three keys' raw values and the group hash (``None`` when

@@ -30,7 +30,7 @@ import polars as pl
 import pyarrow as pa
 
 from rayhll.pipelines.text import TOKEN_PATTERN
-from rayhll.stages.prefix import range_prefix
+from rayhll.stages.prefix import range_prefix, with_known_id_type
 
 __all__ = ["pack_sequences"]
 
@@ -88,7 +88,7 @@ def pack_sequences(
         id_col,
         id_col,
         w,
-        pack_range,
+        with_known_id_type(pack_range, ds, id_col),
         target_rows_per_range,
         max_ranges,
         stats_out,

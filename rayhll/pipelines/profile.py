@@ -28,6 +28,11 @@ class ProfileBuild:
         self.columns = list(columns) if columns else None
         self.settings = settings or HllSettings(11, 5)
 
+    @property
+    def input_columns(self) -> list[str] | None:
+        """``columns``; ``None`` (every column) when profiling them all."""
+        return self.columns
+
     def __call__(self, batch: pa.Table) -> pa.Table:
         columns = batch.column_names if self.columns is None else self.columns
         blobs = []

@@ -40,7 +40,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from rayhll.stages.prefix import range_prefix
+from rayhll.stages.prefix import range_prefix, with_known_id_type
 
 __all__ = ["shuffle_manifest", "write_shards"]
 
@@ -90,7 +90,7 @@ def shuffle_manifest(
         id_col,
         "_k",
         None,
-        rank_range,
+        with_known_id_type(rank_range, ds, id_col),
         target_rows_per_range,
         max_ranges,
         stats_out,

@@ -20,6 +20,10 @@ the wide operation is tiny by construction —
 * A plan that is exactly a ``Datasource`` read and then this library's own
   maps runs as one plain Ray task per read task when that loses no
   parallelism (:func:`_direct_plan`); any other plan runs through Ray Data.
+  A direct ``read_parquet`` decodes only the columns its first map declares
+  in ``input_columns`` (``None``: every column), unless the read has an
+  explicit ``schema=`` or a ``_block_udf`` (:func:`_projected`).  The read
+  batches keep their row boundaries, so the partials do not change.
 * Every merge is the associative union (reference semantics:
   python_hll/hll.py:491-691) of :mod:`rayhll.core.batchmerge`, straight
   from the serialized bytes: ``make_bucket_merger`` merges many groups'
@@ -33,6 +37,7 @@ partial sketch (register max is order-independent and duplicate-insensitive).
 
 from __future__ import annotations
 
+import copy
 import functools
 from typing import TYPE_CHECKING
 
@@ -120,6 +125,11 @@ class BuildPartials:
         #: tuples).  False = count NULL as one distinct value per column
         #: combination (the pre-r2 behavior).
         self.ignore_nulls = ignore_nulls
+
+    @property
+    def input_columns(self) -> list[str]:
+        """The columns a batch must hold: the key and group columns."""
+        return self.key_cols + self.group_cols
 
     def _raw64(self, batch: pa.Table) -> np.ndarray:
         if self.hash_method == "sha256":
@@ -275,7 +285,9 @@ def _direct_plan(ds: "ray.data.Dataset"):
     scheduling, no concurrency cap), then only uncapped task-pool pyarrow
     ``map_batches`` with no args whose callable is defined in ``rayhll``,
     else None.  A caller's ``map_batches`` UDF thus runs in Ray Data, but a
-    caller's ``build_partial`` runs inside the library's map, directly."""
+    caller's ``build_partial`` runs inside the library's map, directly.
+    The first map's ``input_columns`` (absent or ``None``: all) bound what
+    :func:`_direct_bundles` reads of a Parquet source."""
     from ray.data._internal.compute import TaskPoolStrategy
     from ray.data._internal.logical.operators.map_operator import MapBatches
     from ray.data._internal.logical.operators.read_operator import Read
@@ -303,7 +315,10 @@ def _direct_plan(ds: "ray.data.Dataset"):
 def _direct_bundles(ds: "ray.data.Dataset"):
     """The partials of a :func:`_direct_plan` that :func:`_keeps_parallelism`
     as ``RefBundle``s, else None: one plain task per read task Ray Data would
-    launch maps its blocks; only each partial's metadata reaches the driver."""
+    launch maps its blocks; only each partial's metadata reaches the driver.
+    The read tasks come from the source as :func:`_projected` to the first
+    map's ``input_columns``; their count, metadata and batch rows are the
+    unprojected read's."""
     plan = _direct_plan(ds)
     if plan is None:
         return None
@@ -316,7 +331,8 @@ def _direct_bundles(ds: "ray.data.Dataset"):
     n, _, _ = _autodetect_parallelism(
         read._parallelism, ctx.target_max_block_size, ctx, source, read._mem_size
     )
-    read_tasks = source.get_read_tasks(n)
+    columns = getattr(maps[0]._fn, "input_columns", None)
+    read_tasks = _projected(source, columns).get_read_tasks(n)
     if not _keeps_parallelism(read_tasks, maps[0]._batch_size, ctx):
         return None
     chain = [(op._fn, op._batch_size) for op in maps]
@@ -328,6 +344,44 @@ def _direct_bundles(ds: "ray.data.Dataset"):
         for (block, _), md in zip(refs, metas)
         if md.num_rows
     ]
+
+
+def _projected(source, columns):
+    """``source`` reading only the read's own columns that are in
+    ``columns``, in the read's order: a shallow copy of a
+    ``ParquetDatasource`` with its file and hive partition columns narrowed
+    (split by Ray's own rule, from the first file).  ``source`` itself when
+    ``columns`` is None, the source is not Parquet, the read has an explicit
+    ``schema=`` (files are read as that schema) or a ``_block_udf`` (it may
+    read any column), or nothing would be left out.  The sampled read batch
+    size and the file metadata are kept, so every read task yields the same
+    rows in the same batches."""
+    from ray.data._internal.datasource.parquet_datasource import (
+        ParquetDatasource,
+        _infer_data_and_partition_columns,
+    )
+
+    if (
+        columns is None
+        or type(source) is not ParquetDatasource
+        or source._read_schema is not None
+        or source._block_udf is not None
+        or not source._pq_fragments
+    ):
+        return source
+    schema, wanted = source._inferred_schema, set(columns)
+    names = [c for c in schema.names if c in wanted]
+    if len(names) == len(schema.names):
+        return source
+    out = copy.copy(source)
+    out._data_columns, out._partition_columns = names, []
+    if source._partitioning is not None:
+        first = source._pq_fragments[0].deserialize()
+        out._data_columns, out._partition_columns = _infer_data_and_partition_columns(
+            names, first, source._partitioning
+        )
+    out._inferred_schema = pa.schema([schema.field(c) for c in names], schema.metadata)
+    return out
 
 
 def _keeps_parallelism(read_tasks, batch_size, ctx) -> bool:

@@ -16,6 +16,10 @@ they land in one range, adjacent after its sort: the duplicate check
 there is exact.  Callers: ``pipelines/packing.pack_sequences`` (key = id,
 weight = token count) and ``pipelines/shuffle.shuffle_manifest`` (key =
 seeded sha256 of the id, one per row).
+
+An empty projection holds no block, so no type: both callers wrap their
+``finish`` in :func:`with_known_id_type`, which types the id column of the
+zero-row table from the input, when Ray knows it without running the plan.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable
 import numpy as np
 import pyarrow as pa
 
-__all__ = ["range_prefix"]
+__all__ = ["range_prefix", "with_known_id_type"]
 
 
 def range_prefix(
@@ -121,3 +125,29 @@ def range_prefix(
         .groupby("_r")
         .map_groups(reduce_range, batch_format="pyarrow")
     )
+
+
+def with_known_id_type(finish: Callable[[pa.Table, int], pa.Table], ds, id_col: str):
+    """``finish`` for :func:`range_prefix` over a projection of ``ds`` that
+    keeps ``id_col``: a null-typed ``id_col`` (the zero-row table of an
+    empty input) is cast to ``id_col``'s type in ``ds`` first.  The type is
+    read from ``ds.schema(fetch_if_missing=False)``, else from the blocks a
+    ``from_arrow`` or materialized ``ds`` already holds (Ray's schema skips
+    zero-row blocks); when neither knows it, ``finish`` is returned as is."""
+    from ray.data._internal.logical.interfaces import SourceOperator
+
+    schema = ds.schema(fetch_if_missing=False)
+    dag = ds._logical_plan.dag
+    if schema is None and isinstance(dag, SourceOperator):
+        schema = next((b.schema for b in dag.output_data() or () if b.schema is not None), None)
+    id_type = None if schema is None else dict(zip(schema.names, schema.types)).get(id_col)
+    if not isinstance(id_type, pa.DataType):
+        return finish
+
+    def typed(tbl: pa.Table, offset: int) -> pa.Table:
+        ids = tbl.column(id_col)
+        if pa.types.is_null(ids.type):
+            tbl = tbl.set_column(tbl.column_names.index(id_col), id_col, ids.cast(id_type))
+        return finish(tbl, offset)
+
+    return typed

@@ -324,7 +324,8 @@ def flagship_checkpointed(
 ):
     """Checkpointed flagship run: one partition per input parquet file.
 
-    Partial = grouped multi-key sketch rows for that file; merge = bucketed
+    Partial = grouped multi-key sketch rows for that file, read from only
+    the columns ``MultiKeyBuild`` declares; merge = bucketed
     vectorized merge over all partials' rows; result = per-(repo, lang)
     estimates.  Byte-deterministic across resumes.  The fingerprint covers
     the settings and the input file list (partition ids index it)."""
@@ -337,8 +338,13 @@ def flagship_checkpointed(
     def partial_fn(path: str) -> pa.Table:
         build = distinct.MultiKeyBuild(settings=settings, grouped=True)
         f = pq.ParquetFile(path)
-        parts = [build(pa.Table.from_batches([b])) for b in f.iter_batches(batch_size=262144)]
-        return pa.concat_tables(parts or [build(f.schema_arrow.empty_table())])
+        wanted = set(build.input_columns)
+        schema = pa.schema(
+            [field for field in f.schema_arrow if field.name in wanted], f.schema_arrow.metadata
+        )
+        batches = f.iter_batches(batch_size=262144, columns=schema.names)
+        parts = [build(pa.Table.from_batches([b])) for b in batches]
+        return pa.concat_tables(parts or [build(schema.empty_table())])
 
     def merge_fn(paths: list[str]) -> pa.Table:
         all_parts = pa.concat_tables([pq.read_table(p) for p in paths])

@@ -46,6 +46,27 @@ def test_crash_resume_byte_identical(ray_session, code_files, tmp_path):
     assert a == b
 
 
+def test_flagship_reads_only_the_columns_it_hashes(ray_session, code_files, tmp_path):
+    """A wide column the build never reads is not decoded, and the result
+    bytes are those of the same files without it; so is an empty file's."""
+    import numpy as np
+
+    narrow_files = code_files + [str(tmp_path / "shard-3.parquet")]
+    pq.write_table(pq.read_table(code_files[0]).slice(0, 0), narrow_files[-1])
+    wide_files = []
+    for i, path in enumerate(narrow_files):
+        t = pq.read_table(path)
+        blobs = [np.random.default_rng(i).bytes(4096) for _ in range(t.num_rows)]
+        wide_files.append(str(tmp_path / f"wide-{i}.parquet"))
+        pq.write_table(t.append_column("blob", pa.array(blobs, type=pa.binary())), wide_files[-1])
+    results = []
+    for name, files in (("narrow", narrow_files), ("wide", wide_files)):
+        out = str(tmp_path / name)
+        flagship_checkpointed(files, out)
+        results.append(open(os.path.join(out, "result", "result.parquet"), "rb").read())
+    assert results[0] == results[1]
+
+
 def test_resume_skips_done_partitions(ray_session, code_files, tmp_path):
     out = str(tmp_path / "out")
     flagship_checkpointed(code_files, out)

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet
 import pytest
 
 
@@ -300,7 +301,8 @@ def test_direct_path_keeps_the_read_options(
     ray_session, monkeypatch, parquet_files, launched, read_kwargs, tasks
 ):
     """The direct path runs the read's own tasks: as many as Ray Data would
-    launch for ``override_num_blocks``, each reading only ``columns``."""
+    launch for ``override_num_blocks``, each reading only the columns the
+    build hashes (all that ``columns`` names, here)."""
     import ray.data as rd
 
     direct = rd.read_parquet(parquet_files, **read_kwargs)
@@ -308,10 +310,115 @@ def test_direct_path_keeps_the_read_options(
     _use_input(monkeypatch, lambda: direct)
     got = _grouped_approx_distinct()
     assert len(launched) == tasks
-    names = read_kwargs.get("columns", ["repo", "lang", "path", "commit", "content", "v"])
-    assert {tuple(block.column_names) for rt in launched for block in rt()} == {tuple(names)}
+    assert _columns_read(launched) == {("repo", "path")}
     _use_input(monkeypatch, lambda: via_ray_data)
     assert got == _grouped_approx_distinct()
+
+
+def _columns_read(read_tasks) -> set:
+    """The column names of every block the read tasks yield."""
+    return {tuple(block.column_names) for rt in read_tasks for block in rt()}
+
+
+ALL_COLUMNS = ("repo", "lang", "path", "commit", "content", "v")
+
+#: what each direct entry point's read decodes, in the files' column order
+COLUMNS_READ = {
+    _approx_distinct_sketch: ("path", "commit"),
+    _grouped_approx_distinct: ("repo", "path"),
+    _aggregate_family: ALL_COLUMNS,
+    _flagship_global: ("repo", "path", "commit", "content"),
+    _flagship_grouped: ("repo", "lang", "path", "commit", "content"),
+    _profile_distinct: ALL_COLUMNS,
+    _profile_distinct_of_columns: ("path", "v"),
+}
+
+
+@pytest.mark.parametrize("entry", DIRECT_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+def test_direct_read_decodes_only_the_columns_the_build_reads(
+    ray_session, monkeypatch, parquet_files, launched, entry
+):
+    """Each build's ``input_columns`` narrow the Parquet read; a caller's
+    ``build_partial`` and a profile of every column still read them all."""
+    import ray.data as rd
+
+    _use_input(monkeypatch, lambda: rd.read_parquet(parquet_files))
+    entry()
+    assert len(launched) == len(parquet_files)
+    assert _columns_read(launched) == {COLUMNS_READ[entry]}
+
+
+def _direct_equals_ray_data(monkeypatch, launched, make, entry, columns):
+    """``entry`` over ``make()`` runs direct, reading ``columns``, and gives
+    the bytes of the Ray Data path over the same read, materialized."""
+    direct, via_ray_data = make(), make().materialize()
+    _use_input(monkeypatch, lambda: direct)
+    got = entry()
+    assert launched and _columns_read(launched) == {columns}
+    launched.clear()
+    _use_input(monkeypatch, lambda: via_ray_data)
+    assert got == entry()
+    assert not launched
+
+
+@pytest.mark.parametrize(
+    "entry, columns",
+    [
+        (_grouped_approx_distinct, ("path", "repo")),
+        (_flagship_grouped, ("lang", "path", "commit", "content", "repo")),
+    ],
+    ids=["grouped_approx_distinct", "flagship_grouped"],
+)
+def test_projection_keeps_hive_partition_columns(
+    ray_session, monkeypatch, tmp_path, parquet_files, launched, entry, columns
+):
+    """``repo`` is a hive partition column, filled in from the path after
+    the projected file columns."""
+    import pyarrow.dataset as pads
+    import ray.data as rd
+
+    table = pa.concat_tables(pa.parquet.read_table(f) for f in parquet_files)
+    pads.write_dataset(
+        table, tmp_path, format="parquet", partitioning=["repo"], partitioning_flavor="hive"
+    )
+    _direct_equals_ray_data(
+        monkeypatch, launched, lambda: rd.read_parquet(str(tmp_path)), entry, columns
+    )
+
+
+def test_projection_keeps_a_pushed_down_filter(ray_session, monkeypatch, parquet_files, launched):
+    """The filter reads ``v``, which the build does not hash."""
+    import pyarrow.dataset as pads
+    import ray.data as rd
+    from ray.data._internal import util
+
+    # a filtered read task has no row count, so direct only if the tasks fill the CPUs
+    monkeypatch.setattr(util, "_estimate_avail_cpus", lambda placement_group: len(parquet_files))
+    make = lambda: rd.read_parquet(parquet_files, filter=pads.field("v") >= 1500)  # noqa: E731
+    _direct_equals_ray_data(monkeypatch, launched, make, _grouped_approx_distinct, ("repo", "path"))
+
+
+def test_projection_keeps_include_paths(
+    ray_session, monkeypatch, tmp_path, parquet_files, launched
+):
+    """``path`` is each row's file, added after the projected columns."""
+    import ray.data as rd
+
+    files = []
+    for i, f in enumerate(parquet_files):
+        files.append(str(tmp_path / f"part-{i}.parquet"))
+        pa.parquet.write_table(pa.parquet.read_table(f).drop_columns(["path"]), files[-1])
+    make = lambda: rd.read_parquet(files, include_paths=True)  # noqa: E731
+    _direct_equals_ray_data(monkeypatch, launched, make, _grouped_approx_distinct, ("repo", "path"))
+
+
+def test_explicit_schema_reads_every_column(ray_session, monkeypatch, parquet_files, launched):
+    """Files are read as the given schema, so the read is not narrowed."""
+    import ray.data as rd
+
+    schema = pa.parquet.read_schema(parquet_files[0])
+    make = lambda: rd.read_parquet(parquet_files, schema=schema)  # noqa: E731
+    _direct_equals_ray_data(monkeypatch, launched, make, _grouped_approx_distinct, ALL_COLUMNS)
 
 
 def test_failed_read_task_raises_to_the_caller(ray_session, tmp_path, parquet_files, launched):

@@ -125,3 +125,14 @@ def test_zero_rows_give_typed_empty_columns(ray_session, op, cols):
     schema = out.schema().base_schema
     assert schema.names == ["doc_id", *cols]
     assert all(schema.field(c).type == pa.int64() for c in cols)
+
+
+@pytest.mark.parametrize("op", [_pack, _shuffle], ids=["pack", "shuffle"])
+@pytest.mark.parametrize("id_type", [pa.int32(), pa.int64(), pa.string()], ids=str)
+def test_zero_rows_keep_the_input_id_type(ray_session, op, id_type):
+    """Ray keeps no block of an empty projection, so the id type comes
+    from the input: here the zero-row block ``from_arrow`` holds."""
+    empty = rd.from_arrow(
+        pa.table({"doc_id": pa.array([], type=id_type), "text": pa.array([], type=pa.string())})
+    )
+    assert op(empty).schema().base_schema.field("doc_id").type == id_type

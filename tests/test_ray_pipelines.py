@@ -115,6 +115,35 @@ def test_minhash_lsh_pairs_rejects_non_integer_ids(ray_session, ids):
         minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas()
 
 
+@pytest.mark.parametrize("ids", [["10", "20", "30"], ["a", "b", "c"]])
+def test_simhash_pairs_rejects_non_integer_ids(ray_session, ids):
+    import ray.data as rd
+
+    from rayhll.pipelines.dedup import simhash_pairs
+
+    text = "the quick brown fox jumps over the lazy dog"
+    ds = rd.from_arrow(pa.table({"doc_id": ids, "text": [text, text, "another doc entirely"]}))
+    with pytest.raises(ValueError, match="'doc_id' must be an integer id column"):
+        simhash_pairs(ds, "text", "doc_id").to_pandas()
+
+
+@pytest.mark.parametrize("carry_vectors", [True, False])
+def test_embedding_near_dup_pairs_rejects_non_integer_ids(ray_session, carry_vectors):
+    import numpy as np
+    import ray.data as rd
+
+    from rayhll.pipelines.dedup import embedding_near_dup_pairs
+
+    emb = pa.ListArray.from_arrays(
+        pa.array([0, 8, 16, 24], type=pa.int32()), pa.array(np.ones(24), type=pa.float64())
+    )
+    ds = rd.from_arrow(pa.table({"vec_id": ["a", "b", "c"], "embedding": emb}))
+    with pytest.raises(ValueError, match="'vec_id' must be an integer id column"):
+        embedding_near_dup_pairs(
+            ds, "embedding", "vec_id", dim=8, carry_vectors=carry_vectors
+        ).to_pandas()
+
+
 def test_minhash_lsh_finds_near_dups(ray_session):
     import ray.data as rd
 
