@@ -5,9 +5,8 @@ the RAW row count (dedup hash rows, sessionization events, curation key
 rows, join sides) sizes its fanout here: explicit values win, ``None``
 auto-targets :data:`TARGET_ROWS_PER_TASK` rows per reduce task so no task
 OOMs at 100-TB inputs however vectorized its kernel.  Stages whose reduce
-input is combiner-bounded (per-batch top-k cuts, pre-aggregated sketch
-partials) keep small fixed fanouts instead — auto-sizing from raw rows
-would over-provision them.
+input is combiner-bounded (per-batch top-k cuts) keep small fixed fanouts
+instead — auto-sizing from raw rows would over-provision them.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ def resolve_num_buckets(
     rows_per_input_row: float = 1.0,
     floor: int = 64,
     approx_rows: int | None = None,
-    warn_on_floor: bool = True,
 ) -> int:
     """Explicit ``num_buckets`` wins (validated); ``None`` auto-sizes from
     the dataset's METADATA row count (``_meta_count`` — available for
@@ -47,11 +45,7 @@ def resolve_num_buckets(
     from that.  With neither, the fanout falls back to ``floor`` — correct
     but potentially far too coarse at scale, so the fallback WARNS
     (auto-sizing must never silently double-execute an upstream pipeline
-    to find out; pass ``num_buckets`` or ``approx_rows`` there).
-    Combiner-bounded call sites (pre-aggregated sketch shuffles, per-batch
-    top-k cuts), where the floor is a deliberate safe bound rather than a
-    problem, pass ``warn_on_floor=False`` to keep hot stock queries
-    log-quiet."""
+    to find out; pass ``num_buckets`` or ``approx_rows`` there)."""
     if num_buckets is not None:
         if num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
@@ -63,8 +57,6 @@ def resolve_num_buckets(
     if not n:
         if approx_rows:
             return buckets_for_rows(approx_rows, rows_per_input_row, floor=floor)
-        if not warn_on_floor:
-            return floor
         logger.warning(
             "resolve_num_buckets: input has no metadata row count (transformed "
             "dataset?) and no approx_rows hint - falling back to the floor "

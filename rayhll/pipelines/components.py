@@ -416,8 +416,14 @@ def connected_components(
     :data:`rayhll.functions.partitioning.TARGET_ROWS_PER_TASK`): nodes
     whose current degree reaches it are broadcast-resolved map-side
     instead of co-locating their edges — the giant-dup-component bound.
+
+    ``left_col`` and ``right_col`` must be integer id columns, else
+    ``ValueError`` (``dedup.check_integer_ids``: at once when the schema is
+    known without running the plan, else from the first map).
     """
     import ray.data as rd
+
+    from rayhll.pipelines.dedup import check_integer_ids
 
     if method not in ("auto", "driver", "distributed"):
         raise ValueError(f"method={method!r} not in ('auto', 'driver', 'distributed')")
@@ -442,6 +448,8 @@ def connected_components(
 
     if stats_out is not None:
         stats_out["method"] = method
+    for col in (left_col, right_col):
+        pairs = check_integer_ids(pairs, col, "connected_components")
 
     if method == "driver":
         a, b = _edge_arrays(pairs, left_col, right_col, cap)

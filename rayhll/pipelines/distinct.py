@@ -21,9 +21,9 @@ run fused with each read task instead, see ``stages.build.merge_partials``):
    ``core.batchmerge``, grouping the partial rows once for the three sketch
    columns.  The partials are sketch rows
    (~4 KiB per group per block), so a pathological repo costs O(#blocks)
-   sketch rows, never O(rows).  Up to one block's worth
-   (``DataContext.target_max_block_size``) they merge in one driver call;
-   beyond that through a ``groupby(_bucket)`` shuffle.
+   sketch rows, never O(rows).  Plain Ray merge tasks, one per CPU, each
+   merge the groups whose hash falls in their slice
+   (``stages.build.reduce``); a lone producer merges its own rows.
 3. finalize — integer estimates per key (``batchmerge.cardinalities``).
 """
 
@@ -79,12 +79,10 @@ class MultiKeyBuild:
         self,
         settings: HllSettings | None = None,
         grouped: bool = True,
-        num_buckets: int = 64,
         hash_content: bool = False,
     ):
         self.settings = settings or HllSettings(11, 5)
         self.grouped = grouped
-        self.num_buckets = num_buckets
         self.hash_content = hash_content
 
     @property
@@ -134,7 +132,7 @@ class MultiKeyBuild:
         for c, col in zip(SKETCH_COLS, cols):
             out = out.append_column(c, col)
         out = out.append_column("rows_in", pa.array(counts, type=pa.int64()))
-        return build_stage.with_group_hash(out, uniq, self.num_buckets)
+        return build_stage.with_group_hash(out, uniq)
 
 
 def merge_partials_block(batch: pa.Table) -> pa.Table:
@@ -149,26 +147,16 @@ def flagship_grouped(
     concurrency=None,
     include_sketches: bool = False,
     hash_content: bool = True,
-    num_buckets: int | None = None,
 ):
     """Per-(repo, lang) distinct estimates for all three keys.
 
     Returns a Dataset with columns ``repo, lang, est_distinct_content,
     est_distinct_path, est_distinct_repo_commit, rows_in`` (plus the three
     serialized sketch columns when ``include_sketches``).  The build runs
-    when this is called; partials that fit in one block merge on the driver
-    and the Dataset holds the merged table (``stages.build.merge_grouped``).
-
-    ``num_buckets`` (reduce fanout for the grouped merge) auto-sizes from
-    the input's METADATA row count when ``None`` — an upper bound since the
-    shuffle carries pre-aggregated rows; transformed inputs (no metadata
-    count) keep the 64 floor without a warning, as the merge is
-    combiner-bounded (``functions.partitioning``)."""
-    from rayhll.functions.partitioning import resolve_num_buckets
-
-    num_buckets = resolve_num_buckets(ds, num_buckets, warn_on_floor=False)
+    when this is called; the Dataset holds the blocks the merge tasks
+    return (``stages.build.merge_grouped``)."""
     kwargs = dict(batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size)
-    build = dict(settings=settings, grouped=True, num_buckets=num_buckets, hash_content=hash_content)
+    build = dict(settings=settings, grouped=True, hash_content=hash_content)
     if concurrency is not None:
         partials = ds.map_batches(
             MultiKeyBuild, fn_constructor_kwargs=build, concurrency=concurrency, **kwargs
@@ -191,16 +179,15 @@ def flagship_global(
     hash_content: bool = True,
 ) -> pa.Table:
     """Global distinct estimates for the three keys; one-row Arrow table
-    (zeros for an empty input).  The partials merge on the driver, after a
-    parallel level-1 merge when they exceed one block
-    (``stages.build.merge_to_row``)."""
+    (zeros for an empty input).  One task merges all partials in one call
+    and the driver fetches its row (``stages.build.merge_to_row``)."""
     partials = ds.map_batches(
         MultiKeyBuild(settings=settings, grouped=False, hash_content=hash_content),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
     )
-    row = build_stage.merge_to_row(partials, merge_partials_block, 4096)
+    row = build_stage.merge_to_row(partials, merge_partials_block)
     blobs = [row.column(sc)[0].as_py() for sc in SKETCH_COLS]
     # an empty input merges to b"" blobs, whose estimates are 0
     settings = settings or HllSettings(11, 5)

@@ -3,8 +3,8 @@
 A schema-profiling operator: each batch builds one sketch per profiled
 column (all vectorized), emitting #columns fixed-size rows keyed by the
 column name; ``stages.build.merge_grouped`` merges them per column like any
-grouped sketch aggregation (on the driver when they fit in one block, and
-as plain tasks fused with the read over a bare ``read_parquet``).  At
+grouped sketch aggregation (in merge tasks sliced by column-name hash, and
+built in plain tasks fused with the read over a bare ``read_parquet``).  At
 100 TB this reads the data once and merges #blocks × #columns KB-rows — the
 way a data catalog populates per-column cardinality stats.
 """
@@ -22,7 +22,7 @@ from rayhll.stages import build as build_stage
 class ProfileBuild:
     """map_batches callable: one (column, sketch, rows_in) row per column of
     ``columns`` (each of the batch's own columns when None), with the
-    column's group hash and bucket for ``stages.build.make_bucket_merger``."""
+    column's group hash for ``stages.build.make_bucket_merger``."""
 
     def __init__(self, columns: list[str] | None, settings: HllSettings | None = None):
         self.columns = list(columns) if columns else None
@@ -48,7 +48,7 @@ class ProfileBuild:
             }
         )
         ghash = hashing.hash64_table(out, ["col_name"], seed=build_stage.GROUP_HASH_SEED)
-        return build_stage.with_group_hash(out, ghash, build_stage.DEFAULT_NUM_BUCKETS)
+        return build_stage.with_group_hash(out, ghash)
 
 
 def profile_distinct(ds, columns: list[str] | None = None, settings: HllSettings | None = None):

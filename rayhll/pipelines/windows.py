@@ -79,14 +79,13 @@ def sliding_window_distinct(
     exploded every EVENT ``size/step``x before the build); correctness is
     the engine's cornerstone invariant that a union over any partition of
     a window's events yields the same sketch.  The replicate+merge stage
-    touches only per-step sketch rows — #steps, not #events — so its fixed
-    reduce fanout is combiner-bounded by construction."""
+    touches only per-step sketch rows — #steps, not #events — so its merge
+    is combiner-bounded by construction."""
     if size_us % step_us:
         raise ValueError("size_us must be a multiple of step_us")
     fanout = size_us // step_us
     from rayhll.functions import hashing
     from rayhll.stages.build import (
-        DEFAULT_NUM_BUCKETS,
         GROUP_HASH_SEED,
         ROWS_COL,
         SKETCH_COL,
@@ -117,7 +116,7 @@ def sliding_window_distinct(
             parts.append(payload.add_column(0, "window_start", w))
         out = pa.concat_tables(parts)
         gh = hashing.hash64_table(out, ["window_start"], seed=GROUP_HASH_SEED)
-        return with_group_hash(out, gh, DEFAULT_NUM_BUCKETS)
+        return with_group_hash(out, gh)
 
     merger = make_bucket_merger(["window_start"], include_sketch=False)
     replicated = steps.map_batches(replicate, batch_format="pyarrow", zero_copy_batch=True)

@@ -12,11 +12,10 @@ Three entry styles (SURVEY.md §2.5 "Aggregations"):
   ``ds.groupby(k).aggregate(HllDistinct(on="col"))``.
 
 The first two, and the sketch-family aggregations below, reduce through
-``stages.build.merge_partials``: partials that fit in one Ray Data block
-(``DataContext.target_max_block_size``, 128 MiB by default — ~100k sketch
-rows) are merged by one call on the driver, with no exchange.  Larger
-partials go through a Ray Data exchange that moves fixed-size sketch rows,
-not input rows, so reducer skew is bounded by #groups, not by the hottest
+``stages.build.reduce``: plain Ray tasks merge the partial rows in one
+slice per CPU by group hash, each group in one call, with no Ray Data
+exchange.  The partials are fixed-size sketch rows, not input rows, so a
+merge task's load is bounded by #groups × #blocks, not by the hottest
 group's row count.
 
 Over a bare ``read_parquet`` whose read tasks each hold at most one build
@@ -68,32 +67,20 @@ def build_partials(
     batch_size: int | None = 262144,
     concurrency=None,
     ignore_nulls: bool = True,
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Collapse input rows to partial-sketch rows (see stages.build).
 
     ``ignore_nulls`` (default, SQL semantics): rows whose key tuple contains
-    a NULL contribute nothing to the distinct count.  ``num_buckets``
-    (reduce fanout for the downstream grouped merge) auto-sizes from the
-    input's metadata row count when ``None`` — an upper bound, since the
-    shuffle carries pre-aggregated rows (floor 64 keeps small runs
-    byte-identical; ``functions.partitioning``).  Raises ``ValueError`` on
-    the driver for an unknown ``hash_method``, empty ``key_cols``, or
+    a NULL contribute nothing to the distinct count.  Raises ``ValueError``
+    on the driver for an unknown ``hash_method``, empty ``key_cols``, or
     ``sha256`` over more than one key."""
-    from rayhll.functions.partitioning import resolve_num_buckets
-    from rayhll.stages.build import DEFAULT_NUM_BUCKETS
-
     build_stage.check_build_args(key_cols, hash_method)
-    num_buckets = resolve_num_buckets(
-        ds, num_buckets, floor=DEFAULT_NUM_BUCKETS, warn_on_floor=False
-    )
     fn_args = dict(
         key_cols=key_cols,
         group_cols=group_cols,
         settings=settings,
         hash_method=hash_method,
         ignore_nulls=ignore_nulls,
-        num_buckets=num_buckets,
     )
     kwargs = dict(
         batch_format="pyarrow",
@@ -111,24 +98,15 @@ def build_partials(
     return ds.map_batches(BuildPartials(**fn_args), **kwargs)
 
 
-def tree_merge(
-    partials: "ray.data.Dataset", leaf_batch: int = 4096
-) -> "ray.data.Dataset":
+def tree_merge(partials: "ray.data.Dataset") -> "ray.data.Dataset":
     """Merge partial-sketch rows down to one row (a one-row dataset; its
     ``sketch`` is ``b""`` with ``rows_in`` 0 when there are no partials).
 
-    The partials run when this is called.  Up to one block's worth
-    (``DataContext.target_max_block_size``: 128 MiB, ~100k sketch rows of
-    ~1.3 KiB) the driver merges them in one call.  Beyond that, tasks merge
-    up to ``leaf_batch`` partials each in parallel and the driver merges
-    their outputs: at 100 TB (~800k blocks) that is ~200 level-1 tasks and a
-    ~200-row driver merge (``stages.build.merge_to_row``).
-    """
+    The partials run when this is called, and one task merges all of them
+    in one call (``stages.build.merge_to_row``)."""
     import ray.data as rd
 
-    return rd.from_arrow(
-        build_stage.merge_to_row(partials, build_stage.merge_sketch_rows, leaf_batch)
-    )
+    return rd.from_arrow(build_stage.merge_to_row(partials, build_stage.merge_sketch_rows))
 
 
 def approx_distinct_sketch(
@@ -143,7 +121,7 @@ def approx_distinct_sketch(
     partials = build_partials(
         ds, key_cols, settings=settings, hash_method=hash_method, **kwargs
     )
-    merged = build_stage.merge_to_row(partials, build_stage.merge_sketch_rows, 4096)
+    merged = build_stage.merge_to_row(partials, build_stage.merge_sketch_rows)
     blob = merged.column(SKETCH_COL)[0].as_py()
     if not blob:
         return HllSketch(settings or HllSettings(11, 5))
@@ -173,20 +151,17 @@ def grouped_approx_distinct(
     concurrency=None,
     include_sketch: bool = False,
     ignore_nulls: bool = True,
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Distinct-per-group dataset: ``group_cols... , estimate:int64, rows_in``
     (plus ``sketch`` when ``include_sketch``).
 
-    The build runs when this is called (``stages.build.merge_grouped``).
-    Partials that fit in one block are merged by one driver call, and the
-    result is a dataset over that table; an empty input gives zero rows.
-    Larger partials (one row per group per input block) go through a
-    groupby shuffle co-located by hash *bucket* (not by raw group key), so
-    each reduce task merges thousands of groups vectorized and per-group
-    Python overhead never dominates.  Skew is bounded twice: a hot group
-    costs O(#blocks) fixed-size sketch rows, and hot buckets spread across
-    ``num_buckets`` reducers."""
+    The build runs when this is called (``stages.build.merge_grouped``),
+    and the result is a dataset over the merge tasks' output; an empty
+    input gives zero rows.  The partials (one row per group per input
+    block) are sliced by group hash, not by raw group key, so each merge
+    task merges thousands of groups vectorized and per-group Python
+    overhead never dominates; a hot group costs O(#blocks) fixed-size
+    sketch rows."""
     partials = build_partials(
         ds,
         key_cols,
@@ -196,7 +171,6 @@ def grouped_approx_distinct(
         batch_size=batch_size,
         concurrency=concurrency,
         ignore_nulls=ignore_nulls,
-        num_buckets=num_buckets,
     )
     merger = build_stage.make_bucket_merger(
         list(group_cols), [SKETCH_COL], [ESTIMATE_COL], include_sketch=include_sketch
@@ -204,14 +178,13 @@ def grouped_approx_distinct(
     return build_stage.merge_grouped(partials, merger)
 
 
-def aggregate_family(ds: "ray.data.Dataset", build_partial, family_cls, leaf_batch: int = 1024):
+def aggregate_family(ds: "ray.data.Dataset", build_partial, family_cls):
     """Generic distributed aggregation for any sketch family
     (rayhll.sketches.base.Sketch): ``build_partial(batch) -> bytes`` per
-    block, then one merge with the family's associative ``merge``
-    (``stages.build.merge_to_row``: on the driver when the partials fit in
-    one block, else level-1 tasks first).  Returns the merged sketch object;
-    raises ``ValueError`` when the input has no rows, since no partial then
-    says which sketch to build."""
+    block, then one merge task folds them in order with the family's
+    associative ``merge`` (``stages.build.merge_to_row``).  Returns the
+    merged sketch object; raises ``ValueError`` when the input has no rows,
+    since no partial then says which sketch to build."""
 
     def partial(batch: pa.Table) -> pa.Table:
         return pa.table({"blob": pa.array([build_partial(batch)], type=pa.binary())})
@@ -229,7 +202,7 @@ def aggregate_family(ds: "ray.data.Dataset", build_partial, family_cls, leaf_bat
         return pa.table({"blob": pa.array([acc.to_bytes()], type=pa.binary())})
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    merged = build_stage.merge_to_row(partials, merge_blobs, leaf_batch)
+    merged = build_stage.merge_to_row(partials, merge_blobs)
     return family_cls.from_bytes(merged.column("blob")[0].as_py())
 
 
@@ -239,25 +212,19 @@ def grouped_aggregate_family(
     build_partial,
     family_cls,
     finalize=None,
-    num_buckets: int | None = None,
 ) -> "ray.data.Dataset":
     """Grouped aggregation for any sketch family: ``build_partial(sub_batch)
     -> bytes`` per (batch, group), merge per group, optional
     ``finalize(sketch) -> dict[str, value]`` columns.
 
     Same merge as the HLL path (``stages.build.merge_grouped``): the build
-    runs when this is called; partials that fit in one block merge on the
-    driver; larger ones take a hash-bucketed shuffle that carries one family
-    blob per (block, group), never input rows.  An empty input gives zero
-    rows with the group columns (and ``blob`` when ``finalize`` is None).
-    ``num_buckets`` auto-sizes from the input's metadata row count when
-    ``None`` (an upper bound; floor 64)."""
+    runs when this is called, and merge tasks take one family blob per
+    (block, group), sliced by group hash, never input rows.  An empty input
+    gives zero rows with the group columns (and ``blob`` when ``finalize``
+    is None)."""
     import numpy as np
 
     from rayhll.functions.hashing import hash64_table
-    from rayhll.functions.partitioning import resolve_num_buckets
-
-    num_buckets = resolve_num_buckets(ds, num_buckets, warn_on_floor=False)
 
     def partials(batch: pa.Table) -> pa.Table:
         ghash = hash64_table(batch, group_cols, seed=0xFA71)
@@ -272,7 +239,7 @@ def grouped_aggregate_family(
             blobs.append(build_partial(sorted_batch.slice(lo, hi - lo)))
         out = batch.select(group_cols).take(pa.array(first_idx))
         out = out.append_column("blob", pa.array(blobs, type=pa.binary()))
-        return build_stage.with_group_hash(out, uniq, num_buckets)
+        return build_stage.with_group_hash(out, uniq)
 
     merge_bucket = _make_blob_merge_bucket(group_cols, family_cls, "blob", finalize)
     p = ds.map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
@@ -282,7 +249,7 @@ def grouped_aggregate_family(
 def _make_blob_merge_bucket(group_cols, family_cls, blob_col, finalize):
     """The shared reduce half of the family aggregations: merge every
     group's blobs (group identity = 64-bit hash, the documented collision
-    contract; one bucket or all of them) and emit one blob-or-finalized row
+    contract; one slice or all of them) and emit one blob-or-finalized row
     per group."""
 
     def merge_bucket(tbl: pa.Table) -> pa.Table:
@@ -327,23 +294,20 @@ def grouped_merge_family(
     family_cls,
     blob_col: str = "blob",
     finalize=None,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """Merge EXISTING family-blob rows per group (the second half of
     :func:`grouped_aggregate_family`, for pipelines that already hold
     per-partial blobs — e.g. sliding windows replicating per-step sketches
-    into the windows they serve).  Runs ``ds`` when called and merges on the
-    driver when the blob rows fit in one block (``stages.build.merge_grouped``);
-    otherwise the shuffle carries only blob rows, so a fixed ``num_buckets``
-    is combiner-bounded by construction."""
+    into the windows they serve).  Runs ``ds`` when called; merge tasks take
+    only the blob rows, sliced by group hash (``stages.build.merge_grouped``)."""
     from rayhll.functions.hashing import hash64_table
 
-    def key_bucket(batch: pa.Table) -> pa.Table:
+    def key_hash(batch: pa.Table) -> pa.Table:
         gh = hash64_table(batch, group_cols, seed=0xFA71)
-        return build_stage.with_group_hash(batch, gh, num_buckets)
+        return build_stage.with_group_hash(batch, gh)
 
     merge_bucket = _make_blob_merge_bucket(group_cols, family_cls, blob_col, finalize)
-    keyed = ds.map_batches(key_bucket, batch_format="pyarrow", zero_copy_batch=True)
+    keyed = ds.map_batches(key_hash, batch_format="pyarrow", zero_copy_batch=True)
     return build_stage.merge_grouped(keyed, merge_bucket)
 
 

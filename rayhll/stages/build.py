@@ -9,14 +9,15 @@ the wide operation is tiny by construction —
   batch to at most one fixed-size serialized sketch row per group seen in the
   batch.  Per-batch work is vectorized: one hash pass, one register-update
   pass (``np.maximum.at``), one serialization.
-* :func:`merge_partials` reduces those rows.  They are O(#blocks ×
-  #groups-per-block) rows of ~1.3 KiB each (at log2m=11, regwidth=5), never
-  the input rows — the partial/combiner split the instructions require — so
-  they usually fit in one Ray Data block.  Then the driver fetches the
-  blocks and merges them in one call, with no exchange.  Only partials larger
-  than ``DataContext.target_max_block_size`` go through a Ray Data exchange:
-  ``groupby(_bucket)`` for grouped merges (:func:`merge_grouped`), a parallel
-  ``map_batches`` merge for global ones (:func:`merge_to_row`).
+* :func:`reduce` merges those rows, and every sketch merge goes through it
+  (:func:`merge_grouped`, :func:`merge_to_row`, the checkpointed flagship).
+  They are O(#blocks × #groups-per-block) rows of ~1.3 KiB each (at
+  log2m=11, regwidth=5), never the input rows.  Each producer task (a read
+  task of a direct plan, or a split task over a run of partial blocks or
+  files) returns its partial rows in B slices by ``GHASH_COL % B``, B the
+  CPUs Ray has; one plain Ray merge task per slice merges that slice's rows
+  of every producer in one call.  A lone producer merges its own rows.  No
+  Ray Data exchange runs, and no partial row reaches the driver.
 * A plan that is exactly a ``Datasource`` read and then this library's own
   maps runs as one plain Ray task per read task when that loses no
   parallelism (:func:`_direct_plan`); any other plan runs through Ray Data.
@@ -57,7 +58,7 @@ SKETCH_COL = "sketch"
 ROWS_COL = "rows_in"
 
 #: Group-identity contract: the 64-bit xxhash of the group columns
-#: (``GHASH_COL``) IS the group identity end-to-end (build → bucket
+#: (``GHASH_COL``) IS the group identity end-to-end (build → slice →
 #: merge).  Two distinct group-key tuples colliding in 64 bits would
 #: silently merge under the first tuple's label.  Expected collisions are
 #: ~G²/2^65 for G groups (birthday bound): ~5e-8 at 1M groups, ~0.05 at 1B
@@ -69,18 +70,13 @@ ROWS_COL = "rows_in"
 #: the reduce could compare them; the hash is kept for shuffle compactness).
 ESTIMATE_COL = "estimate"
 GHASH_COL = "_ghash"
-BUCKET_COL = "_bucket"
 GROUP_HASH_SEED = 0x5EED_6800
-DEFAULT_NUM_BUCKETS = 64
 
 
-def with_group_hash(table: pa.Table, ghash: np.ndarray, num_buckets: int) -> pa.Table:
-    """``table`` with each row's group hash ``ghash`` (``GHASH_COL``, what the
-    merge keys on) and its bucket of ``num_buckets`` (``BUCKET_COL``, what
-    the exchange co-locates by) appended."""
-    bucket = (ghash.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
-    table = table.append_column(GHASH_COL, pa.array(ghash, type=pa.int64()))
-    return table.append_column(BUCKET_COL, pa.array(bucket, type=pa.int64()))
+def with_group_hash(table: pa.Table, ghash: np.ndarray) -> pa.Table:
+    """``table`` with each row's group hash ``ghash`` appended as
+    ``GHASH_COL``: what the merge keys on and the producers slice by."""
+    return table.append_column(GHASH_COL, pa.array(ghash, type=pa.int64()))
 
 
 def check_build_args(key_cols, hash_method: str) -> None:
@@ -109,7 +105,6 @@ class BuildPartials:
         settings: HllSettings | None = None,
         hash_method: str = "fast",
         seed: int = hashing.DEFAULT_SEED,
-        num_buckets: int = DEFAULT_NUM_BUCKETS,
         ignore_nulls: bool = True,
     ):
         check_build_args(key_cols, hash_method)
@@ -118,7 +113,6 @@ class BuildPartials:
         self.group_cols = list(group_cols)
         self.hash_method = hash_method
         self.seed = seed
-        self.num_buckets = num_buckets
         #: SQL semantics (default): rows whose key tuple contains a NULL
         #: contribute nothing to the distinct count — COUNT(DISTINCT col)
         #: ignores NULLs (and Spark's multi-arg variant ignores any-null
@@ -174,9 +168,8 @@ class BuildPartials:
         out = batch.select(self.group_cols).take(pa.array(first_idx))
         out = out.append_column(SKETCH_COL, sketches)
         out = out.append_column(ROWS_COL, pa.array(counts, type=pa.int64()))
-        # carry the group hash so the reduce side can merge many groups per
-        # task, and a bucket id for the co-locating groupby
-        return with_group_hash(out, uniq, self.num_buckets)
+        # carry the group hash: the reduce slices and merges by it
+        return with_group_hash(out, uniq)
 
 
 def merge_sketch_rows(batch: pa.Table) -> pa.Table:
@@ -210,9 +203,9 @@ def make_bucket_merger(
     estimate_cols: list[str] | None = None,
     include_sketch: bool = True,
 ):
-    """Build the reduce fn for the bucketed grouped aggregation.
+    """Build the reduce fn for the grouped aggregation.
 
-    Receives ALL partial rows of one hash bucket (many groups) and merges
+    Receives ALL partial rows of one slice (many groups) and merges
     and estimates every group's sketches vectorized, grouping the rows once
     for all sketch columns (``rayhll.core.batchmerge.merge_grouped_columns``).
     Emits one row per group: group cols, merged sketch(es), integer
@@ -257,27 +250,129 @@ def empty_groups(tbl: pa.Table, group_cols: list[str]) -> pa.Table:
     )
 
 
-def merge_partials(partials: "ray.data.Dataset", merge, exchange):
-    """Reduce partial-sketch rows: ``merge`` once on the driver when they fit
-    in one block, else ``exchange`` over the same blocks.
+def merge_grouped(partials: "ray.data.Dataset", merger) -> "ray.data.Dataset":
+    """Grouped merge: one row per group, ``merger`` keyed on ``GHASH_COL``
+    (:func:`merge_partials` in one slice per CPU).  The plan up to the
+    partials runs when this is called; the result is a materialized dataset
+    over the blocks the merge tasks return."""
+    return _dataset_of(merge_partials(partials, merger, avail_cpus()))
 
-    Runs ``partials`` to block refs and their metadata; no data moves to the
-    driver for that, nor a Ray Data execution for a :func:`_direct_plan`.  If
-    the blocks total at most ``DataContext.target_max_block_size`` — the size
-    Ray Data already lets one block reach — the driver fetches them and
-    returns ``merge(table)`` of all their rows (an empty, possibly
-    column-less table when there are none).  Otherwise it returns
-    ``exchange(ds)``, where ``ds`` is a dataset over the blocks already
-    computed, so the plan does not run twice."""
-    from ray.data import DataContext
 
-    bundles = _direct_bundles(partials)
-    if bundles is None:
-        bundles = list(partials.iter_internal_ref_bundles())
-    size = sum(md.size_bytes for bundle in bundles for _, md in bundle.blocks)
-    if size <= DataContext.get_current().target_max_block_size:
-        return merge(_fetch(bundles))
-    return exchange(_dataset_of(bundles))
+def merge_to_row(partials: "ray.data.Dataset", merge) -> pa.Table:
+    """Global merge: the one row ``merge`` returns for all partial rows, in
+    one call (:func:`merge_partials` in one slice); only that row is
+    fetched to the driver."""
+    import ray
+
+    [(ref, _)] = merge_partials(partials, merge, 1)
+    return ray.get(ref)
+
+
+def merge_partials(partials: "ray.data.Dataset", merge, slices: int) -> list:
+    """:func:`reduce` of ``partials`` in ``slices`` slices.  The producers
+    are the read tasks of a :func:`_direct_plan` that keeps the parallelism,
+    else one split task per contiguous :func:`runs` of the partial blocks
+    with rows (at most ``slices``, of about equal bytes; the driver holds
+    only their refs and metadata)."""
+    jobs = _direct_jobs(partials)
+    if jobs is None:
+        blocks = [
+            (ref, md)
+            for bundle in partials.iter_internal_ref_bundles()
+            for ref, md in bundle.blocks
+            if md.num_rows != 0
+        ]
+        sizes = [md.size_bytes for _, md in blocks]
+        jobs = [(_concat, [ref for ref, _ in run], {}) for run in runs(blocks, sizes, slices)]
+    return reduce(jobs, merge, slices)
+
+
+def reduce(jobs: list, merge, slices: int) -> list:
+    """The one sketch reduce: ``(block ref, BlockMetadataWithSchema)`` of
+    each table ``merge`` returns; the driver holds only metadata.
+
+    Each job ``(make, args, options)`` is one plain Ray task whose table
+    ``make(*args)`` of partial rows comes back in ``slices`` slices by
+    ``GHASH_COL % slices``.  One merge task per slice then calls ``merge``
+    once on that slice's rows of every producer, in producer order, so each
+    group's rows meet in one call; it starts as soon as its slices exist.  A
+    lone producer merges its own rows.  A merge of no rows (``merge`` of a
+    column-less empty table) is returned only when every merge is one."""
+    import ray
+
+    own = merge if len(jobs) == 1 else None
+    slices = 1 if own is not None else slices
+    task = _task()
+    outs = [
+        task.options(num_returns=slices + 1, **options).remote(slices, own, make, *args)
+        for make, args, options in jobs
+    ]
+    if own is None:
+        outs = [
+            task.options(num_returns=2).remote(1, merge, _concat, *[out[s] for out in outs])
+            for s in range(slices)
+        ]
+    metas = ray.get([out[-1] for out in outs])
+    merged = [(out[0], meta[0]) for out, meta in zip(outs, metas)]
+    return [(ref, meta) for ref, meta in merged if meta.num_rows] or merged[:1]
+
+
+def runs(items: list, sizes: list, n: int) -> list[list]:
+    """``items`` cut into at most ``n`` contiguous, non-empty runs of about
+    equal total ``sizes`` (a ``None`` size counts as 0), in order."""
+    if not items:
+        return []
+    cum = np.cumsum([(size or 0) + 1 for size in sizes])
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n) / n) + 1
+    bounds = np.unique(np.concatenate([[0], np.minimum(cuts, len(items)), [len(items)]]))
+    return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+@functools.cache
+def _task():
+    import ray
+
+    return ray.remote(_produce)
+
+
+def _produce(slices: int, merge, make, *args) -> tuple:
+    """The table ``make(*args)`` in ``slices`` slices, or ``merge`` of its
+    rows when given; then the list of their metadata."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    table = make(*args)
+    parts = _sliced(table, slices) if merge is None else [merge(_concat(table))]
+    return (*parts, [BlockMetadataWithSchema.from_block(part) for part in parts])
+
+
+def _sliced(table: pa.Table, slices: int) -> list[pa.Table]:
+    """``table``'s rows by ``GHASH_COL % slices``, each slice in table order;
+    all in slice 0 when ``table`` has no ``GHASH_COL`` (a global merge)."""
+    if slices == 1 or GHASH_COL not in table.column_names:
+        return [table] + [table.slice(0, 0)] * (slices - 1)
+    slot = table.column(GHASH_COL).to_numpy().view(np.uint64) % np.uint64(slices)
+    order = np.argsort(slot, kind="stable")
+    bounds = np.searchsorted(slot[order], np.arange(slices + 1, dtype=np.uint64))
+    return [table.take(order[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _concat(*blocks) -> pa.Table:
+    """The rows of ``blocks`` in order, as one Arrow table; column-less
+    when none has rows."""
+    from ray.data.block import BlockAccessor
+
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    tables = [t for t in tables if t.num_rows]
+    return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
+
+
+def avail_cpus() -> int:
+    """The CPUs Ray has for this job (inside a placement group, its share):
+    the grouped merge's slice count, and the direct path's bound."""
+    import ray
+    from ray.data._internal.util import _estimate_avail_cpus
+
+    return max(1, _estimate_avail_cpus(ray.util.get_current_placement_group()))
 
 
 def _direct_plan(ds: "ray.data.Dataset"):
@@ -287,7 +382,7 @@ def _direct_plan(ds: "ray.data.Dataset"):
     else None.  A caller's ``map_batches`` UDF thus runs in Ray Data, but a
     caller's ``build_partial`` runs inside the library's map, directly.
     The first map's ``input_columns`` (absent or ``None``: all) bound what
-    :func:`_direct_bundles` reads of a Parquet source."""
+    :func:`_direct_jobs` reads of a Parquet source."""
     from ray.data._internal.compute import TaskPoolStrategy
     from ray.data._internal.logical.operators.map_operator import MapBatches
     from ray.data._internal.logical.operators.read_operator import Read
@@ -312,18 +407,16 @@ def _direct_plan(ds: "ray.data.Dataset"):
     return None
 
 
-def _direct_bundles(ds: "ray.data.Dataset"):
-    """The partials of a :func:`_direct_plan` that :func:`_keeps_parallelism`
-    as ``RefBundle``s, else None: one plain task per read task Ray Data would
-    launch maps its blocks; only each partial's metadata reaches the driver.
-    The read tasks come from the source as :func:`_projected` to the first
-    map's ``input_columns``; their count, metadata and batch rows are the
+def _direct_jobs(ds: "ray.data.Dataset"):
+    """The producers of a :func:`_direct_plan` that :func:`_keeps_parallelism`
+    as :func:`reduce` jobs, else None: one task per read task Ray Data would
+    launch, which maps its blocks (:func:`_read_and_map`).  The read tasks
+    come from the source as :func:`_projected` to the first map's
+    ``input_columns``; their count, metadata and batch rows are the
     unprojected read's."""
     plan = _direct_plan(ds)
     if plan is None:
         return None
-    import ray
-    from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.util import _autodetect_parallelism
 
     read, maps = plan
@@ -336,14 +429,7 @@ def _direct_bundles(ds: "ray.data.Dataset"):
     if not _keeps_parallelism(read_tasks, maps[0]._batch_size, ctx):
         return None
     chain = [(op._fn, op._batch_size) for op in maps]
-    task = _read_and_map_task().options(**read._ray_remote_args)
-    refs = [task.remote(ctx, rt, chain) for rt in read_tasks]
-    metas = ray.get([meta for _, meta in refs])
-    return [
-        RefBundle(((block, md.metadata),), owns_blocks=False, schema=md.schema)
-        for (block, _), md in zip(refs, metas)
-        if md.num_rows
-    ]
+    return [(_read_and_map, (ctx, rt, chain), read._ray_remote_args) for rt in read_tasks]
 
 
 def _projected(source, columns):
@@ -390,30 +476,19 @@ def _keeps_parallelism(read_tasks, batch_size, ctx) -> bool:
     block, split to twice the CPUs, when None): each read task's metadata
     shows at most ``batch_size`` rows (or ``ctx.target_min_block_size``
     bytes, Ray Data's smallest read block), or the read tasks fill the CPUs."""
-    import ray
-    from ray.data._internal.util import _estimate_avail_cpus
-
     if batch_size is None:
         sizes, bound = [rt.metadata.size_bytes for rt in read_tasks], ctx.target_min_block_size
     else:
         sizes, bound = [rt.metadata.num_rows for rt in read_tasks], batch_size
     if all(size is not None and size <= bound for size in sizes):
         return True
-    return len(read_tasks) >= _estimate_avail_cpus(ray.util.get_current_placement_group())
+    return len(read_tasks) >= avail_cpus()
 
 
-@functools.cache
-def _read_and_map_task():
-    import ray
-
-    return ray.remote(num_returns=2)(_read_and_map)
-
-
-def _read_and_map(ctx, read_task, chain) -> tuple:
+def _read_and_map(ctx, read_task, chain) -> pa.Table:
     """``read_task``'s blocks through ``chain``'s ``(fn, batch_size)`` maps,
-    batched as ``map_batches`` does, under ``ctx``; output and metadata."""
+    batched as ``map_batches`` does, under ``ctx``."""
     from ray.data import DataContext
-    from ray.data.block import BlockMetadataWithSchema
 
     prev = DataContext.get_current()
     DataContext._set_current(ctx)
@@ -421,11 +496,9 @@ def _read_and_map(ctx, read_task, chain) -> tuple:
         tables = read_task()
         for fn, batch_size in chain:
             tables = _mapped(fn, tables, batch_size)
-        out = list(tables)
+        return _concat(*tables)
     finally:
         DataContext._set_current(prev)
-    table = pa.concat_tables(out, promote_options="default") if out else pa.table({})
-    return table, BlockMetadataWithSchema.from_block(table)
 
 
 def _mapped(fn, blocks, batch_size):
@@ -436,50 +509,12 @@ def _mapped(fn, blocks, batch_size):
         yield fn(BlockAccessor.for_block(batch.data).to_batch_format("pyarrow"))
 
 
-def merge_to_row(partials: "ray.data.Dataset", merge, leaf_batch: int) -> pa.Table:
-    """Global merge through :func:`merge_partials`: the one row ``merge``
-    returns for all partial rows.  Over the size bound, ``merge`` first runs
-    in parallel over batches of ``leaf_batch`` partial rows, and the driver
-    merges their outputs, about #partials / ``leaf_batch`` rows."""
-
-    def exchange(ds):
-        level1 = ds.map_batches(merge, batch_format="pyarrow", batch_size=leaf_batch)
-        return merge(_fetch(list(level1.iter_internal_ref_bundles())))
-
-    return merge_partials(partials, merge, exchange)
-
-
-def merge_grouped(partials: "ray.data.Dataset", merger) -> "ray.data.Dataset":
-    """Grouped merge through :func:`merge_partials`: one row per group.
-
-    ``merger`` keys on ``GHASH_COL``, not on ``BUCKET_COL``, so on the driver
-    one call covers every bucket.  Over the size bound the partials go
-    through ``groupby(BUCKET_COL).map_groups(merger)``.  The plan up to the
-    partials runs when this is called; the result is a materialized dataset
-    over the merged table, or the lazy exchange."""
-    import ray.data as rd
-
-    def exchange(ds):
-        return ds.groupby(BUCKET_COL).map_groups(merger, batch_format="pyarrow")
-
-    out = merge_partials(partials, merger, exchange)
-    return rd.from_arrow(out).materialize() if isinstance(out, pa.Table) else out
-
-
-def _fetch(bundles) -> pa.Table:
-    """All rows of the bundles' blocks, fetched to the driver."""
-    import ray
-    from ray.data.block import BlockAccessor
-
-    refs = [ref for bundle in bundles for ref, md in bundle.blocks if md.num_rows != 0]
-    tables = [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)]
-    return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
-
-
-def _dataset_of(bundles) -> "ray.data.Dataset":
-    """A dataset over computed blocks, built the way ``Dataset.materialize``
+def _dataset_of(blocks) -> "ray.data.Dataset":
+    """A materialized dataset over computed ``(block ref,
+    BlockMetadataWithSchema)`` pairs, built the way ``Dataset.materialize``
     builds its result: no task runs."""
     from ray.data import DataContext
+    from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.input_data_operator import InputData
     from ray.data._internal.plan import ExecutionPlan
@@ -487,8 +522,13 @@ def _dataset_of(bundles) -> "ray.data.Dataset":
     from ray.data.dataset import MaterializedDataset
 
     ctx = DataContext.get_current()
+    bundles = [
+        RefBundle(((ref, md.metadata),), owns_blocks=False, schema=md.schema) for ref, md in blocks
+    ]
     plan = ExecutionPlan(DatasetStats(metadata={}, parent=None), ctx)
-    return MaterializedDataset(plan, LogicalPlan(InputData(input_data=bundles), ctx))
+    ds = MaterializedDataset(plan, LogicalPlan(InputData(input_data=bundles), ctx))
+    ds._plan.execute()  # marks the plan executed, as materialize does
+    return ds
 
 
 def finalize_estimate(batch: pa.Table) -> pa.Table:

@@ -325,10 +325,11 @@ def flagship_checkpointed(
     """Checkpointed flagship run: one partition per input parquet file.
 
     Partial = grouped multi-key sketch rows for that file, read from only
-    the columns ``MultiKeyBuild`` declares; merge = bucketed
-    vectorized merge over all partials' rows; result = per-(repo, lang)
-    estimates.  Byte-deterministic across resumes.  The fingerprint covers
-    the settings and the input file list (partition ids index it)."""
+    the columns ``MultiKeyBuild`` declares; merge = ``stages.build.reduce``
+    over all partials, whose split tasks read the files (the driver reads
+    none); result = per-(repo, lang) estimates.  Byte-deterministic across
+    resumes.  The fingerprint covers the settings and the input file list
+    (partition ids index it)."""
     from rayhll.core.settings import HllSettings
     from rayhll.pipelines import distinct
     from rayhll.stages import build as bs
@@ -347,14 +348,18 @@ def flagship_checkpointed(
         return pa.concat_tables(parts or [build(schema.empty_table())])
 
     def merge_fn(paths: list[str]) -> pa.Table:
-        all_parts = pa.concat_tables([pq.read_table(p) for p in paths])
+        import ray
+
         merger = bs.make_bucket_merger(
             list(distinct.GROUP_COLS),
             list(distinct.SKETCH_COLS),
             list(distinct.EST_COLS),
             include_sketch=True,
         )
-        merged = merger(all_parts)
+        slices = bs.avail_cpus()
+        runs = bs.runs(paths, [os.path.getsize(p) for p in paths], slices)
+        merged = bs.reduce([(_read_tables, run, {}) for run in runs], merger, slices)
+        merged = pa.concat_tables(ray.get([ref for ref, _ in merged]), promote_options="default")
         # canonical order for byte-stable output
         return merged.sort_by([("repo", "ascending"), ("lang", "ascending")])
 
@@ -363,6 +368,10 @@ def flagship_checkpointed(
     return run_checkpointed(
         out_dir, inputs, partial_fn, merge_fn, settings_obj=(settings, files), fail_after=fail_after
     )
+
+
+def _read_tables(*paths: str) -> pa.Table:
+    return pa.concat_tables([pq.read_table(p) for p in paths])
 
 
 def _pair_dedup_checkpointed(

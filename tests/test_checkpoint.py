@@ -46,6 +46,38 @@ def test_crash_resume_byte_identical(ray_session, code_files, tmp_path):
     assert a == b
 
 
+def test_resume_after_half_merges_without_reading_partials_on_the_driver(
+    ray_session, tmp_path, monkeypatch
+):
+    """Crash after half of four files, then resume: the result file is the
+    bytes of an uncrashed run, and the driver reads no partial file (split
+    tasks read them for the merge tasks)."""
+    from rayhll.sources.synth import synth_code_batch
+    import numpy as np
+
+    files = []
+    for i in range(4):
+        files.append(str(tmp_path / f"shard-{i}.parquet"))
+        pq.write_table(synth_code_batch(np.arange(i * 700, (i + 1) * 700), 2800), files[-1])
+    read, driver_reads = pq.read_table, []
+
+    def spy(source, *args, **kwargs):
+        driver_reads.append(str(source))
+        return read(source, *args, **kwargs)
+
+    monkeypatch.setattr(pq, "read_table", spy)
+    clean, crash = str(tmp_path / "clean"), str(tmp_path / "crash")
+    flagship_checkpointed(files, clean)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        flagship_checkpointed(files, crash, fail_after=2)
+    assert len(os.listdir(os.path.join(crash, "partials"))) == 2
+    flagship_checkpointed(files, crash)
+    assert not [p for p in driver_reads if "partials" in p]
+    paths = [os.path.join(d, "result", "result.parquet") for d in (clean, crash)]
+    result = [open(p, "rb").read() for p in paths]
+    assert result[0] == result[1]
+
+
 def test_flagship_reads_only_the_columns_it_hashes(ray_session, code_files, tmp_path):
     """A wide column the build never reads is not decoded, and the result
     bytes are those of the same files without it; so is an empty file's."""

@@ -381,3 +381,17 @@ def test_duckdb_recursive_mirror(ray_session):
         _labels(connected_components(ds, method="distributed", num_buckets=8))
         == want_map
     )
+
+
+@pytest.mark.parametrize("method", ["driver", "distributed"])
+@pytest.mark.parametrize(
+    "ids",
+    [pa.array(["7", "8", "9"]), pa.array([1.0, 2.0, 3.0])],
+    ids=["string", "integral_float"],
+)
+def test_non_integer_ids_raise(ray_session, method, ids):
+    """Ids that would cast to int64 (``"7"``, ``1.0``) still raise at entry,
+    naming the column, instead of coming back as int64 labels."""
+    t = pa.table({"id_a": ids, "id_b": ids.take(pa.array([1, 2, 0]))})
+    with pytest.raises(ValueError, match="'id_a' must be an integer id column"):
+        connected_components(rd.from_arrow(t), method=method).to_pandas()

@@ -1,9 +1,11 @@
-"""The one merge primitive (``stages.build.merge_partials``) behind every
-sketch aggregation: partials that fit in one block merge on the driver with
-no Ray Data exchange, and the driver fold gives the same bytes as the
-exchange it replaces."""
+"""The one merge primitive (``stages.build.reduce``) behind every sketch
+aggregation: producers slice their partial rows by ``ghash % B``, B the CPU
+count, and plain Ray merge tasks merge each slice in one call.  The bytes
+do not depend on B, on the direct path or on the partial block count, and
+no Ray Data exchange runs."""
 
 import sys
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -135,22 +137,24 @@ ENTRY_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
-def test_fold_and_exchange_merge_identically(ray_session, monkeypatch, entry):
-    """A one-byte block budget forces the exchange (Ray's own setting)."""
-    from ray.data import DataContext
-
+def _with_cpus(monkeypatch, cpus: int) -> None:
+    """Merge in ``cpus`` slices: patch the one CPU-count read."""
     from rayhll.stages import build
 
-    exchanges = []
-    dataset_of = build._dataset_of
-    monkeypatch.setattr(build, "_dataset_of", lambda b: exchanges.append(b) or dataset_of(b))
-    folded = entry()
-    assert not exchanges
-    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1)
-    exchanged = entry()
-    assert exchanges
-    assert folded == exchanged
+    monkeypatch.setattr(build, "avail_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+def test_fold_and_exchange_merge_identically(ray_session, monkeypatch, entry):
+    """At B = 1 each merge meets all of its rows in one call, as the driver
+    fold this merge replaced did; at B = 2 and 5 a grouped merge's groups
+    spread over merge tasks, as over the exchange's buckets.  The bytes are
+    equal."""
+    outs = []
+    for cpus in (1, 2, 5):
+        _with_cpus(monkeypatch, cpus)
+        outs.append(entry())
+    assert outs[0] == outs[1] == outs[2]
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
@@ -158,7 +162,7 @@ def test_small_input_runs_no_exchange(ray_session, monkeypatch, entry):
     import ray.data as rd
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a small input must merge on the driver")
+        raise AssertionError("a sketch merge runs no Ray Data exchange")
 
     monkeypatch.setattr(rd.Dataset, "groupby", refuse)
     monkeypatch.setattr(rd.Dataset, "repartition", refuse)
@@ -198,13 +202,22 @@ def parquet_files(ray_session, tmp_path_factory):
     return files
 
 
+class _Launched(list):
+    """Read tasks in launch order; ``metadata`` holds the ref of each one's
+    list of slice metadata."""
+
+    def __init__(self):
+        super().__init__()
+        self.metadata = []
+
+
 @pytest.fixture()
 def launched(monkeypatch):
     """The read tasks the direct path launches, in launch order."""
     from rayhll.stages import build
 
-    tasks = []
-    task_of = build._read_and_map_task
+    tasks = _Launched()
+    task = build._task
 
     class Spy:
         def __init__(self, task):
@@ -213,11 +226,14 @@ def launched(monkeypatch):
         def options(self, **kwargs):
             return Spy(self.task.options(**kwargs))
 
-        def remote(self, ctx, read_task, chain):
-            tasks.append(read_task)
-            return self.task.remote(ctx, read_task, chain)
+        def remote(self, slices, merge, make, *args):
+            out = self.task.remote(slices, merge, make, *args)
+            if make is build._read_and_map:
+                tasks.append(args[1])
+                tasks.metadata.append(out[-1])
+            return out
 
-    monkeypatch.setattr(build, "_read_and_map_task", lambda: Spy(task_of()))
+    monkeypatch.setattr(build, "_task", lambda: Spy(task()))
     return tasks
 
 
@@ -260,35 +276,36 @@ def test_bare_read_runs_no_execution(ray_session, monkeypatch, parquet_files, ex
         assert _executions_of(executions, entry) == want
 
 
-@pytest.mark.parametrize("exchange", [False, True], ids=["fold", "exchange"])
+GLOBAL_ENTRY_POINTS = {_tree_merge, _approx_distinct_sketch, _aggregate_family, _flagship_global}
+
+
+@pytest.mark.parametrize("cpus", [1, 5], ids=["fold", "exchange"])
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
 def test_direct_path_merges_like_ray_data(
-    ray_session, monkeypatch, parquet_files, launched, entry, exchange
+    ray_session, monkeypatch, parquet_files, launched, entry, cpus
 ):
     """A bare read takes the direct path, its materialized copy the Ray Data
-    path; both merge to the same bytes, on the driver and through the
-    exchange.  ``grouped_merge_family`` maps with a caller's UDF, so it
-    stays in Ray Data on both."""
+    path; both merge to the same bytes, in one slice (every row of a merge
+    in one call) and in five.  ``grouped_merge_family`` maps with a
+    caller's UDF, so it stays in Ray Data on both."""
     import ray.data as rd
-    from ray.data import DataContext
 
     from rayhll.stages import build
 
     direct = rd.read_parquet(parquet_files)
     via_ray_data = rd.read_parquet(parquet_files).materialize()
-    exchanges = []
-    dataset_of = build._dataset_of
-    monkeypatch.setattr(build, "_dataset_of", lambda b: exchanges.append(b) or dataset_of(b))
-    if exchange:
-        monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1)
+    merged, reduce = [], build.reduce
+    monkeypatch.setattr(build, "reduce", lambda *a: merged.append(reduce(*a)) or merged[-1])
+    _with_cpus(monkeypatch, cpus)
     _use_input(monkeypatch, lambda: direct)
     got = entry()
     assert len(launched) == (0 if entry is _grouped_merge_family else len(parquet_files))
+    # three producers: a grouped merge over five slices runs several merge tasks
+    assert (len(merged[0]) > 1) == (cpus > 1 and entry not in GLOBAL_ENTRY_POINTS)
     _use_input(monkeypatch, lambda: via_ray_data)
     launched.clear()
     want = entry()
     assert not launched
-    assert bool(exchanges) == exchange
     assert got == want
 
 
@@ -462,30 +479,27 @@ def _small_context_cm_build(batch: pa.Table) -> bytes:
     return _cm_build(batch)
 
 
-def test_direct_task_runs_under_the_callers_context(ray_session, monkeypatch, parquet_files):
+def test_direct_task_runs_under_the_callers_context(
+    ray_session, monkeypatch, parquet_files, launched
+):
     """The direct task sets the dataset's ``DataContext``: under a small
     ``target_max_block_size`` the read yields many blocks per task, one
     partial each, and the merged bytes do not change."""
+    import ray
     import ray.data as rd
     from ray.data import DataContext
 
     from rayhll import ray_agg
     from rayhll.sketches.countmin import CountMinSketch
-    from rayhll.stages import build
 
     want = ray_agg.aggregate_family(rd.read_parquet(parquet_files), _cm_build, CountMinSketch)
-    partial_rows = []
-    direct_bundles = build._direct_bundles
-
-    def recorded(ds):
-        bundles = direct_bundles(ds)
-        partial_rows.extend(md.num_rows for bundle in bundles for _, md in bundle.blocks)
-        return bundles
-
-    monkeypatch.setattr(build, "_direct_bundles", recorded)
+    launched.clear()
+    launched.metadata.clear()
     monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", SMALL_BLOCK)
     ds = rd.read_parquet(parquet_files)
     got = ray_agg.aggregate_family(ds, _small_context_cm_build, CountMinSketch)
+    # a global merge: each read task returns its partials as one slice
+    partial_rows = [md.num_rows for metas in ray.get(launched.metadata) for md in metas]
     assert len(partial_rows) == len(parquet_files)
     assert min(partial_rows) > 4
     assert got.to_bytes() == want.to_bytes()
@@ -528,3 +542,71 @@ def test_direct_path_only_where_it_keeps_parallelism(
     assert _executions_of(executions, lambda: got.append(entry())) == (0 if direct else 1)
     assert len(launched) == (len(parquet_files) if direct else 0)
     assert got == [want]
+
+
+def _rss_bytes() -> int:
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+    raise RuntimeError("no VmRSS in /proc/self/status")
+
+
+def test_thousands_of_one_row_partial_blocks(ray_session, monkeypatch):
+    """``target_max_block_size=1`` splits a 6,000-row tumbling window into
+    6,000 one-row partial blocks.  The sort exchange this merge replaced
+    took the driver to 11 GB RSS on this input.  Now the blocks are cut into
+    at most B runs of split tasks: no partial block is fetched to the
+    driver, its RSS stays flat, and the result is the default block size's."""
+    import ray
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from rayhll import ray_agg
+    from rayhll.pipelines import windows
+    from rayhll.stages import build
+
+    n = 6000
+    ts = pa.array(np.arange(n) * windows.US_PER_HOUR).cast(pa.timestamp("us"))
+    table = pa.table({"ts": ts, "user_id": pa.array(np.arange(n) % 97)})
+
+    def run():
+        ds = rd.from_arrow(table)
+        return windows.tumbling_window_distinct(ds, "ts", ["user_id"], settings=ray_agg.EXACT_MODE)
+
+    want = _sorted(run(), ["window_start"])
+    cut, fetched, get = [], [], ray.get
+
+    def spy_runs(items, sizes, n):
+        cut.append(len(items))
+        return runs(items, sizes, n)
+
+    def spy_get(refs, *args, **kwargs):
+        out = get(refs, *args, **kwargs)
+        values = out if isinstance(out, list) else [out]
+        fetched.extend(v for v in values if isinstance(v, pa.Table))
+        return out
+
+    runs = build.runs
+    monkeypatch.setattr(build, "runs", spy_runs)
+    monkeypatch.setattr(ray, "get", spy_get)
+    monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", 1)
+    base, peak, done = _rss_bytes(), [0], threading.Event()
+
+    def sample():
+        while not done.wait(0.05):
+            peak[0] = max(peak[0], _rss_bytes())
+
+    sampler = threading.Thread(target=sample, daemon=True)
+    sampler.start()
+    try:
+        out = run()
+    finally:
+        done.set()
+        sampler.join(timeout=5)
+        monkeypatch.undo()
+    assert not sampler.is_alive()
+    assert cut == [n]
+    assert not fetched
+    assert max(peak[0], _rss_bytes()) - base < 300 * 2**20
+    assert _sorted(out, ["window_start"]) == want

@@ -1,5 +1,5 @@
 """Fanout auto-sizing: metadata-only counting, floors, and result
-invariance across bucket counts for the grouped sketch paths."""
+invariance across the merge's slice count for the grouped sketch paths."""
 
 from __future__ import annotations
 
@@ -88,10 +88,13 @@ def test_dedup_pairs_follow_approx_rows_hint(ray_session):
     assert outs[0].equals(outs[1])
 
 
-def test_grouped_distinct_invariant_to_fanout(ray_session):
+def test_grouped_distinct_invariant_to_fanout(ray_session, monkeypatch):
+    """The merge slices by ``ghash % B``, B the CPU count; any B gives the
+    same groups and estimates (batches of 700 rows: six producers)."""
     import ray.data as rd
 
     from rayhll import ray_agg
+    from rayhll.stages import build
 
     t = pa.table(
         {
@@ -100,14 +103,15 @@ def test_grouped_distinct_invariant_to_fanout(ray_session):
         }
     )
     outs = []
-    for nb in (None, 4, 512):
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(build, "avail_cpus", lambda cpus=cpus: cpus)
         df = (
             ray_agg.grouped_approx_distinct(
                 rd.from_arrow(t).repartition(6),
                 ["g"],
                 ["v"],
                 settings=ray_agg.EXACT_MODE,
-                num_buckets=nb,
+                batch_size=700,
             )
             .to_pandas()
             .sort_values("g")
@@ -121,10 +125,11 @@ def test_grouped_distinct_invariant_to_fanout(ray_session):
     assert (outs[0].sort_values("g")["estimate"].to_numpy() == want).all()
 
 
-def test_flagship_grouped_invariant_to_fanout(ray_session):
+def test_flagship_grouped_invariant_to_fanout(ray_session, monkeypatch):
     import ray.data as rd
 
     from rayhll.pipelines import distinct
+    from rayhll.stages import build
 
     rows = []
     for i in range(900):
@@ -139,11 +144,10 @@ def test_flagship_grouped_invariant_to_fanout(ray_session):
         )
     t = pa.Table.from_pylist(rows)
     outs = []
-    for nb in (None, 4, 256):
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(build, "avail_cpus", lambda cpus=cpus: cpus)
         df = (
-            distinct.flagship_grouped(
-                rd.from_arrow(t).repartition(5), num_buckets=nb
-            )
+            distinct.flagship_grouped(rd.from_arrow(t).repartition(5), batch_size=200)
             .to_pandas()
             .sort_values(["repo", "lang"])
             .reset_index(drop=True)

@@ -1931,7 +1931,7 @@ def test_flagships_hash_content_in_the_build(ray_session, rows):
 
     def chained(grouped: bool):
         hashed = rd.from_arrow(tables).map_batches(distinct.HashStage(), **kw)
-        return hashed.map_batches(distinct.MultiKeyBuild(grouped=grouped, num_buckets=8), **kw)
+        return hashed.map_batches(distinct.MultiKeyBuild(grouped=grouped), **kw)
 
     merger = build.make_bucket_merger(
         list(distinct.GROUP_COLS), list(distinct.SKETCH_COLS), list(distinct.EST_COLS)
@@ -1942,17 +1942,17 @@ def test_flagships_hash_content_in_the_build(ray_session, rows):
 
     by = [("repo", "ascending"), ("lang", "ascending")]
     got = distinct.flagship_grouped(
-        rd.from_arrow(tables), batch_size=500, include_sketches=True, num_buckets=8
+        rd.from_arrow(tables), batch_size=500, include_sketches=True
     )
     want = collect(build.merge_grouped(chained(True), merger))
     assert (collect(got) is None) if want is None else collect(got).equals(want)
     assert (want is None) == (rows == 0)
 
-    row = build.merge_to_row(chained(False), distinct.merge_partials_block, 4096)
+    row = build.merge_to_row(chained(False), distinct.merge_partials_block)
     direct = rd.from_arrow(tables).map_batches(
         distinct.MultiKeyBuild(grouped=False, hash_content=True), **kw
     )
-    assert build.merge_to_row(direct, distinct.merge_partials_block, 4096).equals(row)
+    assert build.merge_to_row(direct, distinct.merge_partials_block).equals(row)
     row = row.to_pylist()[0]
     ests = [from_bytes(row[c]).cardinality() if row[c] else 0 for c in distinct.SKETCH_COLS]
     out = distinct.flagship_global(rd.from_arrow(tables), batch_size=500).to_pylist()[0]

@@ -2,9 +2,11 @@
 """Split each benchmark operation's CPU by Ray process role.
 
     python tools/cpu_roles.py --workload small_queries --seed 7001 --ops 25
+    python tools/cpu_roles.py --workload corpus --seed 601 --ops 10 --num-cpus 1
 
-Starts a session the way ``perfbench/run.py`` does, runs one untimed pass
-over the workload's shapes, then ``--ops`` operations per shape.  Around
+Starts a session the way ``perfbench/run.py`` does, with ``--num-cpus``
+CPUs (default: the host's, as there), runs one untimed pass over the
+workload's shapes, then ``--ops`` operations per shape.  Around
 each operation it reads the CPU ticks of this process and every process it
 started (``perfbench.host.tree_cpu_ticks``) and counts the Ray Data
 executions the driver starts.  Every result passes the workload's gate.
@@ -87,15 +89,16 @@ def main() -> int:
     p.add_argument("--ops", type=int, default=25, help="timed operations per shape")
     p.add_argument("--files", type=int, default=workloads.inputs.FILES)
     p.add_argument("--rows-per-file", type=int, default=workloads.inputs.ROWS_PER_FILE)
+    p.add_argument("--num-cpus", type=int, default=host.NUM_CPUS, help="CPUs of the Ray session")
     args = p.parse_args()
 
     work_dir = os.path.join(ROOT, ".bench_out", f"cpu_roles-{os.getpid()}")
     os.makedirs(work_dir)
     w = workloads.WORKLOADS[args.workload](ROOT, args.seed, work_dir, args.files, args.rows_per_file)
     roles: dict[int, str] = {}
-    host.start_ray(ROOT)
+    host.start_ray(ROOT, num_cpus=args.num_cpus)
     try:
-        host.warm_workers()
+        host.warm_workers(args.num_cpus)
         executions = count_executions()
         for i in range(w.shapes):
             measure(w, i, executions, roles)
@@ -105,7 +108,7 @@ def main() -> int:
         shutil.rmtree(work_dir, ignore_errors=True)
 
     cols = ROLES + ("total", "wall", "executions")
-    print(f"# workload={args.workload} seed={args.seed} num_cpus={host.NUM_CPUS} ops_per_shape={args.ops}")
+    print(f"# workload={args.workload} seed={args.seed} num_cpus={args.num_cpus} ops_per_shape={args.ops}")
     print("| shape | " + " | ".join(f"{c} ms" if c != "executions" else c for c in cols) + " |")
     print("|---" * (len(cols) + 1) + "|")
     for s in range(w.shapes):
