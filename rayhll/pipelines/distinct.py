@@ -72,7 +72,9 @@ class MultiKeyBuild:
     ``content`` uses the precomputed ``content_raw64`` column when present
     (:class:`HashStage` output), else the first 8 bytes of its sha256 with
     ``hash_content`` (the same raw values, with a NULL hashed as b""), else
-    the fast vectorized hash.
+    the fast vectorized hash.  A NULL ``content_raw64`` (a row of a file
+    without the column, in blocks unified with one that has it) is absent:
+    that row gets its sha256 value, the one :class:`HashStage` writes.
     """
 
     def __init__(
@@ -98,7 +100,7 @@ class MultiKeyBuild:
         keys = {"path": ["path"], "repo_commit": ["repo", "commit"]}
         raws = {}
         if "content_raw64" in batch.column_names:
-            raws["content"] = batch.column("content_raw64").to_numpy()
+            raws["content"] = _content_raw64(batch)
         elif self.hash_content:
             raws["content"] = hashing.sha256_raw64(batch.column("content"))
         else:
@@ -133,6 +135,20 @@ class MultiKeyBuild:
             out = out.append_column(c, col)
         out = out.append_column("rows_in", pa.array(counts, type=pa.int64()))
         return build_stage.with_group_hash(out, uniq)
+
+
+def _content_raw64(batch: pa.Table) -> np.ndarray:
+    """``content_raw64`` as int64, each NULL replaced by the sha256 raw
+    value of that row's ``content``."""
+    import pyarrow.compute as pc
+
+    col = batch.column("content_raw64")
+    if not col.null_count:
+        return col.to_numpy()
+    absent = col.is_null().to_numpy(zero_copy_only=False)
+    raw = pc.fill_null(col.cast(pa.int64()), 0).to_numpy().copy()
+    raw[absent] = hashing.sha256_raw64(batch.column("content").filter(pa.array(absent)))
+    return raw
 
 
 def merge_partials_block(batch: pa.Table) -> pa.Table:

@@ -38,6 +38,7 @@ import polars as pl
 import pyarrow as pa
 
 from rayhll.functions.hashing import splitmix64
+from rayhll.pipelines.dedup import check_integer_ids
 from rayhll.pipelines.text import TOKEN_PATTERN, token_gram_hashes, token_hash_stream
 
 __all__ = [
@@ -183,12 +184,17 @@ def dsir_select(
     draws k documents WITHOUT replacement with probability proportional
     to ``exp(weight)`` (Vieira 2014), reproducibly.  Returns the
     selected rows of ``weights`` (all columns) plus ``_sel_key``.
+
+    ``id_col`` must be an integer column: other ids (``"7"``, ``1.0``)
+    raise ``ValueError`` (``dedup.check_integer_ids``), where they used to
+    be cast to int64 for the Gumbel keys.
     """
     if mode not in ("topk", "gumbel"):
         raise ValueError(f"mode={mode!r} not in ('topk', 'gumbel')")
     cap = MAX_SELECT_K if max_k is None else int(max_k)
     if not (1 <= k <= cap):
         raise ValueError(f"k must be in [1, {cap}] (raise max_k deliberately)")
+    weights = check_integer_ids(weights, id_col, "dsir_select")
 
     def key_of(batch: pa.Table) -> np.ndarray:
         w = batch.column(weight_col).to_numpy().astype(np.float64)

@@ -12,19 +12,23 @@ the wide operation is tiny by construction —
 * :func:`reduce` merges those rows, and every sketch merge goes through it
   (:func:`merge_grouped`, :func:`merge_to_row`, the checkpointed flagship).
   They are O(#blocks × #groups-per-block) rows of ~1.3 KiB each (at
-  log2m=11, regwidth=5), never the input rows.  Each producer task (a read
-  task of a direct plan, or a split task over a run of partial blocks or
-  files) returns its partial rows in B slices by ``GHASH_COL % B``, B the
-  CPUs Ray has; one plain Ray merge task per slice merges that slice's rows
-  of every producer in one call.  A lone producer merges its own rows.  No
-  Ray Data exchange runs, and no partial row reaches the driver.
+  log2m=11, regwidth=5), never the input rows.  Each producer task runs
+  over one of at most B contiguous runs of about equal bytes (of the read
+  tasks of a direct plan, of partial blocks, or of partial files) and
+  returns its partial rows in B slices by ``GHASH_COL % B``, B the CPUs Ray
+  has; one plain Ray merge task per slice merges that slice's rows of every
+  producer in one call.  A lone producer merges its own rows.  No Ray Data
+  exchange runs, and no partial row reaches the driver.
 * A plan that is exactly a ``Datasource`` read and then this library's own
-  maps runs as one plain Ray task per read task when that loses no
-  parallelism (:func:`_direct_plan`); any other plan runs through Ray Data.
+  maps runs as plain Ray tasks, each reading and mapping one run of read
+  tasks in order, when that loses no parallelism (:func:`_direct_plan`);
+  any other plan runs through Ray Data.
   A direct ``read_parquet`` decodes only the columns its first map declares
   in ``input_columns`` (``None``: every column), unless the read has an
-  explicit ``schema=`` or a ``_block_udf`` (:func:`_projected`).  The read
-  batches keep their row boundaries, so the partials do not change.
+  explicit ``schema=`` or a ``_block_udf`` (:func:`_projected`); a kept
+  column some files lack is NULL in their rows, as in Ray Data's unified
+  blocks.  The read batches keep their row boundaries, so the partials do
+  not change.
 * Every merge is the associative union (reference semantics:
   python_hll/hll.py:491-691) of :mod:`rayhll.core.batchmerge`, straight
   from the serialized bytes: ``make_bucket_merger`` merges many groups'
@@ -255,7 +259,7 @@ def merge_grouped(partials: "ray.data.Dataset", merger) -> "ray.data.Dataset":
     (:func:`merge_partials` in one slice per CPU).  The plan up to the
     partials runs when this is called; the result is a materialized dataset
     over the blocks the merge tasks return."""
-    return _dataset_of(merge_partials(partials, merger, avail_cpus()))
+    return _dataset_of(merge_partials(partials, merger, grouped=True))
 
 
 def merge_to_row(partials: "ray.data.Dataset", merge) -> pa.Table:
@@ -264,17 +268,20 @@ def merge_to_row(partials: "ray.data.Dataset", merge) -> pa.Table:
     fetched to the driver."""
     import ray
 
-    [(ref, _)] = merge_partials(partials, merge, 1)
+    [(ref, _)] = merge_partials(partials, merge, grouped=False)
     return ray.get(ref)
 
 
-def merge_partials(partials: "ray.data.Dataset", merge, slices: int) -> list:
-    """:func:`reduce` of ``partials`` in ``slices`` slices.  The producers
-    are the read tasks of a :func:`_direct_plan` that keeps the parallelism,
-    else one split task per contiguous :func:`runs` of the partial blocks
-    with rows (at most ``slices``, of about equal bytes; the driver holds
-    only their refs and metadata)."""
-    jobs = _direct_jobs(partials)
+def merge_partials(partials: "ray.data.Dataset", merge, grouped: bool) -> list:
+    """:func:`reduce` of ``partials`` in B slices when ``grouped``, else in
+    one, B the :func:`avail_cpus` (asked once per reduce).  The producers
+    are the runs of read tasks of a :func:`_direct_plan` that keeps the
+    parallelism (:func:`_direct_jobs`), else one split task per contiguous
+    :func:`runs` of the partial blocks with rows (at most one per slice, of
+    about equal bytes; the driver holds only their refs and metadata)."""
+    cpus = avail_cpus()
+    slices = cpus if grouped else 1
+    jobs = _direct_jobs(partials, cpus)
     if jobs is None:
         blocks = [
             (ref, md)
@@ -291,7 +298,8 @@ def reduce(jobs: list, merge, slices: int) -> list:
     """The one sketch reduce: ``(block ref, BlockMetadataWithSchema)`` of
     each table ``merge`` returns; the driver holds only metadata.
 
-    Each job ``(make, args, options)`` is one plain Ray task whose table
+    Each job ``(make, args, options)`` is one plain Ray task (a producer:
+    one run of read tasks, partial blocks or partial files) whose table
     ``make(*args)`` of partial rows comes back in ``slices`` slices by
     ``GHASH_COL % slices``.  One merge task per slice then calls ``merge``
     once on that slice's rows of every producer, in producer order, so each
@@ -319,12 +327,15 @@ def reduce(jobs: list, merge, slices: int) -> list:
 
 def runs(items: list, sizes: list, n: int) -> list[list]:
     """``items`` cut into at most ``n`` contiguous, non-empty runs of about
-    equal total ``sizes`` (a ``None`` size counts as 0), in order."""
+    equal total ``sizes`` (a ``None`` size counts as 0), in order: each cut
+    falls at the item boundary nearest to its share of the total."""
     if not items:
         return []
-    cum = np.cumsum([(size or 0) + 1 for size in sizes])
-    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n) / n) + 1
-    bounds = np.unique(np.concatenate([[0], np.minimum(cuts, len(items)), [len(items)]]))
+    cum = np.concatenate([[0], np.cumsum([(size or 0) + 1 for size in sizes])])
+    share = cum[-1] * np.arange(1, n) / n
+    above = np.searchsorted(cum, share)
+    cuts = np.where(cum[above] - share <= share - cum[above - 1], above, above - 1)
+    bounds = np.unique(np.concatenate([[0], cuts, [len(items)]]))
     return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -407,13 +418,15 @@ def _direct_plan(ds: "ray.data.Dataset"):
     return None
 
 
-def _direct_jobs(ds: "ray.data.Dataset"):
+def _direct_jobs(ds: "ray.data.Dataset", cpus: int):
     """The producers of a :func:`_direct_plan` that :func:`_keeps_parallelism`
-    as :func:`reduce` jobs, else None: one task per read task Ray Data would
-    launch, which maps its blocks (:func:`_read_and_map`).  The read tasks
-    come from the source as :func:`_projected` to the first map's
-    ``input_columns``; their count, metadata and batch rows are the
-    unprojected read's."""
+    on ``cpus`` CPUs as :func:`reduce` jobs, else None: the read tasks Ray
+    Data would launch, cut into at most ``cpus`` contiguous :func:`runs` of
+    about equal bytes, one task per run, which reads and maps each of its read
+    tasks in order (:func:`_read_and_map`).  So each group's rows still
+    reach its merge in read-task order.  The read tasks come from the
+    source as :func:`_projected` to the first map's ``input_columns``; their
+    count, metadata and batch rows are the unprojected read's."""
     plan = _direct_plan(ds)
     if plan is None:
         return None
@@ -426,22 +439,35 @@ def _direct_jobs(ds: "ray.data.Dataset"):
     )
     columns = getattr(maps[0]._fn, "input_columns", None)
     read_tasks = _projected(source, columns).get_read_tasks(n)
-    if not _keeps_parallelism(read_tasks, maps[0]._batch_size, ctx):
+    if not _keeps_parallelism(read_tasks, maps[0]._batch_size, ctx, cpus):
         return None
     chain = [(op._fn, op._batch_size) for op in maps]
-    return [(_read_and_map, (ctx, rt, chain), read._ray_remote_args) for rt in read_tasks]
+    sizes = [rt.metadata.size_bytes for rt in read_tasks]
+    return [
+        (_read_and_map, (ctx, run, chain), read._ray_remote_args)
+        for run in runs(read_tasks, sizes, cpus)
+    ]
 
 
 def _projected(source, columns):
     """``source`` reading only the read's own columns that are in
     ``columns``, in the read's order: a shallow copy of a
-    ``ParquetDatasource`` with its file and hive partition columns narrowed
-    (split by Ray's own rule, from the first file).  ``source`` itself when
-    ``columns`` is None, the source is not Parquet, the read has an explicit
-    ``schema=`` (files are read as that schema) or a ``_block_udf`` (it may
-    read any column), or nothing would be left out.  The sampled read batch
-    size and the file metadata are kept, so every read task yields the same
-    rows in the same batches."""
+    ``ParquetDatasource`` with its file columns (those some file holds) and
+    hive partition columns (by Ray's own rule, from the first file)
+    narrowed.  Without ``columns=`` on the read, its columns are every
+    file's (by the prefetched file metadata), unified as Ray Data unifies
+    blocks.  When some file lacks a kept file column, the files are read as
+    the kept columns' unified schema, so that file's rows hold NULL in it,
+    as in Ray Data's unified blocks.  ``source`` itself when ``columns`` is
+    None, the source is not Parquet, the read has an explicit ``schema=``
+    (files are read as that schema) or a ``_block_udf`` (it may read any
+    column), a file's metadata is missing, the file schemas do not unify,
+    nothing would be left out and every file holds every column, or a file
+    lacks a kept column and the read has a ``filter=`` (it may name a
+    column left out of that schema).  The sampled read batch size and the
+    file metadata are kept, so every read task yields the same rows in the
+    same batches."""
+    from ray import cloudpickle
     from ray.data._internal.datasource.parquet_datasource import (
         ParquetDatasource,
         _infer_data_and_partition_columns,
@@ -453,49 +479,70 @@ def _projected(source, columns):
         or source._read_schema is not None
         or source._block_udf is not None
         or not source._pq_fragments
+        or len(source._metadata) < len(source._pq_fragments)
+        or any(getattr(md, "schema_pickled", None) is None for md in source._metadata)
     ):
         return source
-    schema, wanted = source._inferred_schema, set(columns)
-    names = [c for c in schema.names if c in wanted]
-    if len(names) == len(schema.names):
+    pickled = dict.fromkeys(md.schema_pickled for md in source._metadata)
+    files = [cloudpickle.loads(schema) for schema in pickled]
+    schema = source._inferred_schema
+    if source._data_columns is None:
+        try:
+            schema = pa.unify_schemas([schema, *files])
+        except (pa.ArrowInvalid, pa.ArrowTypeError):
+            return source
+    names = [c for c in schema.names if c in set(columns)]
+    held = set().union(*(f.names for f in files))
+    data = [c for c in names if c in held]
+    lacking = any(c not in f.names for f in files for c in data)
+    if lacking and source._to_batches_kwargs.get("filter") is not None:
+        return source
+    if len(names) == len(schema.names) and not lacking:
         return source
     out = copy.copy(source)
-    out._data_columns, out._partition_columns = names, []
+    out._data_columns, out._partition_columns = data, []
     if source._partitioning is not None:
         first = source._pq_fragments[0].deserialize()
-        out._data_columns, out._partition_columns = _infer_data_and_partition_columns(
+        _, out._partition_columns = _infer_data_and_partition_columns(
             names, first, source._partitioning
         )
+    if lacking:
+        out._read_schema = pa.schema([schema.field(c) for c in data])
     out._inferred_schema = pa.schema([schema.field(c) for c in names], schema.metadata)
     return out
 
 
-def _keeps_parallelism(read_tasks, batch_size, ctx) -> bool:
-    """Whether one task per read task keeps the CPUs as busy as Ray Data,
+def _keeps_parallelism(read_tasks, batch_size, ctx, cpus: int) -> bool:
+    """Whether mapping each read task whole keeps the CPUs as busy as Ray Data,
     which maps a read task's output in tasks of ``batch_size`` rows (of one
     block, split to twice the CPUs, when None): each read task's metadata
     shows at most ``batch_size`` rows (or ``ctx.target_min_block_size``
-    bytes, Ray Data's smallest read block), or the read tasks fill the CPUs."""
+    bytes, Ray Data's smallest read block), or the read tasks fill the
+    ``cpus`` CPUs."""
     if batch_size is None:
         sizes, bound = [rt.metadata.size_bytes for rt in read_tasks], ctx.target_min_block_size
     else:
         sizes, bound = [rt.metadata.num_rows for rt in read_tasks], batch_size
     if all(size is not None and size <= bound for size in sizes):
         return True
-    return len(read_tasks) >= avail_cpus()
+    return len(read_tasks) >= cpus
 
 
-def _read_and_map(ctx, read_task, chain) -> pa.Table:
-    """``read_task``'s blocks through ``chain``'s ``(fn, batch_size)`` maps,
-    batched as ``map_batches`` does, under ``ctx``."""
+def _read_and_map(ctx, read_tasks, chain) -> pa.Table:
+    """The blocks of each of ``read_tasks`` in turn through ``chain``'s
+    ``(fn, batch_size)`` maps, batched per read task as ``map_batches``
+    does, under ``ctx``."""
     from ray.data import DataContext
 
     prev = DataContext.get_current()
     DataContext._set_current(ctx)
     try:
-        tables = read_task()
-        for fn, batch_size in chain:
-            tables = _mapped(fn, tables, batch_size)
+        tables = []
+        for read_task in read_tasks:
+            blocks = read_task()
+            for fn, batch_size in chain:
+                blocks = _mapped(fn, blocks, batch_size)
+            tables.extend(blocks)
         return _concat(*tables)
     finally:
         DataContext._set_current(prev)

@@ -187,33 +187,42 @@ def test_build_partials_checks_arguments_on_the_driver(ray_session, kwargs, matc
         ray_agg.build_partials(_input(), concurrency=1, **kwargs)
 
 
-@pytest.fixture(scope="module")
-def parquet_files(ray_session, tmp_path_factory):
-    """The rows of ``_input()``, written to 3 Parquet files."""
-    import pyarrow.parquet as pq
-
+def _write_parts(root, parts: int) -> list[str]:
+    """The rows of ``_input()``, written to ``parts`` Parquet files."""
     table = pa.concat_tables(_input().iter_batches(batch_format="pyarrow", batch_size=None))
-    root = tmp_path_factory.mktemp("parquet")
-    third = -(-table.num_rows // 3)
+    size = -(-table.num_rows // parts)
     files = []
-    for i in range(3):
+    for i in range(parts):
         files.append(str(root / f"part-{i}.parquet"))
-        pq.write_table(table.slice(i * third, third), files[-1])
+        pa.parquet.write_table(table.slice(i * size, size), files[-1])
     return files
 
 
+@pytest.fixture(scope="module")
+def parquet_files(ray_session, tmp_path_factory):
+    """The rows of ``_input()``, written to 3 Parquet files."""
+    return _write_parts(tmp_path_factory.mktemp("parquet"), 3)
+
+
 class _Launched(list):
-    """Read tasks in launch order; ``metadata`` holds the ref of each one's
-    list of slice metadata."""
+    """Read tasks in launch order; ``runs`` holds each direct producer's
+    read tasks and ``metadata`` the ref of its list of slice metadata."""
 
     def __init__(self):
         super().__init__()
+        self.runs = []
         self.metadata = []
+
+    def clear(self):
+        super().clear()
+        self.runs.clear()
+        self.metadata.clear()
 
 
 @pytest.fixture()
 def launched(monkeypatch):
-    """The read tasks the direct path launches, in launch order."""
+    """The read tasks the direct path launches, in launch order: every
+    read task of every producer's run."""
     from rayhll.stages import build
 
     tasks = _Launched()
@@ -229,7 +238,8 @@ def launched(monkeypatch):
         def remote(self, slices, merge, make, *args):
             out = self.task.remote(slices, merge, make, *args)
             if make is build._read_and_map:
-                tasks.append(args[1])
+                tasks.extend(args[1])
+                tasks.runs.append(list(args[1]))
                 tasks.metadata.append(out[-1])
             return out
 
@@ -376,6 +386,7 @@ def _direct_equals_ray_data(monkeypatch, launched, make, entry, columns):
     _use_input(monkeypatch, lambda: via_ray_data)
     assert got == entry()
     assert not launched
+    return got
 
 
 @pytest.mark.parametrize(
@@ -429,6 +440,84 @@ def test_projection_keeps_include_paths(
     _direct_equals_ray_data(monkeypatch, launched, make, _grouped_approx_distinct, ("repo", "path"))
 
 
+@pytest.mark.parametrize("hashed_first", [True, False], ids=["hashed-first", "hashed-second"])
+@pytest.mark.parametrize("hash_content", [True, False], ids=["sha256", "fast-hash"])
+@pytest.mark.parametrize(
+    "flagship, columns",
+    [
+        ("flagship_global", ("repo", "path", "commit", "content", "content_raw64")),
+        ("flagship_grouped", ("repo", "path", "commit", "lang", "content", "content_raw64")),
+    ],
+)
+def test_content_raw64_in_only_some_files(
+    ray_session, monkeypatch, tmp_path, launched, flagship, columns, hash_content, hashed_first
+):
+    """Only one of two files holds ``HashStage``'s ``content_raw64``.  The
+    direct read asks both for it as their unified schema, so the other
+    file's rows hold NULL in it, as in the Ray Data path's unified blocks;
+    ``MultiKeyBuild`` hashes a NULL ``content_raw64`` as ``HashStage``
+    would.  Both paths give the bytes of the same rows with the column in
+    every file, with or without ``hash_content``."""
+    import ray.data as rd
+
+    from rayhll.pipelines import distinct
+    from rayhll.pipelines.distinct import HashStage
+    from rayhll.sources.synth import synth_code_batch
+
+    def entry():
+        if flagship == "flagship_global":
+            return distinct.flagship_global(_input(), hash_content=hash_content)
+        out = distinct.flagship_grouped(_input(), include_sketches=True, hash_content=hash_content)
+        return _sorted(out, ["repo", "lang"])
+
+    hashed = [
+        HashStage()(synth_code_batch(np.arange(i * 1000, (i + 1) * 1000), 2000))
+        for i in range(2)
+    ]
+    hashed = [t.drop_columns(["content_sha256"]) for t in hashed]
+    plain = [t.drop_columns(["content_raw64"]) for t in hashed]
+    both = [str(tmp_path / f"hashed-{i}.parquet") for i in range(2)]
+    one = [str(tmp_path / f"one-{i}.parquet") for i in range(2)]
+    mixed = [hashed[0], plain[1]] if hashed_first else [plain[0], hashed[1]]
+    for table, f in zip(hashed + mixed, both + one):
+        pa.parquet.write_table(table, f)
+    _use_input(monkeypatch, lambda: rd.read_parquet(both))
+    want = entry()
+    launched.clear()
+    make = lambda: rd.read_parquet(one)  # noqa: E731
+    assert _direct_equals_ray_data(monkeypatch, launched, make, entry, columns) == want
+
+
+def test_filter_over_files_lacking_a_kept_column_reads_them_whole(
+    ray_session, monkeypatch, tmp_path, launched
+):
+    """The second file lacks ``content_raw64``, and the filter names
+    ``lang``, which ``flagship_global`` does not read: a read schema of the
+    kept columns would leave the filter's column out, so each file is read
+    whole, and both paths give the same estimates."""
+    import pyarrow.dataset as pads
+    import ray.data as rd
+
+    from rayhll.pipelines.distinct import HashStage
+    from rayhll.sources.synth import synth_code_batch
+
+    table = HashStage()(synth_code_batch(np.arange(2000), 2000)).drop_columns(["content_sha256"])
+    files = [str(tmp_path / f"part-{i}.parquet") for i in range(2)]
+    pa.parquet.write_table(table.slice(0, 1000), files[0])
+    pa.parquet.write_table(table.slice(1000).drop_columns(["content_raw64"]), files[1])
+    make = lambda: rd.read_parquet(files, filter=pads.field("lang") != "rust")  # noqa: E731
+    direct, via_ray_data = make(), make().materialize()
+    _with_cpus(monkeypatch, len(files))  # a filtered read's row counts are unknown
+    _use_input(monkeypatch, lambda: direct)
+    got = _flagship_global()
+    names = tuple(table.column_names)
+    assert _columns_read(launched) == {names, names[:-1]}
+    launched.clear()
+    _use_input(monkeypatch, lambda: via_ray_data)
+    assert got == _flagship_global()
+    assert not launched
+
+
 def test_explicit_schema_reads_every_column(ray_session, monkeypatch, parquet_files, launched):
     """Files are read as the given schema, so the read is not narrowed."""
     import ray.data as rd
@@ -438,9 +527,13 @@ def test_explicit_schema_reads_every_column(ray_session, monkeypatch, parquet_fi
     _direct_equals_ray_data(monkeypatch, launched, make, _grouped_approx_distinct, ALL_COLUMNS)
 
 
-def test_failed_read_task_raises_to_the_caller(ray_session, tmp_path, parquet_files, launched):
+def test_failed_read_task_raises_to_the_caller(
+    ray_session, monkeypatch, tmp_path, parquet_files, launched
+):
     """A file deleted after the read was planned: the direct task's error
-    reaches the caller within a bounded wait, and no result is returned."""
+    reaches the caller within a bounded wait, and no result is returned.
+    At B = 4 each file is its own run; at B = 1 the deleted second file is
+    read after the first, in the same task."""
     import os
     import shutil
     import threading
@@ -449,23 +542,128 @@ def test_failed_read_task_raises_to_the_caller(ray_session, tmp_path, parquet_fi
 
     from rayhll import ray_agg
 
-    files = [shutil.copy(f, tmp_path) for f in parquet_files]
-    ds = rd.read_parquet(files)
-    os.remove(files[1])
-    outcome = []
+    for cpus, run_lengths in ((4, [1, 1, 1]), (1, [3])):
+        _with_cpus(monkeypatch, cpus)
+        launched.clear()
+        copies = tmp_path / f"cpus-{cpus}"
+        copies.mkdir()
+        files = [shutil.copy(f, copies) for f in parquet_files]
+        ds = rd.read_parquet(files)
+        os.remove(files[1])
+        outcome = []
 
-    def run():
-        try:
-            outcome.append(ray_agg.approx_distinct_sketch(ds, ["path"]))
-        except Exception as e:  # the outcome under test
-            outcome.append(e)
+        def run():
+            try:
+                outcome.append(ray_agg.approx_distinct_sketch(ds, ["path"]))
+            except Exception as e:  # the outcome under test
+                outcome.append(e)
 
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    caller.join(timeout=120)
-    assert not caller.is_alive()
-    assert len(outcome) == 1 and isinstance(outcome[0], FileNotFoundError)
-    assert len(launched) == len(files)
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], FileNotFoundError)
+        assert len(launched) == len(files)
+        assert [len(run) for run in launched.runs] == run_lengths
+
+
+#: the read task sizes of a seed-601 ``corpus`` read
+CORPUS_SIZES = [9375838, 9372800, 9373117, 9371890, 9377204, 9377287, 9373464, 9379680]
+
+
+@pytest.mark.parametrize(
+    "sizes, n, lengths",
+    [
+        (CORPUS_SIZES, 4, [2, 2, 2, 2]),
+        ([7] * 8, 3, [3, 2, 3]),
+        ([100, 1, 1, 1], 4, [1, 3]),
+        ([1, 1, 1, 1, 100], 2, [4, 1]),
+        ([None] * 3, 5, [1, 1, 1]),
+        ([5], 4, [1]),
+        ([3] * 5, 1, [5]),
+    ],
+)
+def test_runs_cut_at_the_nearest_boundary(sizes, n, lengths):
+    """Every item once, in order, in at most ``n`` runs, each cut at the
+    item boundary nearest to its share.  The corpus read was cut [3, 2, 2,
+    1] when each cut fell after the item that crossed its share."""
+    from rayhll.stages import build
+
+    got = build.runs(list(range(len(sizes))), sizes, n)
+    assert [len(run) for run in got] == lengths
+    assert [i for run in got for i in run] == list(range(len(sizes)))
+
+
+class _Logged:
+    """A read task that appends its producer's run index and its file to
+    ``log`` when it runs."""
+
+    def __init__(self, read_task, log: str, run: int):
+        self.read_task, self.log, self.run = read_task, log, run
+
+    @property
+    def metadata(self):
+        return self.read_task.metadata
+
+    def __call__(self):
+        with open(self.log, "a") as f:
+            f.write(f"{self.run} {self.metadata.input_files[0]}\n")
+        return self.read_task()
+
+
+@pytest.fixture(scope="module")
+def eight_files(ray_session, tmp_path_factory):
+    """The rows of ``_input()``, written to 8 Parquet files."""
+    return _write_parts(tmp_path_factory.mktemp("eight"), 8)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
+def test_direct_producers_are_runs_of_read_tasks(
+    ray_session, monkeypatch, tmp_path, eight_files, launched, entry
+):
+    """R = 8 read tasks at B = 1, 2 and 4: min(R, B) producer tasks, each
+    reading its contiguous run of read tasks in order, and every read task
+    once.  The bytes are those of the Ray Data path over the materialized
+    read at every B.  ``grouped_merge_family`` maps with a caller's UDF, so
+    it stays in Ray Data."""
+    import ray.data as rd
+
+    from rayhll.stages import build
+
+    log, reduce = tmp_path / "reads.log", build.reduce
+
+    def logged(jobs, merge, slices):
+        jobs = [
+            (make, (args[0], [_Logged(rt, str(log), i) for rt in args[1]], args[2]), options)
+            if make is build._read_and_map
+            else (make, args, options)
+            for i, (make, args, options) in enumerate(jobs)
+        ]
+        return reduce(jobs, merge, slices)
+
+    _use_input(monkeypatch, lambda: rd.read_parquet(eight_files).materialize())
+    want = entry()
+    direct = rd.read_parquet(eight_files)
+    _use_input(monkeypatch, lambda: direct)
+    monkeypatch.setattr(build, "reduce", logged)
+    for cpus in (1, 2, 4):
+        _with_cpus(monkeypatch, cpus)
+        launched.clear()
+        log.unlink(missing_ok=True)
+        assert entry() == want
+        if entry is _grouped_merge_family:
+            assert not launched
+            continue
+        assert len(launched.runs) == min(len(eight_files), cpus)
+        assert [rt.metadata.input_files for rt in launched] == [[f] for f in eight_files]
+        reads = [line.split() for line in log.read_text().splitlines()]
+        runs = [
+            [str(i), f]
+            for i, run in enumerate(launched.runs)
+            for rt in run
+            for f in rt.metadata.input_files
+        ]
+        assert sorted(reads, key=lambda read: int(read[0])) == runs
 
 
 #: a block budget small enough that each read task yields many blocks
@@ -494,7 +692,6 @@ def test_direct_task_runs_under_the_callers_context(
 
     want = ray_agg.aggregate_family(rd.read_parquet(parquet_files), _cm_build, CountMinSketch)
     launched.clear()
-    launched.metadata.clear()
     monkeypatch.setattr(DataContext.get_current(), "target_max_block_size", SMALL_BLOCK)
     ds = rd.read_parquet(parquet_files)
     got = ray_agg.aggregate_family(ds, _small_context_cm_build, CountMinSketch)

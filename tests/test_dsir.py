@@ -134,3 +134,17 @@ def test_validation(ray_session):
         dsir_select(w, 0)
     with pytest.raises(ValueError, match="k must be"):
         dsir_select(w, 10**9)
+
+
+@pytest.mark.parametrize("mode", ["topk", "gumbel"])
+@pytest.mark.parametrize(
+    "ids",
+    [pa.array(["7", "8", "9"]), pa.array([1.0, 2.0, 3.0])],
+    ids=["string", "integral_float"],
+)
+def test_non_integer_ids_raise(ray_session, mode, ids):
+    """Ids that would cast to int64 (``"7"``, ``1.0``) raise at entry,
+    naming the column, instead of keying and breaking ties as int64."""
+    w = rd.from_arrow(pa.table({"doc_id": ids, "log_weight": pa.array([0.5, 1.5, 1.0])}))
+    with pytest.raises(ValueError, match="'doc_id' must be an integer id column"):
+        dsir_select(w, 2, mode=mode).to_pandas()

@@ -8,11 +8,13 @@ Starts a session the way ``perfbench/run.py`` does, with ``--num-cpus``
 CPUs (default: the host's, as there), runs one untimed pass over the
 workload's shapes, then ``--ops`` operations per shape.  Around
 each operation it reads the CPU ticks of this process and every process it
-started (``perfbench.host.tree_cpu_ticks``) and counts the Ray Data
-executions the driver starts.  Every result passes the workload's gate.
-Prints, per shape, the median CPU-ms per operation of the driver, the
-workers, the GCS, the raylet and the other session processes, their total,
-the median wall time and the executions per operation.  CPU times are raw,
+started (``perfbench.host.tree_cpu_ticks``), counts the Ray Data
+executions the driver starts and counts the ``stages.build._task`` remote
+calls it makes (the producer and merge tasks of every sketch reduce).
+Every result passes the workload's gate.  Prints, per shape, the median
+CPU-ms per operation of the driver, the workers, the GCS, the raylet and
+the other session processes, their total, the median wall time, and the
+executions and tasks per operation.  CPU times are raw,
 not scaled to a reference host speed as ``query_cpu_ms`` is, and come in
 ``/proc`` clock ticks (10 ms at the usual ``CLK_TCK`` of 100), so a small
 role's median can read 0.
@@ -64,9 +66,32 @@ def count_executions() -> list[int]:
     return count
 
 
-def measure(w, i: int, executions: list[int], roles: dict[int, str]) -> dict:
+def count_tasks() -> list[int]:
+    """A counter of the ``stages.build._task`` remote calls this process
+    makes: one per producer and one per merge task of each reduce."""
+    from rayhll.stages import build
+
+    count, task = [0], build._task
+
+    class Counted:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def options(self, **kwargs):
+            return Counted(self.fn.options(**kwargs))
+
+        def remote(self, *args, **kwargs):
+            count[0] += 1
+            return self.fn.remote(*args, **kwargs)
+
+    build._task = lambda: Counted(task())
+    return count
+
+
+def measure(w, i: int, counters: dict[str, list[int]], roles: dict[int, str]) -> dict:
     w.prepare(i)
-    before, runs = host.tree_cpu_ticks(), executions[0]
+    before = host.tree_cpu_ticks()
+    start = {name: count[0] for name, count in counters.items()}
     t0 = time.perf_counter()
     out = w.run(i)
     wall = time.perf_counter() - t0
@@ -75,7 +100,7 @@ def measure(w, i: int, executions: list[int], roles: dict[int, str]) -> dict:
     for pid, ticks in after.items():
         role = roles.setdefault(pid, role_of(pid))
         op[role] += (ticks - before.get(pid, 0)) * 1e3 / os.sysconf("SC_CLK_TCK")
-    op["executions"] = executions[0] - runs
+    op.update({name: count[0] - start[name] for name, count in counters.items()})
     w.check(i, out)
     op["total"] = sum(op[r] for r in ROLES)
     op["wall"] = wall * 1e3
@@ -99,22 +124,24 @@ def main() -> int:
     host.start_ray(ROOT, num_cpus=args.num_cpus)
     try:
         host.warm_workers(args.num_cpus)
-        executions = count_executions()
+        counters = {"executions": count_executions(), "tasks": count_tasks()}
         for i in range(w.shapes):
-            measure(w, i, executions, roles)
-        ops = [measure(w, i, executions, roles) for i in range(w.shapes, w.shapes * (args.ops + 1))]
+            measure(w, i, counters, roles)
+        ops = [measure(w, i, counters, roles) for i in range(w.shapes, w.shapes * (args.ops + 1))]
     finally:
         host.stop_ray()
         shutil.rmtree(work_dir, ignore_errors=True)
 
-    cols = ROLES + ("total", "wall", "executions")
+    counts = ("executions", "tasks")
+    cols = ROLES + ("total", "wall") + counts
     print(f"# workload={args.workload} seed={args.seed} num_cpus={args.num_cpus} ops_per_shape={args.ops}")
-    print("| shape | " + " | ".join(f"{c} ms" if c != "executions" else c for c in cols) + " |")
+    print("| shape | " + " | ".join(c if c in counts else f"{c} ms" for c in cols) + " |")
     print("|---" * (len(cols) + 1) + "|")
     for s in range(w.shapes):
         mine = [o for j, o in enumerate(ops) if j % w.shapes == s]
         meds = [statistics.median(o[c] for o in mine) for c in cols]
-        print(f"| {s} | " + " | ".join(f"{m:.0f}" for m in meds[:-1]) + f" | {meds[-1]:g} |")
+        cells = [f"{m:g}" if c in counts else f"{m:.0f}" for c, m in zip(cols, meds)]
+        print(f"| {s} | " + " | ".join(cells) + " |")
     return 0
 
 

@@ -16,13 +16,16 @@ call) as rates:
 * ``estimates_per_s``: merged sketches per second estimated by
   ``batchmerge.cardinalities``.
 
-and two timings of the flagship's three sketch keys on the corpus:
+and three timings of the flagship's three sketch keys on the corpus:
 
 * ``three_key_build_ms``: one ``MultiKeyBuild(grouped=True)`` call on the
   first file (the hashes and the three grouped sketch columns);
 * ``three_col_merge_ms``: the three-column bucket merger
   (``stages.build.make_bucket_merger``, sketches kept) over the partials
-  of all the corpus files, as the driver merges them.
+  of all the corpus files, as one merge task receives them;
+* ``three_col_merge_sliced_ms``: the same merger called once on each of
+  the B ``ghash % B`` slices of those partials, B this host's CPUs
+  (``stages.build._sliced``), as B merge tasks receive them, summed.
 
 and four timings of the global (one-group) merges, in ms:
 
@@ -132,9 +135,11 @@ def probe_flagship(seed: int, root: str, k: int) -> dict:
     merger = build.make_bucket_merger(
         list(distinct.GROUP_COLS), list(distinct.SKETCH_COLS), list(distinct.EST_COLS)
     )
+    slices = build._sliced(partials, len(os.sched_getaffinity(0)))
     return {
         "three_key_build_ms": 1e3 * _best(lambda: builder(tables[0]), k),
         "three_col_merge_ms": 1e3 * _best(lambda: merger(partials), k),
+        "three_col_merge_sliced_ms": 1e3 * _best(lambda: [merger(t) for t in slices], k),
     }
 
 
