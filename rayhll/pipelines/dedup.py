@@ -7,15 +7,26 @@ derived rows, never over document payloads):
   keep min-id per hash (vectorized within bucket).  The shuffle carries
   (hash, id) pairs only.
 * **MinHash+LSH**: tokenize → shingle hashes → per-doc MinHash signature
-  (one ragged ``reduceat`` per permutation) → band hashes → explode to
-  (band, band_hash, doc_id) rows → groupby band bucket → candidate pairs →
-  signature-verified Jaccard ≥ threshold.
-* **SimHash**: 64-bit simhash per doc (sign-sum of token-hash bits) →
-  4×16-bit chunk bucketing (pigeonhole: hamming ≤ 3 ⇒ some chunk equal) →
-  verify hamming within buckets.
-* **embedding**: random-hyperplane simhash of normalized vectors → bucket →
-  exact cosine verify within buckets (the scale path for all-pairs near-dup;
-  brute-force all-pairs is quadratic and never materialized).
+  (one ragged ``reduceat`` per permutation) → one key per band →
+  candidate pairs within equal keys → signature-verified Jaccard ≥
+  threshold.
+* **SimHash** (and :func:`hamming64_pairs` over any 64-bit fingerprint):
+  64-bit simhash per doc (sign-sum of token-hash bits) → one key per
+  16-bit chunk (pigeonhole: hamming ≤ 3 ⇒ some chunk equal) → verify
+  hamming within equal keys.
+* **embedding**: random-hyperplane simhash of normalized vectors, one
+  ``sig_t`` key per table → exact cosine verify within equal keys (the
+  scale path for all-pairs near-dup; brute-force all-pairs is quadratic
+  and never materialized).
+
+The three LSH families share one path: a key function per family
+(:func:`_band_keys`, :func:`_chunk_keys`, :func:`_table_keys`), one
+:func:`_explode` that tiles the payload columns beside the keys, and one
+exchange (:func:`_lsh_pairs`): co-locate the keyed rows by ``key %
+num_buckets``, verify each bucket's pairs, then keep each pair once,
+co-located by ``id_a % num_buckets``.  The checkpointed runners
+(``state.checkpoint.*_dedup_checkpointed``) use the same key functions
+and explode, keeping one bucket's rows per task.
 """
 
 from __future__ import annotations
@@ -53,10 +64,7 @@ def exact_dedup_keep_ids(ds, text_col: str, id_col: str, num_buckets: int | None
             {
                 id_col: batch.column(id_col),
                 "_h": pa.array(h, type=pa.int64()),
-                "_bucket": pa.array(
-                    (h.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64),
-                    type=pa.int64(),
-                ),
+                "_bucket": pa.array(_mod_bucket(h, num_buckets), type=pa.int64()),
             }
         )
 
@@ -265,12 +273,88 @@ class _IntegerIds:
         return batch
 
 
-def _mod_bucket_col(values: np.ndarray, num_buckets: int) -> pa.Array:
-    """int64 bucket column ``values % num_buckets`` (via the uint64 view so
+def _mod_bucket(values: np.ndarray, num_buckets: int) -> np.ndarray:
+    """int64 buckets ``values % num_buckets`` (via the uint64 view so
     negative hash keys bucket uniformly)."""
-    return pa.array(
-        (values.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64),
-        type=pa.int64(),
+    return (values.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
+
+
+# ----------------------------------------------------------------------
+# LSH bucket keys: one function per family turns a signed batch into its
+# keys, key-major (all rows' first key, then all rows' second key, ...);
+# :func:`_explode` tiles the payload beside them, for the streaming pair
+# exchange (:func:`_lsh_pairs`) and the checkpointed runners alike.
+
+
+def _band_keys(batch: pa.Table, num_bands: int) -> np.ndarray:
+    """MinHash band keys of a :class:`MinHashStage` batch: band ``b``'s
+    hash with ``b + 1`` folded in, so different bands never collide."""
+    return np.concatenate(
+        [
+            splitmix64(batch.column(f"band_{b}").to_numpy().view(np.uint64) ^ np.uint64(b + 1))
+            .view(np.int64)
+            for b in range(num_bands)
+        ]
+    )
+
+
+def _chunk_keys(batch: pa.Table, hash_col: str) -> np.ndarray:
+    """The 4 x 16-bit chunk keys of a 64-bit fingerprint column: chunk ``c``
+    of ``h`` is ``((h >> 16c) & 0xFFFF) * 4 + c``, so equal chunks at
+    different positions never collide."""
+    h = batch.column(hash_col).to_numpy().astype(np.int64).view(np.uint64)
+    return np.concatenate(
+        [((h >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype(np.int64) * 4 + c for c in range(4)]
+    )
+
+
+def _table_keys(batch: pa.Table, num_tables: int) -> np.ndarray:
+    """Hyperplane keys of a :class:`HyperplaneStage` batch: its ``sig_t``
+    columns (each already salts its table index in)."""
+    return np.concatenate([batch.column(f"sig_{t}").to_numpy() for t in range(num_tables)])
+
+
+def _explode(payload: pa.Table, keys: np.ndarray, num_buckets: int, bucket: int | None = None):
+    """One ``(key, *payload)`` row per key: ``keys`` (from a key function)
+    holds a whole number of keys per payload row, and each payload column
+    is tiled beside them.  Streaming (``bucket`` None): every row, plus its
+    co-locating ``bkt = key % num_buckets``.  Checkpointed: only the rows
+    whose key lands in ``bucket``."""
+    n = len(payload)
+    bkt = _mod_bucket(keys, num_buckets)
+    if bucket is None:
+        reps = len(keys) // n if n else 1
+        cols = {"key": keys, "bkt": bkt}
+        for name, col in zip(payload.column_names, payload.columns):
+            cols[name] = pa.concat_arrays([col.combine_chunks()] * reps)
+        return pa.table(cols)
+    sel = np.flatnonzero(bkt == bucket)
+    rows = payload.take(pa.array(sel % max(n, 1), type=pa.int64()))
+    return rows.add_column(0, "key", pa.array(keys[sel], type=pa.int64()))
+
+
+def _lsh_pairs(signed, explode, bucket_pairs, num_buckets: int):
+    """The streaming pair exchange of every LSH family: ``explode`` each
+    signed batch into keyed rows with their ``bkt``, co-locate them by
+    ``bkt`` and turn each group into ``(id_a, id_b, <score>)`` pairs with
+    ``bucket_pairs``.  A pair can surface under several keys, so the pairs
+    are then co-located by ``id_a % num_buckets`` and each ``(id_a, id_b)``
+    is kept once."""
+    pairs = signed.map_batches(explode, batch_format="pyarrow").groupby("bkt").map_groups(
+        bucket_pairs, batch_format="pyarrow"
+    )
+
+    def add_pair_bucket(tbl: pa.Table) -> pa.Table:
+        a = tbl.column("id_a").to_numpy()
+        return tbl.append_column("pbkt", pa.array(_mod_bucket(a, num_buckets)))
+
+    def distinct(tbl: pa.Table) -> pa.Table:
+        return pl.from_arrow(tbl).unique(subset=["id_a", "id_b"]).drop("pbkt").to_arrow()
+
+    return (
+        pairs.map_batches(add_pair_bucket, batch_format="pyarrow")
+        .groupby("pbkt")
+        .map_groups(distinct, batch_format="pyarrow")
     )
 
 
@@ -321,43 +405,24 @@ def minhash_lsh_pairs(
     signed = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
     slot_dtype = f"<u{sig_slot_bytes}"
 
-    # explode to one (band_key, id, truncated signature[, texthash]) row per
-    # band — the shuffle payload is num_perm * sig_slot_bytes per row
+    # one (band key, id, truncated signature[, texthash]) row per band — the
+    # shuffle payload is num_perm * sig_slot_bytes per row
     def explode_bands(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        ids = batch.column(id_col)
         sig_mat = _binary_fixed_matrix(batch.column("signature"), num_perm)
-        sig = _fixed_binary_column(sig_mat.astype(slot_dtype))
-        keys = []
-        for b in range(num_bands):
-            bh = batch.column(f"band_{b}").to_numpy()
-            # band id folded into the key so different bands never collide
-            keys.append(splitmix64(bh.view(np.uint64) ^ np.uint64(b + 1)).view(np.int64))
-        band_key = np.concatenate(keys)
-
-        def tiled(col):
-            col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-            return pa.concat_arrays([col] * num_bands)
-
-        cols = {
-            "band_key": pa.array(band_key, type=pa.int64()),
-            # co-locating bucket: many band keys per reduce task
-            "bkt": _mod_bucket_col(band_key, num_buckets),
-            id_col: tiled(ids),
-            "signature": tiled(sig),
+        payload = {
+            id_col: batch.column(id_col),
+            "signature": _fixed_binary_column(sig_mat.astype(slot_dtype)),
         }
         if verify_text_hash:
-            cols["texthash"] = tiled(batch.column("texthash"))
-        return pa.table(cols)
-
-    exploded = signed.map_batches(explode_bands, batch_format="pyarrow")
+            payload["texthash"] = batch.column("texthash")
+        return _explode(pa.table(payload), _band_keys(batch, num_bands), num_buckets)
 
     def bucket_pairs(tbl: pa.Table) -> pa.Table:
         # vectorized bucket segmentation: one lexsort over the whole task's
         # rows; the Python loop below runs only over multi-member band
         # buckets (near-dup clusters + rare collisions), never the millions
         # of singleton buckets (PERF_NOTES #12)
-        keys = tbl.column("band_key").to_numpy()
+        keys = tbl.column("key").to_numpy()
         all_ids = tbl.column(id_col).to_numpy()
         sig_mat = _binary_fixed_matrix(tbl.column("signature"), num_perm, slot_dtype)
         all_th = tbl.column("texthash").to_numpy() if verify_text_hash else None
@@ -393,36 +458,18 @@ def minhash_lsh_pairs(
             }
         )
 
-    pairs = exploded.groupby("bkt").map_groups(bucket_pairs, batch_format="pyarrow")
-
-    # distinct pairs (a pair can surface from several bands)
-    def add_pair_bucket(tbl: pa.Table) -> pa.Table:
-        a = tbl.column("id_a").to_numpy()
-        return tbl.append_column("pbkt", _mod_bucket_col(a, num_buckets))
-
-    def dedup_pairs(tbl: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(tbl)
-            .unique(subset=["id_a", "id_b"])
-            .select(["id_a", "id_b", "jaccard"])
-            .to_arrow()
-        )
-
-    return (
-        pairs.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("pbkt")
-        .map_groups(dedup_pairs, batch_format="pyarrow")
-    )
+    return _lsh_pairs(signed, explode_bands, bucket_pairs, num_buckets)
 
 
-def _make_candidate_pairs_fn(key_col: str, id_col: str, max_bucket_size: int):
-    """Unverified candidate-pair kernel for the id-only (join) dedup
-    variants: ONE lexsort segments the task's rows into equal-key buckets;
-    the Python loop runs only over multi-member segments, never the
-    millions of singleton buckets (PERF_NOTES #12 convention)."""
+def _make_candidate_pairs_fn(id_col: str, max_bucket_size: int):
+    """Unverified candidate-pair kernel over ``(key, id)`` rows (the
+    checkpointed MinHash runner verifies them against its signature store):
+    ONE lexsort segments the task's rows into equal-key buckets; the Python
+    loop runs only over multi-member segments, never the millions of
+    singleton buckets (PERF_NOTES #12 convention)."""
 
     def candidate_pairs(tbl: pa.Table) -> pa.Table:
-        keys = tbl.column(key_col).to_numpy()
+        keys = tbl.column("key").to_numpy()
         all_ids = tbl.column(id_col).to_numpy()
         order = np.lexsort((all_ids, keys))
         k_sorted = keys[order]
@@ -520,7 +567,7 @@ def _prefilter_payload_by_candidates(cand, payload, id_col: str, max_ids: int | 
     """Semi-filter the corpus-scale payload side of a pair-verify join down
     to candidate-pair members BEFORE the bucketed equi-join.
 
-    The vector/shingle side of the verify join is one row per
+    The shingle side of the verify join is one row per
     corpus document while the candidate-pair side is sparse (LSH contract) —
     without this, the join shuffles the whole corpus a second time (~2×
     exchange bytes at 100 TB).  Collects the distinct pair-member ids from
@@ -582,95 +629,6 @@ def _prefilter_payload_by_candidates(cand, payload, id_col: str, max_ids: int | 
         payload.map_batches(semifilter, batch_format="pyarrow", zero_copy_batch=True),
         len(ids),
     )
-
-
-def _embedding_near_dup_pairs_join(
-    signed, id_col, threshold, num_tables, max_bucket_size, verify_block,
-    num_buckets: int = 64,
-):
-    """Wide-embedding scale variant (see embedding_near_dup_pairs): id-only
-    candidate generation, pair-joined vector verify."""
-    from rayhll.functions.join import bucket_equi_join
-
-    vecs = signed.select_columns([id_col, "norm_vec"]).materialize()
-
-    def explode_ids(batch: pa.Table) -> pa.Table:
-        parts = []
-        for t in range(num_tables):
-            sig = batch.column(f"sig_{t}").to_numpy()
-            parts.append(
-                pa.table(
-                    {
-                        "sig": batch.column(f"sig_{t}"),
-                        "bkt": _mod_bucket_col(sig, num_buckets),
-                        id_col: batch.column(id_col),
-                    }
-                )
-            )
-        return pa.concat_tables(parts)
-
-    exploded = signed.map_batches(explode_ids, batch_format="pyarrow")
-    candidate_pairs = _make_candidate_pairs_fn("sig", id_col, max_bucket_size)
-
-    def dedup_cand(tbl: pa.Table) -> pa.Table:
-        return pl.from_arrow(tbl).unique(subset=["id_a", "id_b"]).to_arrow()
-
-    cand = (
-        exploded.groupby("bkt")
-        .map_groups(candidate_pairs, batch_format="pyarrow")
-        .map_batches(
-            lambda t, nb=num_buckets: t.append_column(
-                "pbkt", _mod_bucket_col(t.column("id_a").to_numpy(), nb)
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("pbkt")
-        .map_groups(dedup_cand, batch_format="pyarrow")
-        .drop_columns(["pbkt"])
-    )
-
-    # semi-filter the corpus-scale vector side to candidate members before
-    # the per-pair verify joins (pairs are sparse; see the prefilter helper)
-    cand = cand.materialize()
-    vecs, n_members = _prefilter_payload_by_candidates(cand, vecs, id_col)
-    join_buckets = (
-        buckets_for_rows(2 * cand.count() + n_members)
-        if n_members is not None
-        else num_buckets
-    )
-
-    def renamed(dst):
-        return vecs.map_batches(
-            lambda t, d=dst: t.rename_columns([d, f"vec_{d}"]), batch_format="pyarrow"
-        )
-
-    joined = bucket_equi_join(cand, renamed("id_a"), on="id_a", how="inner", num_buckets=join_buckets)
-    joined = bucket_equi_join(joined, renamed("id_b"), on="id_b", how="inner", num_buckets=join_buckets)
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                    "cosine": pa.array([], type=pa.float64()),
-                }
-            )
-        from rayhll.pipelines.similarity import _vec_matrix
-
-        va = _vec_matrix(batch, "vec_id_a")
-        vb = _vec_matrix(batch, "vec_id_b")
-        cos = np.einsum("ij,ij->i", va, vb)
-        keep = cos >= threshold
-        return pa.table(
-            {
-                "id_a": batch.column("id_a").filter(pa.array(keep)),
-                "id_b": batch.column("id_b").filter(pa.array(keep)),
-                "cosine": pa.array(cos[keep], type=pa.float64()),
-            }
-        )
-
-    return joined.map_batches(verify, batch_format="pyarrow")
 
 
 # ----------------------------------------------------------------------
@@ -845,15 +803,13 @@ def ngram_jaccard_pairs(
 class SimHashStage:
     """64-bit SimHash per document (Charikar 2002): sign of the per-bit sum
     of token hashes.  Vectorized: popcount via bit-unpacking of the token
-    hash matrix, one ``reduceat`` per batch."""
+    hash matrix, one ``reduceat`` per batch.  Emits ``(id, simhash64)``;
+    the pair paths derive the chunk keys from ``simhash64``
+    (:func:`_chunk_keys`)."""
 
-    def __init__(self, text_col: str, id_col: str, emit_chunks: bool = True):
+    def __init__(self, text_col: str, id_col: str):
         self.text_col = text_col
         self.id_col = id_col
-        # chunk columns feed the parquet sig-store format (checkpointed
-        # path); the streaming pair path recomputes them inside
-        # hamming64_pairs, so it opts out to skip 4 dead int64 columns
-        self.emit_chunks = emit_chunks
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         df = pl.from_arrow(batch.select([self.text_col]))
@@ -881,39 +837,28 @@ class SimHashStage:
             bitvals = (sums > 0).astype(np.uint8)
             packed = np.packbits(bitvals, axis=1).copy().view(np.uint64).ravel()
             sim[nonempty] = packed
-        out = pa.table(
+        return pa.table(
             {
                 self.id_col: batch.column(self.id_col),
                 "simhash64": pa.array(sim.view(np.int64), type=pa.int64()),
             }
         )
-        # 4 x 16-bit chunk keys for hamming<=3 candidate bucketing
-        if self.emit_chunks:
-            for c in range(4):
-                chunk = ((sim >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype(np.int64)
-                out = out.append_column(
-                    f"chunk_{c}", pa.array(chunk * 4 + c, type=pa.int64())
-                )
-        return out
 
 
 def _make_simhash_bucket_pairs_fn(
     id_col: str, max_hamming: int, max_bucket_size: int, hash_col: str = "simhash64"
 ):
-    """In-bucket hamming pair kernel over (chunk_key, id, <hash64>) rows:
+    """In-bucket hamming pair kernel over (key, id, <hash64>) rows:
     one lexsort segments the task's rows into equal-chunk-key buckets,
     Python loops only over multi-member buckets (shared by the streaming
     and checkpointed SimHash variants and :func:`hamming64_pairs`)."""
 
     def bucket_pairs(tbl: pa.Table) -> pa.Table:
-        keys = tbl.column("chunk_key").to_numpy()
+        keys = tbl.column("key").to_numpy()
         all_ids = tbl.column(id_col).to_numpy()
         all_sims = tbl.column(hash_col).to_numpy().astype(np.int64).view(np.uint64)
         order = np.lexsort((all_ids, keys))
-        k_sorted = keys[order]
-        bounds = np.concatenate(
-            ([0], np.flatnonzero(np.diff(k_sorted)) + 1, [len(k_sorted)])
-        )
+        bounds = _segment_bounds(keys[order])
         sizes = np.diff(bounds)
         cand = np.flatnonzero((sizes >= 2) & (sizes <= max_bucket_size))
         a_ids, b_ids, dist = [], [], []
@@ -945,8 +890,10 @@ def _make_simhash_bucket_pairs_fn(
 
 def build_simhash_sig_store(signed, sig_store_dir: str, text_col: str, id_col: str) -> None:
     """Write (or validate and reuse) a SimHash signature store: the
-    SimHashStage output (id, simhash64, chunk_0..3) as parquet — see
-    :func:`_write_or_validate_sig_store` for the reuse contract."""
+    SimHashStage output (id, simhash64) as parquet — see
+    :func:`_write_or_validate_sig_store` for the reuse contract.  A store
+    written with the former ``chunk_0..3`` columns is reused as it is: the
+    runner reads only ``(id, simhash64)``."""
     from rayhll.sketches.base import Sketch
 
     _write_or_validate_sig_store(
@@ -981,9 +928,7 @@ def simhash_pairs(
     column; another id type raises ``ValueError`` at entry."""
     ds = check_integer_ids(ds, id_col, "simhash_pairs")
     signed = ds.map_batches(
-        SimHashStage(text_col, id_col, emit_chunks=False),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+        SimHashStage(text_col, id_col), batch_format="pyarrow", zero_copy_batch=True
     )
     return hamming64_pairs(
         signed,
@@ -1012,55 +957,24 @@ def hamming64_pairs(
     for ``max_hamming <= 3`` (two hashes within 3 bit flips share at least
     one intact 16-bit chunk); above 3 the candidate stage is best-effort.
     Oversized chunk buckets are skipped under the same degenerate-content
-    contract as ``simhash_pairs``.  Null fingerprints never pair."""
+    contract as ``simhash_pairs``.  Null fingerprints never pair.
+    ``id_col`` must be an integer column; another id type raises
+    ``ValueError`` at entry."""
+    ds = check_integer_ids(ds, id_col, "hamming64_pairs")
     num_buckets = _resolve_num_buckets(ds, num_buckets, 4, approx_rows)
 
     def explode(batch: pa.Table) -> pa.Table:
         col = batch.column(hash_col)
         if col.null_count:
             batch = batch.filter(pc.is_valid(col.combine_chunks()))
-            col = batch.column(hash_col)
-        h = col.to_numpy().astype(np.int64).view(np.uint64)
-        parts = []
-        for c in range(4):
-            ck = ((h >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype(
-                np.int64
-            ) * 4 + c
-            parts.append(
-                pa.table(
-                    {
-                        "chunk_key": pa.array(ck, type=pa.int64()),
-                        "bkt": _mod_bucket_col(ck, num_buckets),
-                        id_col: batch.column(id_col),
-                        hash_col: batch.column(hash_col),
-                    }
-                )
-            )
-        return pa.concat_tables(parts)
+        return _explode(
+            batch.select([id_col, hash_col]), _chunk_keys(batch, hash_col), num_buckets
+        )
 
-    exploded = ds.map_batches(explode, batch_format="pyarrow")
     bucket_pairs = _make_simhash_bucket_pairs_fn(
         id_col, max_hamming, max_bucket_size, hash_col=hash_col
     )
-    pairs = exploded.groupby("bkt").map_groups(bucket_pairs, batch_format="pyarrow")
-
-    def add_pair_bucket(tbl: pa.Table) -> pa.Table:
-        a = tbl.column("id_a").to_numpy()
-        return tbl.append_column("pbkt", _mod_bucket_col(a, num_buckets))
-
-    def dedup_pairs(tbl: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(tbl)
-            .unique(subset=["id_a", "id_b"])
-            .select(["id_a", "id_b", "hamming"])
-            .to_arrow()
-        )
-
-    return (
-        pairs.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("pbkt")
-        .map_groups(dedup_pairs, batch_format="pyarrow")
-    )
+    return _lsh_pairs(ds, explode, bucket_pairs, num_buckets)
 
 
 # ----------------------------------------------------------------------
@@ -1141,21 +1055,18 @@ def _chunked_cosine_pairs(
 def _make_embedding_bucket_pairs_fn(
     id_col: str, threshold: float, max_bucket_size: int, verify_block: int
 ):
-    """In-bucket cosine-verify kernel over (sig, id, norm_vec) rows: one
-    lexsort segments equal-sig buckets, chunked strip verify per bucket
+    """In-bucket cosine-verify kernel over (key, id, norm_vec) rows: one
+    lexsort segments equal-key buckets, chunked strip verify per bucket
     (shared by the streaming and checkpointed variants)."""
 
     def bucket_pairs(tbl: pa.Table) -> pa.Table:
         from rayhll.pipelines.similarity import _vec_matrix
 
         df_ids = tbl.column(id_col).to_numpy()
-        sigs = tbl.column("sig").to_numpy()
+        sigs = tbl.column("key").to_numpy()
         mats = _vec_matrix(tbl, "norm_vec")
         order = np.lexsort((df_ids, sigs))
-        sig_sorted = sigs[order]
-        bounds = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sig_sorted)) + 1, [len(sig_sorted)])
-        )
+        bounds = _segment_bounds(sigs[order])
         a_out, b_out, c_out = [], [], []
         for s in range(len(bounds) - 1):
             lo, hi = bounds[s], bounds[s + 1]
@@ -1233,7 +1144,6 @@ def embedding_near_dup_pairs(
     num_tables: int = 4,
     max_bucket_size: int = 4096,
     verify_block: int = 1024,
-    carry_vectors: bool = True,
     num_buckets: int | None = None,
     approx_rows: int | None = None,
 ):
@@ -1242,6 +1152,10 @@ def embedding_near_dup_pairs(
 
     Scale contract (the 100 TB story):
 
+    * each normalized float32 vector travels inside its table rows, so the
+      exchange carries num_tables× the vector volume (PERF_NOTES #61: at
+      768 dimensions this beat joining the two vectors back to each
+      candidate pair on wall time and peak memory).
     * buckets with more than ``max_bucket_size`` members are SKIPPED — a
       bucket that large means degenerate content (e.g. millions of identical
       vectors), which exact dedup handles; verifying it would be O(b²).
@@ -1249,13 +1163,6 @@ def embedding_near_dup_pairs(
       (O(block × b) peak memory), never materializing a b×b matrix.
     * recall comes from ``num_tables`` independent plane sets (band-style
       repetition); granularity from ``num_planes`` (2^planes buckets/table).
-    * ``carry_vectors=True`` (default) ships each normalized vector inside
-      its table rows — num_tables× the vector volume through the shuffle.
-      ``carry_vectors=False`` is the wide-embedding 100 TB shape: table
-      rows carry only (sig, id), candidate pairs are generated unverified
-      within buckets, and the two normalized vectors are joined back per
-      PAIR (bucketed equi-join) for a vectorized cosine verify — shuffle
-      volume drops from num_tables×vectors to 2×candidate-pairs.
     * ``num_buckets`` as in ``minhash_lsh_pairs`` (auto-sized when
       ``None``).
 
@@ -1266,50 +1173,13 @@ def embedding_near_dup_pairs(
     num_buckets = _resolve_num_buckets(ds, num_buckets, num_tables, approx_rows)
     stage = HyperplaneStage(vec_col, id_col, dim, num_planes, num_tables)
     signed = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
-    if not carry_vectors:
-        return _embedding_near_dup_pairs_join(
-            signed, id_col, threshold, num_tables, max_bucket_size, verify_block,
-            num_buckets=num_buckets,
-        )
 
     def explode_tables(batch: pa.Table) -> pa.Table:
-        parts = []
-        for t in range(num_tables):
-            sig = batch.column(f"sig_{t}").to_numpy()
-            parts.append(
-                pa.table(
-                    {
-                        "sig": batch.column(f"sig_{t}"),
-                        # co-locating bucket: many sig buckets per reduce task
-                        "bkt": _mod_bucket_col(sig, num_buckets),
-                        id_col: batch.column(id_col),
-                        "norm_vec": batch.column("norm_vec"),
-                    }
-                )
-            )
-        return pa.concat_tables(parts)
+        return _explode(
+            batch.select([id_col, "norm_vec"]), _table_keys(batch, num_tables), num_buckets
+        )
 
-    exploded = signed.map_batches(explode_tables, batch_format="pyarrow")
     bucket_pairs = _make_embedding_bucket_pairs_fn(
         id_col, threshold, max_bucket_size, verify_block
     )
-    pairs = exploded.groupby("bkt").map_groups(bucket_pairs, batch_format="pyarrow")
-
-    # a pair can surface from several tables — distinct on (id_a, id_b)
-    def add_pair_bucket(tbl: pa.Table) -> pa.Table:
-        a = tbl.column("id_a").to_numpy()
-        return tbl.append_column("pbkt", _mod_bucket_col(a, num_buckets))
-
-    def dedup_pairs(tbl: pa.Table) -> pa.Table:
-        return (
-            pl.from_arrow(tbl)
-            .unique(subset=["id_a", "id_b"])
-            .select(["id_a", "id_b", "cosine"])
-            .to_arrow()
-        )
-
-    return (
-        pairs.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("pbkt")
-        .map_groups(dedup_pairs, batch_format="pyarrow")
-    )
+    return _lsh_pairs(signed, explode_tables, bucket_pairs, num_buckets)

@@ -34,6 +34,7 @@ import pyarrow as pa
 
 from ray.data.aggregate import AggregateFn
 
+from rayhll.core.batchbuild import group_codes
 from rayhll.core.serde import from_bytes
 from rayhll.core.settings import HllSettings
 from rayhll.core.sketch import HllSketch
@@ -44,7 +45,6 @@ from rayhll.stages.build import (
     GHASH_COL,
     SKETCH_COL,
     BuildPartials,
-    finalize_estimate,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -253,17 +253,12 @@ def _make_blob_merge_bucket(group_cols, family_cls, blob_col, finalize):
     per group."""
 
     def merge_bucket(tbl: pa.Table) -> pa.Table:
-        import numpy as np
-
         if not tbl.num_rows:
             out = build_stage.empty_groups(tbl, group_cols)
             if finalize is None:
                 out = out.append_column(blob_col, pa.array([], type=pa.binary()))
             return out
-        codes = tbl.column(GHASH_COL).to_numpy()
-        uniq, inv = np.unique(codes, return_inverse=True)
-        first_idx = np.full(len(uniq), np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(first_idx, inv, np.arange(len(codes), dtype=np.int64))
+        uniq, inv, first_idx = group_codes(tbl.column(GHASH_COL).to_numpy())
         merged: list = [None] * len(uniq)
         for i, blob in enumerate(tbl.column(blob_col)):
             g = int(inv[i])
@@ -369,5 +364,4 @@ __all__ = [
     "build_partials",
     "grouped_approx_distinct",
     "tree_merge",
-    "finalize_estimate",
 ]

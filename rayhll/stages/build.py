@@ -50,7 +50,7 @@ import numpy as np
 import pyarrow as pa
 
 from rayhll.core import batchbuild, batchmerge
-from rayhll.core.serde import from_bytes, settings_from_bytes
+from rayhll.core.serde import settings_from_bytes
 from rayhll.core.settings import HllSettings
 from rayhll.core.sketch import HllSketch
 from rayhll.functions import hashing
@@ -463,10 +463,12 @@ def _projected(source, columns):
     (files are read as that schema) or a ``_block_udf`` (it may read any
     column), a file's metadata is missing, the file schemas do not unify,
     nothing would be left out and every file holds every column, or a file
-    lacks a kept column and the read has a ``filter=`` (it may name a
-    column left out of that schema).  The sampled read batch size and the
-    file metadata are kept, so every read task yields the same rows in the
-    same batches."""
+    lacks a kept column and the read has both ``columns=`` and a
+    ``filter=``.  A file lacking a kept column under a ``filter=`` (which may
+    name a column outside the kept ones) without ``columns=`` keeps every
+    column, all read through the files' unified schema.  The sampled read
+    batch size and the file metadata are kept, so every read task yields
+    the same rows in the same batches."""
     from ray import cloudpickle
     from ray.data._internal.datasource.parquet_datasource import (
         ParquetDatasource,
@@ -496,7 +498,10 @@ def _projected(source, columns):
     data = [c for c in names if c in held]
     lacking = any(c not in f.names for f in files for c in data)
     if lacking and source._to_batches_kwargs.get("filter") is not None:
-        return source
+        if source._data_columns is not None:
+            return source
+        names = schema.names
+        data = [c for c in names if c in held]
     if len(names) == len(schema.names) and not lacking:
         return source
     out = copy.copy(source)
@@ -576,9 +581,3 @@ def _dataset_of(blocks) -> "ray.data.Dataset":
     ds = MaterializedDataset(plan, LogicalPlan(InputData(input_data=bundles), ctx))
     ds._plan.execute()  # marks the plan executed, as materialize does
     return ds
-
-
-def finalize_estimate(batch: pa.Table) -> pa.Table:
-    """Append the integer cardinality estimate to merged-sketch rows."""
-    estimates = [from_bytes(b.as_py()).cardinality() for b in batch.column(SKETCH_COL)]
-    return batch.append_column(ESTIMATE_COL, pa.array(estimates, type=pa.int64()))

@@ -376,7 +376,7 @@ def _read_tables(*paths: str) -> pa.Table:
 
 def _pair_dedup_checkpointed(
     input_files, out_dir, params, fail_after, read_cols, sign, build_store, store_cols,
-    explode, verify, score,
+    keys, payload, verify, score,
 ):
     """The checkpoint runner behind every ``*_dedup_checkpointed`` family.
 
@@ -387,11 +387,13 @@ def _pair_dedup_checkpointed(
       (``build_store(signed, sig_store_dir)``), fingerprinted by its
       ``_MANIFEST.json`` and reused across runs;
     * the PAIR output is partitioned by co-locating bucket
-      (``key % params["num_buckets"]``): the bucket's task reads the store
-      with pyarrow, ``explode(batch, bucket)`` keeps the ``store_cols`` rows
-      whose key lands in ``bucket`` and ``verify`` turns them into that
-      bucket's ``(id_a, id_b, <score>)`` pairs — a pure function of the
-      store, written atomically, skipped on resume.
+      (``key % params["num_buckets"]``): the bucket's task reads the
+      ``store_cols`` of the store with pyarrow, turns each batch into its
+      family's bucket keys (``keys``, a key function of
+      ``pipelines.dedup``), keeps the ``(key, *payload)`` rows whose key
+      lands in the bucket (``dedup._explode``) and ``verify`` turns them
+      into that bucket's ``(id_a, id_b, <score>)`` pairs — a pure function
+      of the store, written atomically, skipped on resume.
 
     Merge = global pair dedup (a pair can surface from several buckets) +
     canonical ``(id_a, id_b)`` sort, so the final pair set is byte-identical
@@ -399,6 +401,8 @@ def _pair_dedup_checkpointed(
     score column."""
     import polars as pl
     import ray.data as rd
+
+    from rayhll.pipelines.dedup import _explode
 
     sig_store_dir = os.path.join(out_dir, "sigs")
     signed = rd.read_parquet(sorted(input_files), columns=read_cols).map_batches(
@@ -410,10 +414,10 @@ def _pair_dedup_checkpointed(
 
     def partial_fn(bucket: int) -> pa.Table:
         store = pads.dataset(sig_store_dir, format="parquet")  # skips _MANIFEST.json
-        rows = [
-            explode(pa.Table.from_batches([b]), bucket)
-            for b in store.to_batches(columns=store_cols)
-        ]
+        rows = []
+        for b in store.to_batches(columns=store_cols):
+            batch = pa.Table.from_batches([b])
+            rows.append(_explode(batch.select(payload), keys(batch), params["num_buckets"], bucket))
         return verify(pa.concat_tables(rows)) if any(len(r) for r in rows) else empty
 
     def merge_fn(paths: list[str]) -> pa.Table:
@@ -445,14 +449,14 @@ def simhash_dedup_checkpointed(
 ):
     """Checkpointed SimHash near-dup pair extraction (see
     :func:`_pair_dedup_checkpointed`): the signature store holds
-    ``SimHashStage`` rows, buckets co-locate the 4 chunk keys
-    (``chunk_key % num_buckets``) and pairs are hamming-verified.  The
-    final pair set matches the streaming ``simhash_pairs`` on the same
-    input (both pinned)."""
-    import numpy as np
-
+    ``SimHashStage`` rows ``(id, simhash64)``, buckets co-locate the 4
+    chunk keys derived from ``simhash64`` (``chunk_key % num_buckets``) and
+    pairs are hamming-verified.  A store written with the former
+    ``chunk_0..3`` columns resumes unchanged.  The final pair set matches
+    the streaming ``simhash_pairs`` on the same input (both pinned)."""
     from rayhll.pipelines.dedup import (
         SimHashStage,
+        _chunk_keys,
         _make_simhash_bucket_pairs_fn,
         build_simhash_sig_store,
     )
@@ -461,27 +465,14 @@ def simhash_dedup_checkpointed(
         max_hamming=max_hamming, max_bucket_size=max_bucket_size, num_buckets=num_buckets,
         text_col=text_col, id_col=id_col, inputs=sorted(input_files),
     )
-
-    def explode(batch: pa.Table, bucket: int) -> pa.Table:
-        key = np.concatenate([batch.column(f"chunk_{c}").to_numpy() for c in range(4)])
-        keep = (key.view(np.uint64) % np.uint64(num_buckets)) == bucket
-        return pa.table(
-            {
-                "chunk_key": pa.array(key[keep], type=pa.int64()),
-                id_col: pa.array(np.tile(batch.column(id_col).to_numpy(), 4)[keep], type=pa.int64()),
-                "simhash64": pa.array(
-                    np.tile(batch.column("simhash64").to_numpy(), 4)[keep], type=pa.int64()
-                ),
-            }
-        )
-
     return _pair_dedup_checkpointed(
         input_files, out_dir, params, fail_after,
         read_cols=[id_col, text_col],
         sign=SimHashStage(text_col, id_col),
         build_store=lambda signed, d: build_simhash_sig_store(signed, d, text_col, id_col),
-        store_cols=[id_col, "simhash64"] + [f"chunk_{c}" for c in range(4)],
-        explode=explode,
+        store_cols=[id_col, "simhash64"],
+        keys=lambda batch: _chunk_keys(batch, "simhash64"),
+        payload=[id_col, "simhash64"],
         verify=_make_simhash_bucket_pairs_fn(id_col, max_hamming, max_bucket_size),
         score=("hamming", pa.int64()),
     )
@@ -504,14 +495,13 @@ def embedding_dedup_checkpointed(
     """Checkpointed embedding near-dup pair extraction (see
     :func:`_pair_dedup_checkpointed`): the signature store holds the id,
     float32 normalized vector and per-table hyperplane sigs, buckets
-    co-locate sig values (``sig % num_buckets``) and pairs are
-    cosine-verified.  Parity with streaming ``embedding_near_dup_pairs`` is
-    pinned in tests."""
-    import numpy as np
-
+    co-locate the sig values (``sig_t % num_buckets``) with their id and
+    vector, and pairs are cosine-verified.  Parity with streaming
+    ``embedding_near_dup_pairs`` is pinned in tests."""
     from rayhll.pipelines.dedup import (
         HyperplaneStage,
         _make_embedding_bucket_pairs_fn,
+        _table_keys,
         build_embedding_sig_store,
     )
 
@@ -520,23 +510,6 @@ def embedding_dedup_checkpointed(
         max_bucket_size=max_bucket_size, verify_block=verify_block, num_buckets=num_buckets,
         vec_col=vec_col, id_col=id_col, inputs=sorted(input_files),
     )
-
-    def explode(batch: pa.Table, bucket: int) -> pa.Table:
-        parts = []
-        for t in range(num_tables):
-            sig = batch.column(f"sig_{t}")
-            mask = pa.array((sig.to_numpy().view(np.uint64) % np.uint64(num_buckets)) == bucket)
-            parts.append(
-                pa.table(
-                    {
-                        "sig": sig.filter(mask),
-                        id_col: batch.column(id_col).filter(mask),
-                        "norm_vec": batch.column("norm_vec").filter(mask),
-                    }
-                )
-            )
-        return pa.concat_tables(parts)
-
     kernel = _make_embedding_bucket_pairs_fn(id_col, threshold, max_bucket_size, verify_block)
     return _pair_dedup_checkpointed(
         input_files, out_dir, params, fail_after,
@@ -546,7 +519,8 @@ def embedding_dedup_checkpointed(
             signed, d, vec_col, id_col, dim, num_planes, num_tables
         ),
         store_cols=[id_col, "norm_vec"] + [f"sig_{t}" for t in range(num_tables)],
-        explode=explode,
+        keys=lambda batch: _table_keys(batch, num_tables),
+        payload=[id_col, "norm_vec"],
         verify=lambda rows: kernel(rows.combine_chunks()),
         score=("cosine", pa.float64()),
     )
@@ -568,9 +542,9 @@ def minhash_dedup_checkpointed(
     fail_after: int | None = None,
 ):
     """Checkpointed MinHash+LSH near-dup pair extraction (see
-    :func:`_pair_dedup_checkpointed`): buckets co-locate band keys
-    (``band_key % num_buckets``) and candidate pairs are verified against
-    the stored signatures.
+    :func:`_pair_dedup_checkpointed`): buckets co-locate the band keys of
+    the stored bands (``band_key % num_buckets``) with their ids, and
+    candidate pairs are verified against the stored signatures.
 
     Verification truncates signature slots exactly like the streaming
     path (``sig_slot_bytes``), so the pair set matches
@@ -584,10 +558,10 @@ def minhash_dedup_checkpointed(
 
     from rayhll.pipelines.dedup import (
         MinHashStage,
+        _band_keys,
         _binary_fixed_matrix,
         _make_candidate_pairs_fn,
         build_minhash_sig_store,
-        splitmix64,
     )
 
     sig_store_dir = os.path.join(out_dir, "sigs")
@@ -598,25 +572,7 @@ def minhash_dedup_checkpointed(
         inputs=sorted(input_files),
     )
     slot = np.dtype(f"<u{sig_slot_bytes}")
-    candidate_pairs = _make_candidate_pairs_fn("band_key", id_col, max_bucket_size)
-
-    def explode(batch: pa.Table, bucket: int) -> pa.Table:
-        band_key = np.concatenate(
-            [
-                splitmix64(batch.column(f"band_{b}").to_numpy().view(np.uint64) ^ np.uint64(b + 1))
-                .view(np.int64)
-                for b in range(num_bands)
-            ]
-        )
-        keep = (band_key.view(np.uint64) % np.uint64(num_buckets)) == bucket
-        return pa.table(
-            {
-                "band_key": pa.array(band_key[keep], type=pa.int64()),
-                id_col: pa.array(
-                    np.tile(batch.column(id_col).to_numpy(), num_bands)[keep], type=pa.int64()
-                ),
-            }
-        )
+    candidate_pairs = _make_candidate_pairs_fn(id_col, max_bucket_size)
 
     def verify(rows: pa.Table) -> pa.Table:
         cand = candidate_pairs(rows)
@@ -659,7 +615,8 @@ def minhash_dedup_checkpointed(
             signed, d, text_col, id_col, num_perm, num_bands, gram, texthash=verify_text_hash
         ),
         store_cols=[id_col] + [f"band_{b}" for b in range(num_bands)],
-        explode=explode,
+        keys=lambda batch: _band_keys(batch, num_bands),
+        payload=[id_col],
         verify=verify,
         score=("jaccard", pa.float64()),
     )

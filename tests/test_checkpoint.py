@@ -408,6 +408,36 @@ def test_simhash_checkpointed_crash_resume_and_streaming_parity(
     )
 
 
+def test_simhash_store_with_chunk_columns_resumes(ray_session, dup_docs_file, tmp_path):
+    """A SimHash signature store in the former layout, which also held the
+    four ``chunk_c = ((h >> 16c) & 0xFFFF) * 4 + c`` columns, resumes to the
+    clean run's ``result.parquet`` bytes: the runner reads only
+    ``(id, simhash64)`` and derives the chunk keys itself."""
+    import numpy as np
+
+    from rayhll.state.checkpoint import simhash_dedup_checkpointed
+
+    clean_dir = str(tmp_path / "clean")
+    old_dir = str(tmp_path / "old")
+    simhash_dedup_checkpointed([dup_docs_file], clean_dir, num_buckets=8)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        simhash_dedup_checkpointed([dup_docs_file], old_dir, num_buckets=8, fail_after=3)
+    sigs = os.path.join(old_dir, "sigs")
+    parts = [os.path.join(sigs, f) for f in os.listdir(sigs) if f.endswith(".parquet")]
+    assert parts
+    for path in parts:
+        t = pq.read_table(path).select(["doc_id", "simhash64"])
+        h = t.column("simhash64").to_numpy().view(np.uint64)
+        for c in range(4):
+            chunk = ((h >> np.uint64(16 * c)) & np.uint64(0xFFFF)).astype(np.int64) * 4 + c
+            t = t.append_column(f"chunk_{c}", pa.array(chunk))
+        pq.write_table(t, path)
+
+    simhash_dedup_checkpointed([dup_docs_file], old_dir, num_buckets=8)
+    result = lambda d: open(os.path.join(d, "result", "result.parquet"), "rb").read()  # noqa: E731
+    assert result(old_dir) == result(clean_dir)
+
+
 @pytest.fixture()
 def dup_vecs_file(tmp_path):
     """Embeddings with planted near-duplicate copies (deterministic noise)."""

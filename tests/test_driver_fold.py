@@ -494,10 +494,13 @@ def test_filter_over_files_lacking_a_kept_column_reads_them_whole(
     """The second file lacks ``content_raw64``, and the filter names
     ``lang``, which ``flagship_global`` does not read: a read schema of the
     kept columns would leave the filter's column out, so each file is read
-    whole, and both paths give the same estimates."""
+    whole through the files' unified schema (NULL ``content_raw64`` in the
+    second), and both paths give the same estimates, with or without
+    ``hash_content``."""
     import pyarrow.dataset as pads
     import ray.data as rd
 
+    from rayhll.pipelines import distinct
     from rayhll.pipelines.distinct import HashStage
     from rayhll.sources.synth import synth_code_batch
 
@@ -506,16 +509,15 @@ def test_filter_over_files_lacking_a_kept_column_reads_them_whole(
     pa.parquet.write_table(table.slice(0, 1000), files[0])
     pa.parquet.write_table(table.slice(1000).drop_columns(["content_raw64"]), files[1])
     make = lambda: rd.read_parquet(files, filter=pads.field("lang") != "rust")  # noqa: E731
-    direct, via_ray_data = make(), make().materialize()
     _with_cpus(monkeypatch, len(files))  # a filtered read's row counts are unknown
-    _use_input(monkeypatch, lambda: direct)
-    got = _flagship_global()
-    names = tuple(table.column_names)
-    assert _columns_read(launched) == {names, names[:-1]}
-    launched.clear()
-    _use_input(monkeypatch, lambda: via_ray_data)
-    assert got == _flagship_global()
-    assert not launched
+    for hash_content in (True, False):
+        launched.clear()
+        direct, via_ray_data = make(), make().materialize()
+        got = distinct.flagship_global(direct, hash_content=hash_content)
+        assert _columns_read(launched) == {tuple(table.column_names)}
+        launched.clear()
+        assert got == distinct.flagship_global(via_ray_data, hash_content=hash_content)
+        assert not launched
 
 
 def test_explicit_schema_reads_every_column(ray_session, monkeypatch, parquet_files, launched):

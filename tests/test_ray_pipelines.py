@@ -127,8 +127,27 @@ def test_simhash_pairs_rejects_non_integer_ids(ray_session, ids):
         simhash_pairs(ds, "text", "doc_id").to_pandas()
 
 
-@pytest.mark.parametrize("carry_vectors", [True, False])
-def test_embedding_near_dup_pairs_rejects_non_integer_ids(ray_session, carry_vectors):
+@pytest.mark.parametrize(
+    "ids", [pa.array(["7", "8", "9"]), pa.array([1.0, 2.0, 3.0])], ids=["string", "float"]
+)
+def test_hamming64_pairs_rejects_non_integer_ids(ray_session, ids):
+    """``hamming64_pairs`` is public (``image_near_dup_pairs`` calls it
+    directly): string or float ids raise at entry instead of coming back
+    cast to int64 pairs."""
+    import ray.data as rd
+
+    from rayhll.pipelines.dedup import hamming64_pairs
+
+    h = pa.array([0x1234, 0x1234, 0x1235], type=pa.int64())
+    ds = rd.from_arrow(pa.table({"vid": ids, "h64": h}))
+    with pytest.raises(ValueError, match="'vid' must be an integer id column"):
+        hamming64_pairs(ds, "vid", hash_col="h64").to_pandas()
+
+
+@pytest.mark.parametrize("string_ids", [True, False])
+def test_embedding_near_dup_pairs_rejects_non_integer_ids(ray_session, string_ids):
+    """String ids and integral float ids both raise at entry instead of
+    coming back cast to int64 pairs."""
     import numpy as np
     import ray.data as rd
 
@@ -137,11 +156,10 @@ def test_embedding_near_dup_pairs_rejects_non_integer_ids(ray_session, carry_vec
     emb = pa.ListArray.from_arrays(
         pa.array([0, 8, 16, 24], type=pa.int32()), pa.array(np.ones(24), type=pa.float64())
     )
-    ds = rd.from_arrow(pa.table({"vec_id": ["a", "b", "c"], "embedding": emb}))
+    ids = pa.array(["a", "b", "c"]) if string_ids else pa.array([1.0, 2.0, 3.0])
+    ds = rd.from_arrow(pa.table({"vec_id": ids, "embedding": emb}))
     with pytest.raises(ValueError, match="'vec_id' must be an integer id column"):
-        embedding_near_dup_pairs(
-            ds, "embedding", "vec_id", dim=8, carry_vectors=carry_vectors
-        ).to_pandas()
+        embedding_near_dup_pairs(ds, "embedding", "vec_id", dim=8).to_pandas()
 
 
 def test_minhash_lsh_finds_near_dups(ray_session):
@@ -786,24 +804,6 @@ def test_simhash_degenerate_bucket_capped(ray_session):
     assert not any(a < n_degen and b < n_degen for a, b in got)
 
 
-def test_embedding_near_dup_join_variant_matches(ray_session):
-    """The wide-embedding scale variant (id-only candidates + pair-joined
-    vector verify) finds the same pairs as the carry-vectors variant."""
-    import ray.data as rd
-
-    from rayhll.pipelines.dedup import embedding_near_dup_pairs
-
-    ds = rd.from_arrow(_emb_with_near_copies(500, 20)).repartition(4)
-    kw = dict(dim=8, threshold=0.99)
-    a = embedding_near_dup_pairs(ds, "embedding", "vec_id", **kw).to_pandas()
-    b = embedding_near_dup_pairs(
-        ds, "embedding", "vec_id", carry_vectors=False, **kw
-    ).to_pandas()
-    ka = sorted(zip(a.id_a, a.id_b, a.cosine.round(12)))
-    kb = sorted(zip(b.id_a, b.id_b, b.cosine.round(12)))
-    assert ka == kb and len(ka) == 20
-
-
 def test_null_semantics_match_sql(ray_session):
     """COUNT(DISTINCT) semantics for NULLs: null keys contribute nothing
     (globally and per group), null GROUP values form their own group —
@@ -1251,17 +1251,17 @@ def test_hash_fraction_sample_properties(ray_session):
 
 
 def test_verify_join_fanout_follows_resolver(ray_session, monkeypatch):
-    """The vector-attach joins of the carry_vectors=False embedding variant
-    follow the resolved fanout, never a fixed 64 (VERDICT r3 item 1): with
-    the candidate prefilter disabled the corpus-sized value threads through;
-    with it enabled the fanout re-sizes from the (known) candidate row
-    count.  Pair sets are identical on both paths."""
+    """The shingle-attach joins of ``ngram_jaccard_pairs`` follow the
+    resolved fanout, never a fixed 64 (VERDICT r3 item 1): with the
+    candidate prefilter disabled each join sizes its own fanout
+    (``num_buckets=None``); with it enabled the fanout re-sizes from the
+    (known) candidate row count.  Pair sets are identical on both paths."""
     import ray.data as rd
 
     import rayhll.functions.join as join
     import rayhll.pipelines.dedup as dd
 
-    vecs = rd.from_arrow(_emb_with_near_copies(200, 10))
+    docs = rd.from_arrow(_near_dup_docs())
     recorded = []
     orig = join.bucket_equi_join
 
@@ -1272,16 +1272,13 @@ def test_verify_join_fanout_follows_resolver(ray_session, monkeypatch):
     monkeypatch.setattr(join, "bucket_equi_join", spy)
 
     def pairs():
-        out = dd.embedding_near_dup_pairs(
-            vecs, "embedding", "vec_id", dim=8, threshold=0.99,
-            carry_vectors=False, num_buckets=512,
-        )
-        return sorted(map(tuple, out.to_pandas()[["id_a", "id_b", "cosine"]].to_numpy()))
+        out = dd.ngram_jaccard_pairs(docs, "text", "doc_id", threshold=0.5)
+        return sorted(map(tuple, out.to_pandas()[["id_a", "id_b", "jaccard"]].to_numpy()))
 
-    # prefilter skipped (cap 0): the resolver value must reach BOTH joins
+    # prefilter skipped (cap 0): both joins resolve their own fanout
     monkeypatch.setattr(dd, "PREFILTER_MAX_IDS", 0)
     unfiltered = pairs()
-    assert recorded == [512, 512]
+    assert recorded == [None, None]
 
     # prefilter active: fanout re-sized from candidate rows (floor 64 here,
     # tiny corpus), and the pair set is byte-identical to the skip path
