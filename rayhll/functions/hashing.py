@@ -164,11 +164,3 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _SM_M1
     z = (z ^ (z >> np.uint64(27))) * _SM_M2
     return z ^ (z >> np.uint64(31))
-
-
-def derive_streams(h: np.ndarray, k: int, seed: int = 1) -> np.ndarray:
-    """k independent uint64 hash streams from one base hash array, shape
-    (k, len(h)): stream_i = splitmix64(h + mix(seed + i))."""
-    base = h.astype(np.uint64, copy=False)
-    seeds = splitmix64(np.arange(seed, seed + k, dtype=np.uint64))
-    return splitmix64(base[None, :] ^ seeds[:, None])

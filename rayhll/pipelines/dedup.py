@@ -1,11 +1,11 @@
 """Deduplication pipelines: exact, MinHash+LSH, SimHash, embedding-cosine.
 
-Shapes (all Ray-Data-native; the only wide ops are groupbys over compact
-derived rows, never over document payloads):
+Shapes (the only wide op is ``stages.build``'s co-location reduce, on
+plain Ray tasks, over compact derived rows, never over document payloads):
 
-* **exact**: vectorized content hash per batch → groupby hash-bucket →
-  keep min-id per hash (vectorized within bucket).  The shuffle carries
-  (hash, id) pairs only.
+* **exact**: vectorized content hash per batch → rows co-located by
+  ``hash % num_buckets`` → keep min-id per hash (vectorized within each
+  slice).  The exchange carries (id, hash) rows only.
 * **MinHash+LSH**: tokenize → shingle hashes → per-doc MinHash signature
   (one ragged ``reduceat`` per permutation) → one key per band →
   candidate pairs within equal keys → signature-verified Jaccard ≥
@@ -22,11 +22,17 @@ derived rows, never over document payloads):
 The three LSH families share one path: a key function per family
 (:func:`_band_keys`, :func:`_chunk_keys`, :func:`_table_keys`), one
 :func:`_explode` that tiles the payload columns beside the keys, and one
-exchange (:func:`_lsh_pairs`): co-locate the keyed rows by ``key %
-num_buckets``, verify each bucket's pairs, then keep each pair once,
-co-located by ``id_a % num_buckets``.  The checkpointed runners
-(``state.checkpoint.*_dedup_checkpointed``) use the same key functions
-and explode, keeping one bucket's rows per task.
+pair reduce (:func:`_lsh_pairs`): the producers (one per CPU, more past
+``stages.build.PRODUCER_BYTES``) co-locate the keyed rows by ``key %
+num_buckets``, one bucket task per slice verifies its pairs with the
+family's kernel, and one pair-distinct task per ``id_a % B`` slice keeps
+each pair once (``stages.build.colocate`` / ``reduce``; no Ray Data
+exchange).  Over a bare ``read_parquet`` the signing and explode maps run
+inside the producers, with no Ray Data execution.  The streaming entry
+points run when called and return a materialized dataset.  The
+checkpointed runners (``state.checkpoint.*_dedup_checkpointed``) use the
+same key functions, explode, co-location and kernels over their
+signature store, one receipt per bucket.
 """
 
 from __future__ import annotations
@@ -51,30 +57,29 @@ from rayhll.sketches.minhash import band_hashes, signatures_for_offsets
 def exact_dedup_keep_ids(ds, text_col: str, id_col: str, num_buckets: int | None = None):
     """Dataset of the ids kept by exact dedup (min id per distinct text).
 
-    Equivalent SQL: ``SELECT MIN(id) FROM t GROUP BY text``.  ``num_buckets``
-    auto-sizes from the input row count when ``None``
-    (``functions.partitioning``)."""
+    Equivalent SQL: ``SELECT MIN(id) FROM t GROUP BY text``.  The ``(id,
+    hash)`` rows are co-located in ``num_buckets`` slices by hash
+    (``stages.build.reduce``; it runs when called), auto-sized from
+    the input row count when ``None`` (``functions.partitioning``)."""
     from rayhll.functions.partitioning import resolve_num_buckets
+    from rayhll.stages import build
 
     num_buckets = resolve_num_buckets(ds, num_buckets)
 
     def hash_stage(batch: pa.Table) -> pa.Table:
         h = hash64_table(batch, [text_col], seed=0xDD)
-        return pa.table(
-            {
-                id_col: batch.column(id_col),
-                "_h": pa.array(h, type=pa.int64()),
-                "_bucket": pa.array(_mod_bucket(h, num_buckets), type=pa.int64()),
-            }
-        )
+        return pa.table({id_col: batch.column(id_col), "_h": pa.array(h, type=pa.int64())})
 
     def keep_min(tbl: pa.Table) -> pa.Table:
+        if not tbl.num_rows:
+            return pa.table({id_col: pa.array([])})
         df = pl.from_arrow(tbl)
         out = df.group_by("_h").agg(pl.col(id_col).min()).select([id_col])
         return out.to_arrow()
 
     hashed = ds.map_batches(hash_stage, batch_format="pyarrow", zero_copy_batch=True)
-    return hashed.groupby("_bucket").map_groups(keep_min, batch_format="pyarrow")
+    jobs = build.producers(hashed, num_buckets)
+    return build.dataset_of(build.reduce(jobs, keep_min, num_buckets, "_h"))
 
 
 # ----------------------------------------------------------------------
@@ -220,17 +225,18 @@ from rayhll.functions.partitioning import (  # noqa: E402 - canonical values
 def _resolve_num_buckets(
     ds, num_buckets, rows_per_doc: int, approx_rows: int | None = None
 ) -> int:
-    """Co-locating bucket fanout for the dedup groupbys.
+    """Co-locating bucket fanout S of the dedup pair reduces.
 
     Explicit ``num_buckets`` wins.  ``None`` auto-sizes from the input row
-    count so each ``groupby(bkt).map_groups`` reduce task sees roughly
+    count so each of the S bucket tasks (:func:`_lsh_pairs`) sees roughly
     ``TARGET_ROWS_PER_TASK`` exploded rows (docs × rows_per_doc — bands,
     simhash chunks, or hyperplane tables), the fix for the fixed 64-way
     fanout that would OOM reduce tasks at 100-TB inputs however vectorized
-    the kernel is.  Sizing uses the dataset's METADATA count only
-    (``functions.partitioning``) — transformed inputs fall back to 64
-    rather than executing the plan.  Result is a power of two in [64, 2^20] —
-    pair sets are invariant to the choice (pinned by
+    the kernel is (the producers feeding them are bounded by
+    ``stages.build.PRODUCER_BYTES``).  Sizing uses the dataset's METADATA
+    count only (``functions.partitioning``) — transformed inputs fall back
+    to 64 rather than executing the plan.  Result is a power of two in
+    [64, 2^20] — pair sets are invariant to the choice (pinned by
     tests/test_ray_pipelines.py::test_dedup_pairs_bucket_invariance)."""
     from rayhll.functions.partitioning import resolve_num_buckets
 
@@ -273,17 +279,11 @@ class _IntegerIds:
         return batch
 
 
-def _mod_bucket(values: np.ndarray, num_buckets: int) -> np.ndarray:
-    """int64 buckets ``values % num_buckets`` (via the uint64 view so
-    negative hash keys bucket uniformly)."""
-    return (values.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
-
-
 # ----------------------------------------------------------------------
 # LSH bucket keys: one function per family turns a signed batch into its
 # keys, key-major (all rows' first key, then all rows' second key, ...);
 # :func:`_explode` tiles the payload beside them, for the streaming pair
-# exchange (:func:`_lsh_pairs`) and the checkpointed runners alike.
+# reduce (:func:`_lsh_pairs`) and the checkpointed runners alike.
 
 
 def _band_keys(batch: pa.Table, num_bands: int) -> np.ndarray:
@@ -314,48 +314,58 @@ def _table_keys(batch: pa.Table, num_tables: int) -> np.ndarray:
     return np.concatenate([batch.column(f"sig_{t}").to_numpy() for t in range(num_tables)])
 
 
-def _explode(payload: pa.Table, keys: np.ndarray, num_buckets: int, bucket: int | None = None):
+def _explode(payload: pa.Table, keys: np.ndarray) -> pa.Table:
     """One ``(key, *payload)`` row per key: ``keys`` (from a key function)
     holds a whole number of keys per payload row, and each payload column
-    is tiled beside them.  Streaming (``bucket`` None): every row, plus its
-    co-locating ``bkt = key % num_buckets``.  Checkpointed: only the rows
-    whose key lands in ``bucket``."""
-    n = len(payload)
-    bkt = _mod_bucket(keys, num_buckets)
-    if bucket is None:
-        reps = len(keys) // n if n else 1
-        cols = {"key": keys, "bkt": bkt}
-        for name, col in zip(payload.column_names, payload.columns):
-            cols[name] = pa.concat_arrays([col.combine_chunks()] * reps)
-        return pa.table(cols)
-    sel = np.flatnonzero(bkt == bucket)
-    rows = payload.take(pa.array(sel % max(n, 1), type=pa.int64()))
-    return rows.add_column(0, "key", pa.array(keys[sel], type=pa.int64()))
+    is tiled beside them."""
+    reps = len(keys) // len(payload) if len(payload) else 1
+    cols = {"key": pa.array(keys, type=pa.int64())}
+    for name, col in zip(payload.column_names, payload.columns):
+        cols[name] = pa.concat_arrays([col.combine_chunks()] * reps)
+    return pa.table(cols)
 
 
-def _lsh_pairs(signed, explode, bucket_pairs, num_buckets: int):
-    """The streaming pair exchange of every LSH family: ``explode`` each
-    signed batch into keyed rows with their ``bkt``, co-locate them by
-    ``bkt`` and turn each group into ``(id_a, id_b, <score>)`` pairs with
-    ``bucket_pairs``.  A pair can surface under several keys, so the pairs
-    are then co-located by ``id_a % num_buckets`` and each ``(id_a, id_b)``
-    is kept once."""
-    pairs = signed.map_batches(explode, batch_format="pyarrow").groupby("bkt").map_groups(
-        bucket_pairs, batch_format="pyarrow"
-    )
+def _lsh_pairs(rows, bucket_pairs, score: tuple, num_buckets: int):
+    """The pair reduce of every LSH family, on ``stages.build``'s plain Ray
+    tasks: the keyed ``rows`` (a dataset ending in a family's explode map)
+    are co-located by ``key % num_buckets``, and one task per bucket turns
+    its rows into ``(id_a, id_b, <score>)`` pairs with ``bucket_pairs``
+    (:func:`_bucket_task`).  A pair can surface under several keys, so those
+    tasks slice their pairs by ``id_a % B`` and one pair-distinct task per
+    slice keeps each ``(id_a, id_b)`` once.  Runs when called; returns a
+    materialized dataset.  ``score`` = (name, type) of the score column."""
+    from rayhll.stages import build
 
-    def add_pair_bucket(tbl: pa.Table) -> pa.Table:
-        a = tbl.column("id_a").to_numpy()
-        return tbl.append_column("pbkt", pa.array(_mod_bucket(a, num_buckets)))
+    buckets = build.colocate(build.producers(rows, num_buckets), num_buckets, "key")
+    verify = [(_bucket_task, (bucket_pairs, score, *refs), {}) for refs in buckets]
+    distinct = build.reduce(verify, _distinct_pairs(score), build.avail_cpus(), "id_a")
+    return build.dataset_of(distinct)
 
-    def distinct(tbl: pa.Table) -> pa.Table:
-        return pl.from_arrow(tbl).unique(subset=["id_a", "id_b"]).drop("pbkt").to_arrow()
 
-    return (
-        pairs.map_batches(add_pair_bucket, batch_format="pyarrow")
-        .groupby("pbkt")
-        .map_groups(distinct, batch_format="pyarrow")
-    )
+def _bucket_task(bucket_pairs, score: tuple, *slices) -> pa.Table:
+    """``bucket_pairs`` of one bucket's rows (its slice of every producer),
+    or no pairs when the bucket has no rows."""
+    from rayhll.stages.build import _concat
+
+    rows = _concat(*slices)
+    return bucket_pairs(rows) if rows.num_rows else _no_pairs(score)
+
+
+def _no_pairs(score: tuple) -> pa.Table:
+    """Zero ``(id_a, id_b, <score>)`` pairs; ``score`` = (name, type)."""
+    ids = pa.array([], type=pa.int64())
+    return pa.table({"id_a": ids, "id_b": ids, score[0]: pa.array([], type=score[1])})
+
+
+def _distinct_pairs(score: tuple):
+    """The pair-distinct merge: each ``(id_a, id_b)`` of a slice once."""
+
+    def distinct(pairs: pa.Table) -> pa.Table:
+        if not pairs.num_rows:
+            return _no_pairs(score)
+        return pl.from_arrow(pairs).unique(subset=["id_a", "id_b"]).to_arrow()
+
+    return distinct
 
 
 def minhash_lsh_pairs(
@@ -402,11 +412,24 @@ def minhash_lsh_pairs(
     stage = MinHashStage(
         text_col, id_col, num_perm, num_bands, gram, emit_texthash=verify_text_hash
     )
-    signed = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
+    rows = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True).map_batches(
+        _make_minhash_explode_fn(id_col, num_perm, num_bands, sig_slot_bytes, verify_text_hash),
+        batch_format="pyarrow",
+    )
+    bucket_pairs = _make_minhash_bucket_pairs_fn(
+        id_col, threshold, num_perm, max_bucket_size, sig_slot_bytes, verify_text_hash
+    )
+    return _lsh_pairs(rows, bucket_pairs, ("jaccard", pa.float64()), num_buckets)
+
+
+def _make_minhash_explode_fn(
+    id_col: str, num_perm: int, num_bands: int, sig_slot_bytes: int, verify_text_hash: bool
+):
+    """One ``(band key, id, truncated signature[, texthash])`` row per band
+    of each ``MinHashStage`` row (the signature store's rows are such rows
+    too): the exchange payload is ``num_perm * sig_slot_bytes`` per row."""
     slot_dtype = f"<u{sig_slot_bytes}"
 
-    # one (band key, id, truncated signature[, texthash]) row per band — the
-    # shuffle payload is num_perm * sig_slot_bytes per row
     def explode_bands(batch: pa.Table) -> pa.Table:
         sig_mat = _binary_fixed_matrix(batch.column("signature"), num_perm)
         payload = {
@@ -415,7 +438,19 @@ def minhash_lsh_pairs(
         }
         if verify_text_hash:
             payload["texthash"] = batch.column("texthash")
-        return _explode(pa.table(payload), _band_keys(batch, num_bands), num_buckets)
+        return _explode(pa.table(payload), _band_keys(batch, num_bands))
+
+    return explode_bands
+
+
+def _make_minhash_bucket_pairs_fn(
+    id_col: str, threshold: float, num_perm: int, max_bucket_size: int, sig_slot_bytes: int,
+    verify_text_hash: bool,
+):
+    """MinHash verify kernel over exploded band rows: the pairs of each band
+    key whose truncated signatures agree on at least ``threshold`` of their
+    slots (and, with ``verify_text_hash``, whose text hashes are equal)."""
+    slot_dtype = f"<u{sig_slot_bytes}"
 
     def bucket_pairs(tbl: pa.Table) -> pa.Table:
         # vectorized bucket segmentation: one lexsort over the whole task's
@@ -458,44 +493,7 @@ def minhash_lsh_pairs(
             }
         )
 
-    return _lsh_pairs(signed, explode_bands, bucket_pairs, num_buckets)
-
-
-def _make_candidate_pairs_fn(id_col: str, max_bucket_size: int):
-    """Unverified candidate-pair kernel over ``(key, id)`` rows (the
-    checkpointed MinHash runner verifies them against its signature store):
-    ONE lexsort segments the task's rows into equal-key buckets; the Python
-    loop runs only over multi-member segments, never the millions of
-    singleton buckets (PERF_NOTES #12 convention)."""
-
-    def candidate_pairs(tbl: pa.Table) -> pa.Table:
-        keys = tbl.column("key").to_numpy()
-        all_ids = tbl.column(id_col).to_numpy()
-        order = np.lexsort((all_ids, keys))
-        k_sorted = keys[order]
-        bounds = _segment_bounds(k_sorted)
-        sizes = np.diff(bounds)
-        cand_segs = np.flatnonzero((sizes >= 2) & (sizes <= max_bucket_size))
-        a_ids, b_ids = [], []
-        for s in cand_segs.tolist():
-            ids = np.unique(all_ids[order[bounds[s] : bounds[s + 1]]])
-            if len(ids) < 2 or len(ids) > max_bucket_size:
-                continue
-            iu = np.triu_indices(len(ids), k=1)
-            a_ids.append(ids[iu[0]])
-            b_ids.append(ids[iu[1]])
-        if not a_ids:
-            return pa.table(
-                {"id_a": pa.array([], type=pa.int64()), "id_b": pa.array([], type=pa.int64())}
-            )
-        return pa.table(
-            {
-                "id_a": pa.array(np.concatenate(a_ids), type=pa.int64()),
-                "id_b": pa.array(np.concatenate(b_ids), type=pa.int64()),
-            }
-        )
-
-    return candidate_pairs
+    return bucket_pairs
 
 
 def _write_or_validate_sig_store(signed, sig_store_dir: str, manifest: dict) -> None:
@@ -764,13 +762,7 @@ def ngram_jaccard_pairs(
 
     def verify(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
-            return pa.table(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                    "jaccard": pa.array([], type=pa.float64()),
-                }
-            )
+            return _no_pairs(("jaccard", pa.float64()))
         n = len(batch)
         flat_a, cnt_a = _binary_ragged_u64(batch.column("shingles_id_a"))
         flat_b, cnt_b = _binary_ragged_u64(batch.column("shingles_id_b"))
@@ -962,19 +954,18 @@ def hamming64_pairs(
     ``ValueError`` at entry."""
     ds = check_integer_ids(ds, id_col, "hamming64_pairs")
     num_buckets = _resolve_num_buckets(ds, num_buckets, 4, approx_rows)
+    bucket_pairs = _make_simhash_bucket_pairs_fn(
+        id_col, max_hamming, max_bucket_size, hash_col=hash_col
+    )
 
     def explode(batch: pa.Table) -> pa.Table:
         col = batch.column(hash_col)
         if col.null_count:
             batch = batch.filter(pc.is_valid(col.combine_chunks()))
-        return _explode(
-            batch.select([id_col, hash_col]), _chunk_keys(batch, hash_col), num_buckets
-        )
+        return _explode(batch.select([id_col, hash_col]), _chunk_keys(batch, hash_col))
 
-    bucket_pairs = _make_simhash_bucket_pairs_fn(
-        id_col, max_hamming, max_bucket_size, hash_col=hash_col
-    )
-    return _lsh_pairs(ds, explode, bucket_pairs, num_buckets)
+    rows = ds.map_batches(explode, batch_format="pyarrow")
+    return _lsh_pairs(rows, bucket_pairs, ("hamming", pa.int64()), num_buckets)
 
 
 # ----------------------------------------------------------------------
@@ -1084,13 +1075,7 @@ def _make_embedding_bucket_pairs_fn(
             b_out += b
             c_out += c
         if not a_out:
-            return pa.table(
-                {
-                    "id_a": pa.array([], type=pa.int64()),
-                    "id_b": pa.array([], type=pa.int64()),
-                    "cosine": pa.array([], type=pa.float64()),
-                }
-            )
+            return _no_pairs(("cosine", pa.float64()))
         return pa.table(
             {
                 "id_a": pa.array(np.concatenate(a_out), type=pa.int64()),
@@ -1172,14 +1157,14 @@ def embedding_near_dup_pairs(
     ds = check_integer_ids(ds, id_col, "embedding_near_dup_pairs")
     num_buckets = _resolve_num_buckets(ds, num_buckets, num_tables, approx_rows)
     stage = HyperplaneStage(vec_col, id_col, dim, num_planes, num_tables)
-    signed = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True)
 
     def explode_tables(batch: pa.Table) -> pa.Table:
-        return _explode(
-            batch.select([id_col, "norm_vec"]), _table_keys(batch, num_tables), num_buckets
-        )
+        return _explode(batch.select([id_col, "norm_vec"]), _table_keys(batch, num_tables))
 
+    rows = ds.map_batches(stage, batch_format="pyarrow", zero_copy_batch=True).map_batches(
+        explode_tables, batch_format="pyarrow"
+    )
     bucket_pairs = _make_embedding_bucket_pairs_fn(
         id_col, threshold, max_bucket_size, verify_block
     )
-    return _lsh_pairs(signed, explode_tables, bucket_pairs, num_buckets)
+    return _lsh_pairs(rows, bucket_pairs, ("cosine", pa.float64()), num_buckets)

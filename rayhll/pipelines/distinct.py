@@ -7,7 +7,7 @@ appends the per-row ``sha256(content)`` invariant for callers that want
 that column; the flagships do not return it.
 
 Stage layout (Ray-Data-native; over a bare ``read_parquet`` stage 1 may
-run fused with each read task instead, see ``stages.build.merge_partials``):
+run fused with each read task instead, see ``stages.build.producers``):
 
 1. :class:`MultiKeyBuild` — a ``map_batches`` callable (both flagships pass
    an instance, so it runs as tasks), zero-copy Arrow in: per batch, per

@@ -29,10 +29,6 @@ LANG_NAMES = ["python", "javascript", "java", "go", "rust", "c", "markdown"]
 DUP_CONTENT_FRACTION = 0.2  # ~20% of rows reuse an earlier row's content
 
 
-def _streams(ids: np.ndarray, k: int, seed: int) -> np.ndarray:
-    return splitmix64((ids.astype(np.uint64) + np.uint64(seed * 0x1000_0000)))
-
-
 def synth_code_batch(ids: np.ndarray, total_rows: int, seed: int = 42) -> pa.Table:
     """Generate the rows with the given ids (0-based) of a ``total_rows``-row
     synthetic corpus.  Pure function of (ids, total_rows, seed)."""
@@ -110,11 +106,6 @@ def synth_code_batch(ids: np.ndarray, total_rows: int, seed: int = 42) -> pa.Tab
             ]
         )
     )
-
-
-def synth_code_table(total_rows: int, seed: int = 42) -> pa.Table:
-    """Whole corpus as one Arrow table (small scales / tests)."""
-    return synth_code_batch(np.arange(total_rows, dtype=np.int64), total_rows, seed)
 
 
 def synth_code_dataset(total_rows: int, seed: int = 42, override_num_blocks: int | None = None):

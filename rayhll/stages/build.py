@@ -1,5 +1,6 @@
-"""map_batches stages that build partial HLL sketches, and the one merge
-primitive every sketch aggregation reduces them with.
+"""map_batches stages that build partial HLL sketches, and the one
+co-location reduce every sketch aggregation merges them with (and every
+near-dup pair family and exact dedup reduces its keyed rows with).
 
 The engine's shape (SURVEY.md §2.5, §7.3): the sketch *is* the aggregate, so
 the wide operation is tiny by construction —
@@ -13,12 +14,16 @@ the wide operation is tiny by construction —
   (:func:`merge_grouped`, :func:`merge_to_row`, the checkpointed flagship).
   They are O(#blocks × #groups-per-block) rows of ~1.3 KiB each (at
   log2m=11, regwidth=5), never the input rows.  Each producer task runs
-  over one of at most B contiguous runs of about equal bytes (of the read
-  tasks of a direct plan, of partial blocks, or of partial files) and
-  returns its partial rows in B slices by ``GHASH_COL % B``, B the CPUs Ray
-  has; one plain Ray merge task per slice merges that slice's rows of every
+  over one of at most B contiguous runs of about equal bytes (more when a
+  run would exceed :data:`PRODUCER_BYTES`; of the read tasks of a direct
+  plan, of partial blocks, or of partial files) and returns its partial
+  rows in B slices by ``GHASH_COL % B``, B the CPUs Ray has; one plain Ray
+  merge task per slice merges that slice's rows of every
   producer in one call.  A lone producer merges its own rows.  No Ray Data
-  exchange runs, and no partial row reaches the driver.
+  exchange runs, and no partial row reaches the driver.  The slicing
+  column is the caller's (``GHASH_COL`` for every sketch merge) and so is
+  the slice count (:func:`colocate`): ``pipelines.dedup`` slices keyed rows
+  by ``key % S`` into S bucket tasks, then their pairs by ``id_a % B``.
 * A plan that is exactly a ``Datasource`` read and then this library's own
   maps runs as plain Ray tasks, each reading and mapping one run of read
   tasks in order, when that loses no parallelism (:func:`_direct_plan`);
@@ -75,6 +80,10 @@ ROWS_COL = "rows_in"
 ESTIMATE_COL = "estimate"
 GHASH_COL = "_ghash"
 GROUP_HASH_SEED = 0x5EED_6800
+# Input bytes one reduce producer reads at most (:func:`producer_count`; Ray
+# runs a CPU's worth at a time, so memory does not grow with the input): its
+# keyed rows are this times its maps' growth, about 18x for MinHash bands.
+PRODUCER_BYTES = 128 << 20
 
 
 def with_group_hash(table: pa.Table, ghash: np.ndarray) -> pa.Table:
@@ -256,73 +265,86 @@ def empty_groups(tbl: pa.Table, group_cols: list[str]) -> pa.Table:
 
 def merge_grouped(partials: "ray.data.Dataset", merger) -> "ray.data.Dataset":
     """Grouped merge: one row per group, ``merger`` keyed on ``GHASH_COL``
-    (:func:`merge_partials` in one slice per CPU).  The plan up to the
-    partials runs when this is called; the result is a materialized dataset
-    over the blocks the merge tasks return."""
-    return _dataset_of(merge_partials(partials, merger, grouped=True))
+    (:func:`reduce` of the :func:`producers` of ``partials`` in one slice per
+    CPU).  The plan up to the partials runs when this is called; the result
+    is a materialized dataset over the blocks the merge tasks return."""
+    slices = avail_cpus()
+    return dataset_of(reduce(producers(partials, slices), merger, slices, GHASH_COL))
 
 
 def merge_to_row(partials: "ray.data.Dataset", merge) -> pa.Table:
     """Global merge: the one row ``merge`` returns for all partial rows, in
-    one call (:func:`merge_partials` in one slice); only that row is
-    fetched to the driver."""
+    one call (:func:`reduce` in one slice); only that row is fetched to the
+    driver."""
     import ray
 
-    [(ref, _)] = merge_partials(partials, merge, grouped=False)
+    [(ref, _)] = reduce(producers(partials, 1), merge, 1, None)
     return ray.get(ref)
 
 
-def merge_partials(partials: "ray.data.Dataset", merge, grouped: bool) -> list:
-    """:func:`reduce` of ``partials`` in B slices when ``grouped``, else in
-    one, B the :func:`avail_cpus` (asked once per reduce).  The producers
-    are the runs of read tasks of a :func:`_direct_plan` that keeps the
-    parallelism (:func:`_direct_jobs`), else one split task per contiguous
-    :func:`runs` of the partial blocks with rows (at most one per slice, of
-    about equal bytes; the driver holds only their refs and metadata)."""
+def producers(ds: "ray.data.Dataset", slices: int) -> list:
+    """The :func:`reduce` jobs that yield the rows of ``ds`` for ``slices``
+    slices: :func:`_direct_jobs`, else one split task per contiguous
+    :func:`runs` of the blocks with rows, :func:`producer_count` of
+    ``min(slices, B)`` (the driver holds only their refs and metadata)."""
     cpus = avail_cpus()
-    slices = cpus if grouped else 1
-    jobs = _direct_jobs(partials, cpus)
+    jobs = _direct_jobs(ds, cpus)
     if jobs is None:
         blocks = [
             (ref, md)
-            for bundle in partials.iter_internal_ref_bundles()
+            for bundle in ds.iter_internal_ref_bundles()
             for ref, md in bundle.blocks
             if md.num_rows != 0
         ]
         sizes = [md.size_bytes for _, md in blocks]
-        jobs = [(_concat, [ref for ref, _ in run], {}) for run in runs(blocks, sizes, slices)]
-    return reduce(jobs, merge, slices)
+        cut = runs(blocks, sizes, producer_count(sizes, min(slices, cpus)))
+        jobs = [(_concat, [ref for ref, _ in run], {}) for run in cut]
+    return jobs
 
 
-def reduce(jobs: list, merge, slices: int) -> list:
-    """The one sketch reduce: ``(block ref, BlockMetadataWithSchema)`` of
-    each table ``merge`` returns; the driver holds only metadata.
+def reduce(jobs: list, merge, slices: int, key: str | None) -> list:
+    """The one co-location reduce: ``(block ref, BlockMetadataWithSchema)``
+    of each table ``merge`` returns; the driver holds only metadata.
 
-    Each job ``(make, args, options)`` is one plain Ray task (a producer:
-    one run of read tasks, partial blocks or partial files) whose table
-    ``make(*args)`` of partial rows comes back in ``slices`` slices by
-    ``GHASH_COL % slices``.  One merge task per slice then calls ``merge``
-    once on that slice's rows of every producer, in producer order, so each
-    group's rows meet in one call; it starts as soon as its slices exist.  A
-    lone producer merges its own rows.  A merge of no rows (``merge`` of a
-    column-less empty table) is returned only when every merge is one."""
+    The producers are :func:`colocate`'s; one merge task per slice then
+    calls ``merge`` once on that slice's rows of every producer, in producer
+    order, so the rows of each ``key`` value meet in one call; it starts as
+    soon as its slices exist.  A lone producer merges its own rows.  A merge
+    of no rows (``merge`` of a column-less empty table) is returned only
+    when every merge is one."""
     import ray
 
-    own = merge if len(jobs) == 1 else None
-    slices = 1 if own is not None else slices
     task = _task()
-    outs = [
-        task.options(num_returns=slices + 1, **options).remote(slices, own, make, *args)
-        for make, args, options in jobs
-    ]
-    if own is None:
+    if len(jobs) == 1:
+        [(make, args, options)] = jobs
+        outs = [task.options(num_returns=2, **options).remote(1, None, merge, make, *args)]
+    else:
         outs = [
-            task.options(num_returns=2).remote(1, merge, _concat, *[out[s] for out in outs])
-            for s in range(slices)
+            task.options(num_returns=2).remote(1, None, merge, _concat, *refs)
+            for refs in colocate(jobs, slices, key)
         ]
     metas = ray.get([out[-1] for out in outs])
     merged = [(out[0], meta[0]) for out, meta in zip(outs, metas)]
     return [(ref, meta) for ref, meta in merged if meta.num_rows] or merged[:1]
+
+
+def colocate(jobs: list, slices: int, key: str | None) -> list[list]:
+    """Per slice, the refs of every producer's rows in it, in producer
+    order.  Each job ``(make, args, options)`` is one plain Ray task (a
+    producer: one run of read tasks, blocks or files) whose table
+    ``make(*args)`` comes back in ``slices`` slices by ``key % slices``."""
+    task = _task()
+    outs = [
+        task.options(num_returns=slices + 1, **options).remote(slices, key, None, make, *args)
+        for make, args, options in jobs
+    ]
+    return [[out[s] for out in outs] for s in range(slices)]
+
+
+def producer_count(sizes: list, n: int) -> int:
+    """``n``, or more when ``n`` producers over items of ``sizes`` bytes (a
+    ``None`` size counts as 0) would read over :data:`PRODUCER_BYTES` each."""
+    return max(n, -(-sum(size or 0 for size in sizes) // PRODUCER_BYTES))
 
 
 def runs(items: list, sizes: list, n: int) -> list[list]:
@@ -346,25 +368,27 @@ def _task():
     return ray.remote(_produce)
 
 
-def _produce(slices: int, merge, make, *args) -> tuple:
-    """The table ``make(*args)`` in ``slices`` slices, or ``merge`` of its
-    rows when given; then the list of their metadata."""
+def _produce(slices: int, key: str | None, merge, make, *args) -> tuple:
+    """The table ``make(*args)`` in ``slices`` slices by ``key``, or
+    ``merge`` of its rows when given; then the list of their metadata."""
     from ray.data.block import BlockMetadataWithSchema
 
     table = make(*args)
-    parts = _sliced(table, slices) if merge is None else [merge(_concat(table))]
+    parts = _sliced(table, slices, key) if merge is None else [merge(_concat(table))]
     return (*parts, [BlockMetadataWithSchema.from_block(part) for part in parts])
 
 
-def _sliced(table: pa.Table, slices: int) -> list[pa.Table]:
-    """``table``'s rows by ``GHASH_COL % slices``, each slice in table order;
-    all in slice 0 when ``table`` has no ``GHASH_COL`` (a global merge)."""
-    if slices == 1 or GHASH_COL not in table.column_names:
+def _sliced(table: pa.Table, slices: int, key: str | None) -> list[pa.Table]:
+    """``table``'s rows by ``key % slices`` (over the int64 column's uint64
+    view), each slice in table order; all in slice 0 when ``table`` has no
+    ``key`` column (a global merge, or no rows)."""
+    if slices == 1 or key not in table.column_names:
         return [table] + [table.slice(0, 0)] * (slices - 1)
-    slot = table.column(GHASH_COL).to_numpy().view(np.uint64) % np.uint64(slices)
+    slot = table.column(key).to_numpy().view(np.uint64) % np.uint64(slices)
     order = np.argsort(slot, kind="stable")
     bounds = np.searchsorted(slot[order], np.arange(slices + 1, dtype=np.uint64))
-    return [table.take(order[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    table = table.take(order)  # one take: over many chunks each take joins them again
+    return [table.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _concat(*blocks) -> pa.Table:
@@ -445,7 +469,7 @@ def _direct_jobs(ds: "ray.data.Dataset", cpus: int):
     sizes = [rt.metadata.size_bytes for rt in read_tasks]
     return [
         (_read_and_map, (ctx, run, chain), read._ray_remote_args)
-        for run in runs(read_tasks, sizes, cpus)
+        for run in runs(read_tasks, sizes, producer_count(sizes, cpus))
     ]
 
 
@@ -561,7 +585,7 @@ def _mapped(fn, blocks, batch_size):
         yield fn(BlockAccessor.for_block(batch.data).to_batch_format("pyarrow"))
 
 
-def _dataset_of(blocks) -> "ray.data.Dataset":
+def dataset_of(blocks) -> "ray.data.Dataset":
     """A materialized dataset over computed ``(block ref,
     BlockMetadataWithSchema)`` pairs, built the way ``Dataset.materialize``
     builds its result: no task runs."""

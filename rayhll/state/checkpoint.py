@@ -58,7 +58,11 @@ file list, a rerun costs only the unfinished tail, and the merge input is
 partials/ (thousands of KB-scale sketch files), not the corpus.  Each
 pending partition runs as one plain Ray task (no Ray Data execution: the
 partitions are not a dataset), and the driver rewrites ``manifest.json``
-once per batch of receipts it collects, not once per partition.
+once per batch of receipts it collects, not once per partition.  The
+pending pair buckets of the ``*_dedup_checkpointed`` runners get their
+rows from one pass over the signature store (``stages.build.colocate``:
+producer tasks over runs of store files, each keeping and slicing the
+pending buckets' keyed rows), launched only when some bucket is pending.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ import shutil
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
@@ -192,14 +197,17 @@ class Manifest:
 
 def run_checkpointed(
     out_dir: str,
-    partition_inputs: dict[str, "object"],
+    pids: list[str],
+    inputs,
     partial_fn,
     merge_fn,
     settings_obj=None,
     fail_after: int | None = None,
 ):
     """Run ``partial_fn(partition_input) -> pyarrow.Table`` for every
-    pending partition, one plain Ray task per partition: the task writes its
+    pending partition of ``pids``, one plain Ray task per partition, its
+    input from ``inputs(pending) -> {pid: partition_input}``, called once
+    with the pending pids (not at all when none is): the task writes its
     partial atomically, then its metrics receipt, and the driver records the
     receipts in the manifest as they land, one manifest write per batch of
     receipts.  Then ``merge_fn(list_of_partial_paths) -> pyarrow.Table``
@@ -222,7 +230,7 @@ def run_checkpointed(
     """
     import ray
 
-    pids = sorted(partition_inputs)
+    pids = sorted(pids)
     manifest = Manifest.load_or_create(out_dir, settings_fingerprint(settings_obj), pids)
     result_path = os.path.join(out_dir, "result", "result.parquet")
     if manifest.result == pids and os.path.exists(result_path):
@@ -235,12 +243,11 @@ def run_checkpointed(
         pending = pending[:fail_after]
 
     if pending:
-        fn = ray.put(partial_fn)
+        fn, given = ray.put(partial_fn), inputs(pending)
         task = _partition_task()
         running = [
             task.remote(
-                out_dir, pid, fn, partition_inputs[pid],
-                manifest.partitions[pid].get("attempts", 0) + 1,
+                out_dir, pid, fn, given[pid], manifest.partitions[pid].get("attempts", 0) + 1
             )
             for pid in pending
         ]
@@ -356,17 +363,17 @@ def flagship_checkpointed(
             list(distinct.EST_COLS),
             include_sketch=True,
         )
-        slices = bs.avail_cpus()
-        runs = bs.runs(paths, [os.path.getsize(p) for p in paths], slices)
-        merged = bs.reduce([(_read_tables, run, {}) for run in runs], merger, slices)
+        slices, sizes = bs.avail_cpus(), [os.path.getsize(p) for p in paths]
+        runs = bs.runs(paths, sizes, bs.producer_count(sizes, slices))
+        merged = bs.reduce([(_read_tables, run, {}) for run in runs], merger, slices, bs.GHASH_COL)
         merged = pa.concat_tables(ray.get([ref for ref, _ in merged]), promote_options="default")
         # canonical order for byte-stable output
         return merged.sort_by([("repo", "ascending"), ("lang", "ascending")])
 
-    files = sorted(input_files)
-    inputs = {f"{i:05d}": p for i, p in enumerate(files)}
+    files = {f"{i:05d}": p for i, p in enumerate(sorted(input_files))}
     return run_checkpointed(
-        out_dir, inputs, partial_fn, merge_fn, settings_obj=(settings, files), fail_after=fail_after
+        out_dir, list(files), lambda _: files, partial_fn, merge_fn,
+        settings_obj=(settings, list(files.values())), fail_after=fail_after,
     )
 
 
@@ -376,7 +383,7 @@ def _read_tables(*paths: str) -> pa.Table:
 
 def _pair_dedup_checkpointed(
     input_files, out_dir, params, fail_after, read_cols, sign, build_store, store_cols,
-    keys, payload, verify, score,
+    explode, verify, score,
 ):
     """The checkpoint runner behind every ``*_dedup_checkpointed`` family.
 
@@ -387,13 +394,15 @@ def _pair_dedup_checkpointed(
       (``build_store(signed, sig_store_dir)``), fingerprinted by its
       ``_MANIFEST.json`` and reused across runs;
     * the PAIR output is partitioned by co-locating bucket
-      (``key % params["num_buckets"]``): the bucket's task reads the
-      ``store_cols`` of the store with pyarrow, turns each batch into its
-      family's bucket keys (``keys``, a key function of
-      ``pipelines.dedup``), keeps the ``(key, *payload)`` rows whose key
-      lands in the bucket (``dedup._explode``) and ``verify`` turns them
-      into that bucket's ``(id_a, id_b, <score>)`` pairs — a pure function
-      of the store, written atomically, skipped on resume.
+      (``key % params["num_buckets"]``).  One producer pass over the store
+      feeds every pending bucket: plain Ray tasks over runs of store files
+      (``stages.build.colocate``) turn each record batch of ``store_cols``
+      into the family's ``(key, *payload)`` rows (``explode``, its streaming
+      map), keep the pending buckets' rows and slice them by bucket.  Each
+      pending bucket's task turns its slices into ``(id_a, id_b, <score>)``
+      pairs with ``verify`` (the streaming kernel) — a pure function of the
+      store, written atomically with its receipt, skipped on resume.  A run
+      with no bucket pending launches no producer.
 
     Merge = global pair dedup (a pair can surface from several buckets) +
     canonical ``(id_a, id_b)`` sort, so the final pair set is byte-identical
@@ -402,23 +411,36 @@ def _pair_dedup_checkpointed(
     import polars as pl
     import ray.data as rd
 
-    from rayhll.pipelines.dedup import _explode
+    from rayhll.stages import build as bs
 
     sig_store_dir = os.path.join(out_dir, "sigs")
     signed = rd.read_parquet(sorted(input_files), columns=read_cols).map_batches(
         sign, batch_format="pyarrow", zero_copy_batch=True
     )
     build_store(signed, sig_store_dir)
-    empty = pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())})
-    empty = empty.append_column(score[0], pa.array([], score[1]))
+    num_buckets = params["num_buckets"]
 
-    def partial_fn(bucket: int) -> pa.Table:
-        store = pads.dataset(sig_store_dir, format="parquet")  # skips _MANIFEST.json
-        rows = []
-        for b in store.to_batches(columns=store_cols):
-            batch = pa.Table.from_batches([b])
-            rows.append(_explode(batch.select(payload), keys(batch), params["num_buckets"], bucket))
-        return verify(pa.concat_tables(rows)) if any(len(r) for r in rows) else empty
+    def inputs(pending: list[str]) -> dict:
+        import ray
+
+        buckets = [int(pid[1:]) for pid in pending]
+        files = sorted(pads.dataset(sig_store_dir, format="parquet").files)  # skips _MANIFEST.json
+        sizes = [os.path.getsize(f) for f in files]
+        runs = bs.runs(files, sizes, bs.producer_count(sizes, bs.avail_cpus()))
+        args = (store_cols, explode, num_buckets, buckets)
+        slices = bs.colocate([(_exploded, (run, *args), {}) for run in runs], num_buckets, "key")
+        refs = [ref for refs in slices for ref in refs]
+        # start the bucket tasks once every slice exists: one blocked in ray.get makes Ray
+        # start another worker (about 1 s of a SimHash stress run)
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        return {pid: slices[b] for pid, b in zip(pending, buckets)}
+
+    def partial_fn(slices: list) -> pa.Table:
+        import ray
+
+        from rayhll.pipelines.dedup import _bucket_task
+
+        return _bucket_task(verify, score, *ray.get(slices))
 
     def merge_fn(paths: list[str]) -> pa.Table:
         all_pairs = pa.concat_tables([pq.read_table(p) for p in paths])
@@ -431,10 +453,27 @@ def _pair_dedup_checkpointed(
             .to_arrow()
         )
 
-    inputs = {f"b{b:04d}": b for b in range(params["num_buckets"])}
+    pids = [f"b{b:04d}" for b in range(num_buckets)]
     return run_checkpointed(
-        out_dir, inputs, partial_fn, merge_fn, settings_obj=params, fail_after=fail_after
+        out_dir, pids, inputs, partial_fn, merge_fn, settings_obj=params, fail_after=fail_after
     )
+
+
+def _exploded(paths: list[str], columns: list[str], explode, num_buckets: int, buckets) -> pa.Table:
+    """The ``explode`` rows of each record batch of the ``columns`` of the
+    parquet files ``paths``, in order, whose ``key % num_buckets`` is in
+    ``buckets``."""
+    from rayhll.stages.build import _concat
+
+    kept = []
+    for path in paths:
+        for batch in pq.ParquetFile(path).iter_batches(columns=columns):
+            rows = explode(pa.Table.from_batches([batch]))
+            if len(buckets) < num_buckets:
+                slot = rows.column("key").to_numpy().view(np.uint64) % np.uint64(num_buckets)
+                rows = rows.filter(np.isin(slot, buckets))
+            kept.append(rows)
+    return _concat(*kept)
 
 
 def simhash_dedup_checkpointed(
@@ -457,6 +496,7 @@ def simhash_dedup_checkpointed(
     from rayhll.pipelines.dedup import (
         SimHashStage,
         _chunk_keys,
+        _explode,
         _make_simhash_bucket_pairs_fn,
         build_simhash_sig_store,
     )
@@ -471,8 +511,9 @@ def simhash_dedup_checkpointed(
         sign=SimHashStage(text_col, id_col),
         build_store=lambda signed, d: build_simhash_sig_store(signed, d, text_col, id_col),
         store_cols=[id_col, "simhash64"],
-        keys=lambda batch: _chunk_keys(batch, "simhash64"),
-        payload=[id_col, "simhash64"],
+        explode=lambda batch: _explode(
+            batch.select([id_col, "simhash64"]), _chunk_keys(batch, "simhash64")
+        ),
         verify=_make_simhash_bucket_pairs_fn(id_col, max_hamming, max_bucket_size),
         score=("hamming", pa.int64()),
     )
@@ -500,6 +541,7 @@ def embedding_dedup_checkpointed(
     ``embedding_near_dup_pairs`` is pinned in tests."""
     from rayhll.pipelines.dedup import (
         HyperplaneStage,
+        _explode,
         _make_embedding_bucket_pairs_fn,
         _table_keys,
         build_embedding_sig_store,
@@ -510,7 +552,6 @@ def embedding_dedup_checkpointed(
         max_bucket_size=max_bucket_size, verify_block=verify_block, num_buckets=num_buckets,
         vec_col=vec_col, id_col=id_col, inputs=sorted(input_files),
     )
-    kernel = _make_embedding_bucket_pairs_fn(id_col, threshold, max_bucket_size, verify_block)
     return _pair_dedup_checkpointed(
         input_files, out_dir, params, fail_after,
         read_cols=[id_col, vec_col],
@@ -519,9 +560,10 @@ def embedding_dedup_checkpointed(
             signed, d, vec_col, id_col, dim, num_planes, num_tables
         ),
         store_cols=[id_col, "norm_vec"] + [f"sig_{t}" for t in range(num_tables)],
-        keys=lambda batch: _table_keys(batch, num_tables),
-        payload=[id_col, "norm_vec"],
-        verify=lambda rows: kernel(rows.combine_chunks()),
+        explode=lambda batch: _explode(
+            batch.select([id_col, "norm_vec"]), _table_keys(batch, num_tables)
+        ),
+        verify=_make_embedding_bucket_pairs_fn(id_col, threshold, max_bucket_size, verify_block),
         score=("cosine", pa.float64()),
     )
 
@@ -543,8 +585,8 @@ def minhash_dedup_checkpointed(
 ):
     """Checkpointed MinHash+LSH near-dup pair extraction (see
     :func:`_pair_dedup_checkpointed`): buckets co-locate the band keys of
-    the stored bands (``band_key % num_buckets``) with their ids, and
-    candidate pairs are verified against the stored signatures.
+    the stored signatures (``band_key % num_buckets``) with their ids and
+    truncated signatures, and pairs are verified by the streaming kernel.
 
     Verification truncates signature slots exactly like the streaming
     path (``sig_slot_bytes``), so the pair set matches
@@ -553,58 +595,20 @@ def minhash_dedup_checkpointed(
     shape at ``threshold=1.0`` — same contract as the streaming variant):
     the sig store then carries a ``texthash`` column, keyed in its
     manifest."""
-    import numpy as np
-    import polars as pl
-
     from rayhll.pipelines.dedup import (
         MinHashStage,
-        _band_keys,
-        _binary_fixed_matrix,
-        _make_candidate_pairs_fn,
+        _make_minhash_bucket_pairs_fn,
+        _make_minhash_explode_fn,
         build_minhash_sig_store,
     )
 
-    sig_store_dir = os.path.join(out_dir, "sigs")
     params = dict(
         threshold=threshold, num_perm=num_perm, num_bands=num_bands, gram=gram,
         max_bucket_size=max_bucket_size, num_buckets=num_buckets, sig_slot_bytes=sig_slot_bytes,
         verify_text_hash=verify_text_hash, text_col=text_col, id_col=id_col,
         inputs=sorted(input_files),
     )
-    slot = np.dtype(f"<u{sig_slot_bytes}")
-    candidate_pairs = _make_candidate_pairs_fn(id_col, max_bucket_size)
-
-    def verify(rows: pa.Table) -> pa.Table:
-        cand = candidate_pairs(rows)
-        if len(cand) == 0:
-            return cand.append_column("jaccard", pa.array([], type=pa.float64()))
-        cand = pl.from_arrow(cand).unique(subset=["id_a", "id_b"]).to_arrow()
-        ids_needed = pa.array(
-            np.union1d(cand.column("id_a").to_numpy(), cand.column("id_b").to_numpy()),
-            type=pa.int64(),
-        )
-        sig_cols = [id_col, "signature"] + (["texthash"] if verify_text_hash else [])
-        sig_tbl = pads.dataset(sig_store_dir, format="parquet").to_table(
-            columns=sig_cols, filter=pads.field(id_col).isin(ids_needed)
-        )
-        sig_ids = sig_tbl.column(id_col).to_numpy()
-        order = np.argsort(sig_ids)
-        mat = _binary_fixed_matrix(sig_tbl.column("signature"), num_perm).astype(slot)
-        pos_a = order[np.searchsorted(sig_ids[order], cand.column("id_a").to_numpy())]
-        pos_b = order[np.searchsorted(sig_ids[order], cand.column("id_b").to_numpy())]
-        jac = (mat[pos_a] == mat[pos_b]).mean(axis=1)
-        keep = jac >= threshold
-        if verify_text_hash:
-            th = sig_tbl.column("texthash").to_numpy()
-            keep &= th[pos_a] == th[pos_b]
-        return pa.table(
-            {
-                "id_a": cand.column("id_a").filter(pa.array(keep)),
-                "id_b": cand.column("id_b").filter(pa.array(keep)),
-                "jaccard": pa.array(jac[keep], type=pa.float64()),
-            }
-        )
-
+    texthash = ["texthash"] if verify_text_hash else []
     return _pair_dedup_checkpointed(
         input_files, out_dir, params, fail_after,
         read_cols=[id_col, text_col],
@@ -614,9 +618,12 @@ def minhash_dedup_checkpointed(
         build_store=lambda signed, d: build_minhash_sig_store(
             signed, d, text_col, id_col, num_perm, num_bands, gram, texthash=verify_text_hash
         ),
-        store_cols=[id_col] + [f"band_{b}" for b in range(num_bands)],
-        keys=lambda batch: _band_keys(batch, num_bands),
-        payload=[id_col],
-        verify=verify,
+        store_cols=[id_col, "signature"] + [f"band_{b}" for b in range(num_bands)] + texthash,
+        explode=_make_minhash_explode_fn(
+            id_col, num_perm, num_bands, sig_slot_bytes, verify_text_hash
+        ),
+        verify=_make_minhash_bucket_pairs_fn(
+            id_col, threshold, num_perm, max_bucket_size, sig_slot_bytes, verify_text_hash
+        ),
         score=("jaccard", pa.float64()),
     )

@@ -119,10 +119,14 @@ def test_settings_mismatch_refuses(tmp_path):
     out = str(tmp_path / "out")
     inputs = {"a": pa.table({"x": [1]})}
 
-    run_checkpointed(out, inputs, lambda t: t, lambda ps: pq.read_table(ps[0]), settings_obj="s1")
+    run_checkpointed(
+        out, ["a"], lambda _: inputs, lambda t: t, lambda ps: pq.read_table(ps[0]),
+        settings_obj="s1",
+    )
     with pytest.raises(ValueError, match="settings mismatch"):
         run_checkpointed(
-            out, inputs, lambda t: t, lambda ps: pq.read_table(ps[0]), settings_obj="s2"
+            out, ["a"], lambda _: inputs, lambda t: t, lambda ps: pq.read_table(ps[0]),
+            settings_obj="s2",
         )
 
 
@@ -135,7 +139,8 @@ def test_stored_result_covers_exactly_its_partitions(tmp_path):
     def run(pids):
         return run_checkpointed(
             out,
-            {p: inputs[p] for p in pids},
+            pids,
+            lambda _: inputs,
             lambda t: t,
             lambda ps: pa.concat_tables([pq.read_table(p) for p in ps]),
         )
@@ -581,13 +586,13 @@ def test_failed_task_resume_reruns_only_partitions_without_receipt(ray_session, 
     fn = _recording_partial_fn(str(runs), "c", str(marker), [receipt("a"), receipt("b")])
 
     with pytest.raises(Exception, match="partition c failed"):
-        run_checkpointed(str(out), inputs, fn, _concat_partials)
+        run_checkpointed(str(out), pids, lambda _: inputs, fn, _concat_partials)
     landed = {p for p in pids if os.path.exists(receipt(p))}
     assert landed == {"a", "b"}
     before = {p: _runs(runs, p) for p in pids}
 
     marker.unlink()
-    resumed = run_checkpointed(str(out), inputs, fn, _concat_partials)
+    resumed = run_checkpointed(str(out), pids, lambda _: inputs, fn, _concat_partials)
     assert {p for p in pids if _runs(runs, p) > before[p]} == set(pids) - landed
     manifest = json.load(open(out / "manifest.json"))
     assert all(st["status"] == "done" for st in manifest["partitions"].values())
@@ -596,7 +601,8 @@ def test_failed_task_resume_reruns_only_partitions_without_receipt(ray_session, 
     clean_runs = tmp_path / "clean_runs"
     clean_runs.mkdir()
     clean = run_checkpointed(
-        str(tmp_path / "clean"), inputs, _recording_partial_fn(str(clean_runs)), _concat_partials
+        str(tmp_path / "clean"), pids, lambda _: inputs, _recording_partial_fn(str(clean_runs)),
+        _concat_partials,
     )
     assert resumed.equals(clean)
     a = open(tmp_path / "clean" / "result" / "result.parquet", "rb").read()
@@ -614,7 +620,7 @@ def test_receipt_without_manifest_record_counts_as_done(ray_session, tmp_path):
     fn = _recording_partial_fn(str(runs))
 
     with pytest.raises(RuntimeError, match="simulated crash after 2 partitions"):
-        run_checkpointed(str(out), inputs, fn, _concat_partials, fail_after=2)
+        run_checkpointed(str(out), pids, lambda _: inputs, fn, _concat_partials, fail_after=2)
     assert sorted(os.listdir(out / "metrics")) == ["part-a.json", "part-b.json"]
     manifest = json.load(open(out / "manifest.json"))
     done_b = manifest["partitions"]["b"]
@@ -622,12 +628,13 @@ def test_receipt_without_manifest_record_counts_as_done(ray_session, tmp_path):
     with open(out / "manifest.json", "w") as f:
         json.dump(manifest, f)
 
-    resumed = run_checkpointed(str(out), inputs, fn, _concat_partials)
+    resumed = run_checkpointed(str(out), pids, lambda _: inputs, fn, _concat_partials)
     assert {p: _runs(runs, p) for p in pids} == {"a": 1, "b": 1, "c": 1}
     assert json.load(open(out / "manifest.json"))["partitions"]["b"] == done_b
 
     clean = run_checkpointed(
-        str(tmp_path / "clean"), inputs, _recording_partial_fn(str(runs)), _concat_partials
+        str(tmp_path / "clean"), pids, lambda _: inputs, _recording_partial_fn(str(runs)),
+        _concat_partials,
     )
     assert resumed.equals(clean)
     a = open(tmp_path / "clean" / "result" / "result.parquet", "rb").read()
@@ -652,6 +659,35 @@ def test_minhash_dedup_checkpointed_executions(ray_session, dup_docs_file, tmp_p
     run = lambda **kw: minhash_dedup_checkpointed([dup_docs_file], out, num_buckets=8, **kw)  # noqa: E731
     assert _executions_of(executions, lambda: run(fail_after=3)) == 1
     assert _executions_of(executions, run) == 0
+
+
+@pytest.mark.parametrize("family", ["minhash", "simhash"])
+def test_pair_buckets_share_one_store_pass(ray_session, dup_docs_file, tmp_path, monkeypatch, family):
+    """The bucket tasks get their rows from one producer pass over the
+    signature store (one task per CPU for a small store), launched once for
+    the pending buckets and exploding only theirs: once for a crashed run,
+    once for its resume, and not at all for a rerun whose result is
+    recorded."""
+    from rayhll.stages import build
+    from rayhll.state import checkpoint
+
+    passes, colocate = [], build.colocate
+
+    def counted(jobs, slices, key):
+        assert (slices, key) == (8, "key") and 1 <= len(jobs) <= build.avail_cpus()
+        passes.append([list(args[-1]) for _, args, _ in jobs])
+        return colocate(jobs, slices, key)
+
+    monkeypatch.setattr(build, "colocate", counted)
+    runner = getattr(checkpoint, f"{family}_dedup_checkpointed")
+    run = lambda out, **kw: runner([dup_docs_file], str(tmp_path / out), num_buckets=8, **kw)  # noqa: E731
+
+    with pytest.raises(RuntimeError, match="simulated crash after 3 partitions"):
+        run("crash", fail_after=3)
+    resumed = run("crash")
+    assert run("crash").equals(resumed)
+    assert [set(map(tuple, p)) for p in passes] == [{(0, 1, 2)}, {(3, 4, 5, 6, 7)}]
+    assert run("clean").equals(resumed)
 
 
 def _sleepy_partial_fn(runs_dir: str, fail_pid: str, slow_pid: str):
@@ -689,7 +725,9 @@ def test_failed_task_settles_every_task_before_raising(ray_session, tmp_path):
     fn = _sleepy_partial_fn(str(runs), fail_pid="p0", slow_pid="p1")
 
     with pytest.raises(Exception, match="partition p0 failed"):
-        run_checkpointed(str(out), {p: p for p in pids}, fn, _concat_partials)
+        run_checkpointed(
+            str(out), pids, lambda pending: {p: p for p in pending}, fn, _concat_partials
+        )
     before_out, before_runs = _mtimes(str(out)), _mtimes(str(runs))
     time.sleep(3)
     assert _mtimes(str(out)) == before_out
@@ -710,7 +748,9 @@ def test_resume_flushes_the_manifest_once_for_all_receipts_on_disk(
     inputs = {p: p for p in pids}
     out, runs = tmp_path / "out", tmp_path / "runs"
     runs.mkdir()
-    clean = run_checkpointed(str(out), inputs, _recording_partial_fn(str(runs)), _concat_partials)
+    clean = run_checkpointed(
+        str(out), pids, lambda _: inputs, _recording_partial_fn(str(runs)), _concat_partials
+    )
     manifest = json.load(open(out / "manifest.json"))
     manifest["partitions"] = {p: {"status": "pending"} for p in pids}
     manifest["result"] = None
@@ -725,7 +765,9 @@ def test_resume_flushes_the_manifest_once_for_all_receipts_on_disk(
         flush(self)
 
     monkeypatch.setattr(Manifest, "flush", counted)
-    resumed = run_checkpointed(str(out), inputs, _recording_partial_fn(str(runs)), _concat_partials)
+    resumed = run_checkpointed(
+        str(out), pids, lambda _: inputs, _recording_partial_fn(str(runs)), _concat_partials
+    )
     assert resumed.equals(clean)
     assert {p: _runs(runs, p) for p in pids} == {p: 1 for p in pids}  # nothing re-ran
     assert flushes[0] == 2  # the receipts, then the result

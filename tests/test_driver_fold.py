@@ -235,8 +235,8 @@ def launched(monkeypatch):
         def options(self, **kwargs):
             return Spy(self.task.options(**kwargs))
 
-        def remote(self, slices, merge, make, *args):
-            out = self.task.remote(slices, merge, make, *args)
+        def remote(self, slices, key, merge, make, *args):
+            out = self.task.remote(slices, key, merge, make, *args)
             if make is build._read_and_map:
                 tasks.extend(args[1])
                 tasks.runs.append(list(args[1]))
@@ -634,14 +634,14 @@ def test_direct_producers_are_runs_of_read_tasks(
 
     log, reduce = tmp_path / "reads.log", build.reduce
 
-    def logged(jobs, merge, slices):
+    def logged(jobs, merge, slices, key):
         jobs = [
             (make, (args[0], [_Logged(rt, str(log), i) for rt in args[1]], args[2]), options)
             if make is build._read_and_map
             else (make, args, options)
             for i, (make, args, options) in enumerate(jobs)
         ]
-        return reduce(jobs, merge, slices)
+        return reduce(jobs, merge, slices, key)
 
     _use_input(monkeypatch, lambda: rd.read_parquet(eight_files).materialize())
     want = entry()

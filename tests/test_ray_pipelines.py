@@ -1026,20 +1026,33 @@ def test_grouped_hash_sample_deterministic_uniformish(ray_session):
 # round-3: parameterized dedup fanout, null/uint64 top-k order, manifests
 
 
-def test_dedup_pairs_bucket_invariance(ray_session):
+def test_dedup_pairs_bucket_invariance(ray_session, monkeypatch, tmp_path):
     """Pair sets are byte-identical at num_buckets ∈ {4, 64, 512} for every
     dedup family (the co-locating fanout only sizes reduce tasks; it must
-    never change results) — VERDICT r2 item 1."""
+    never change results) — VERDICT r2 item 1.  So they are at B ∈ {1, 2,
+    5} producers and pair-distinct slices (``stages.build.avail_cpus``)
+    over a bare three-file read, at S = 4 and 64 buckets: S > B, S < B and
+    the lone producer."""
     import ray.data as rd
+    import pyarrow.parquet as pq
 
     from rayhll.pipelines.dedup import (
         embedding_near_dup_pairs,
         minhash_lsh_pairs,
         simhash_pairs,
     )
+    from rayhll.stages import build
 
-    docs = rd.from_arrow(_near_dup_docs())
-    vecs = rd.from_arrow(_emb_with_near_copies(300, 10))
+    def files(table, name):
+        paths = [str(tmp_path / f"{name}-{i}.parquet") for i in range(3)]
+        for path, part in zip(paths, np.array_split(np.arange(len(table)), 3)):
+            pq.write_table(table.take(pa.array(part)), path)
+        return paths
+
+    docs_table, vecs_table = _near_dup_docs(), _emb_with_near_copies(300, 10)
+    docs = rd.from_arrow(docs_table)
+    vecs = rd.from_arrow(vecs_table)
+    doc_files, vec_files = files(docs_table, "docs"), files(vecs_table, "vecs")
 
     def key(df, val_col):
         return sorted(map(tuple, df[["id_a", "id_b", val_col]].to_numpy()))
@@ -1062,17 +1075,150 @@ def test_dedup_pairs_bucket_invariance(ray_session):
             "cosine",
         ),
     }
-    for name, run in runs.items():
-        at_4, at_64, at_512 = run(4), run(64), run(512)
+    at = {name: [run(4), run(64), run(512)] for name, run in runs.items()}
+    # the runs read ``docs`` and ``vecs`` when called
+    docs, vecs = rd.read_parquet(doc_files), rd.read_parquet(vec_files)
+    for cpus in (1, 2, 5):
+        monkeypatch.setattr(build, "avail_cpus", lambda: cpus)
+        for name, run in runs.items():
+            at[name] += [run(4), run(64)]
+    for name, (at_4, at_64, *others) in at.items():
         assert len(at_64) > 0, name
         if name == "embedding":
-            for other in (at_4, at_512):
+            for other in (at_4, *others):
                 assert [r[:2] for r in other] == [r[:2] for r in at_64], name
                 assert np.allclose(
                     [r[2] for r in other], [r[2] for r in at_64], atol=1e-9
                 ), name
         else:
-            assert at_4 == at_64 == at_512, name
+            assert all(other == at_64 for other in (at_4, *others)), name
+
+
+def test_inputs_past_the_producer_bound_split_into_more_producers(
+    ray_session, monkeypatch, tmp_path
+):
+    """A reduce whose input exceeds ``PRODUCER_BYTES`` per CPU runs more
+    producers than CPUs (Ray runs them a CPU's worth at a time), over a
+    bare read and over blocks alike, and the pairs and sketch bytes do not
+    change."""
+    import ray
+    import ray.data as rd
+    import pyarrow.parquet as pq
+
+    from rayhll import ray_agg
+    from rayhll.pipelines.dedup import minhash_lsh_pairs
+    from rayhll.stages import build
+
+    table = _near_dup_docs()
+    table = table.append_column("g", pa.array([i % 3 for i in range(len(table))]))
+    paths = [str(tmp_path / f"docs-{i}.parquet") for i in range(3)]
+    for path, part in zip(paths, np.array_split(np.arange(len(table)), 3)):
+        pq.write_table(table.take(pa.array(part)), path)
+    blocks = [table.slice(i, 5) for i in range(0, len(table), 5)]
+    inputs = {"read": lambda: rd.read_parquet(paths), "blocks": lambda: rd.from_arrow(blocks)}
+
+    def run(ds):
+        pairs = minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.5, num_buckets=4)
+        groups = ray_agg.grouped_approx_distinct(ds, ["g"], ["text"], include_sketch=True)
+        return (
+            sorted(map(tuple, pairs.to_pandas()[["id_a", "id_b", "jaccard"]].to_numpy())),
+            pa.concat_tables(ray.get(groups.to_arrow_refs())).sort_by("g"),
+        )
+
+    monkeypatch.setattr(build, "avail_cpus", lambda: 2)
+    want = {name: run(make()) for name, make in inputs.items()}
+    producers, colocate = {}, build.colocate
+
+    def counted(jobs, slices, key):
+        producers[key] = len(jobs)
+        return colocate(jobs, slices, key)
+
+    monkeypatch.setattr(build, "colocate", counted)
+    monkeypatch.setattr(build, "PRODUCER_BYTES", 1)
+    for name, make in inputs.items():
+        pairs, groups = run(make())
+        assert pairs == want[name][0] and len(pairs) > 0, name
+        assert groups.equals(want[name][1]), name
+        # a producer per file or block
+        assert producers["key"] == producers[build.GHASH_COL] == 3, (name, producers)
+
+
+def _pair_families():
+    """(name, run(ds, num_buckets=None), input table) of the three LSH pair
+    families, each over a table with near-duplicates."""
+    from rayhll.pipelines.dedup import (
+        embedding_near_dup_pairs,
+        minhash_lsh_pairs,
+        simhash_pairs,
+    )
+
+    return [
+        (
+            "jaccard",
+            lambda ds, nb=None: minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.5, num_buckets=nb),
+            _near_dup_docs(),
+        ),
+        (
+            "hamming",
+            lambda ds, nb=None: simhash_pairs(ds, "text", "doc_id", num_buckets=nb),
+            _near_dup_docs(),
+        ),
+        (
+            "cosine",
+            lambda ds, nb=None: embedding_near_dup_pairs(
+                ds, "embedding", "vec_id", dim=8, threshold=0.99, num_buckets=nb
+            ),
+            _emb_with_near_copies(300, 10),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("family", range(3), ids=["minhash", "simhash", "embedding"])
+def test_pairs_of_few_keys_and_of_no_rows_are_typed(ray_session, family):
+    """No input rows give no pairs, typed ``(id_a int64, id_b int64,
+    <score>)``; so do buckets without rows when the keys are fewer than
+    the buckets (each such bucket task gets the column-less empty table)."""
+    import ray.data as rd
+
+    score, run, table = _pair_families()[family]
+    want = pa.schema(
+        [("id_a", pa.int64()), ("id_b", pa.int64()), (score, pa.int64() if score == "hamming" else pa.float64())]
+    )
+    empty = run(rd.from_arrow(table.slice(0, 0)))
+    assert empty.count() == 0
+    assert empty.schema().base_schema == want
+
+    rows = [0, 300] if score == "cosine" else [10, 11]  # ids 0 and 10000, 100 and 101
+    two = table.take(pa.array(rows))  # one pair of near-duplicates
+    got = run(rd.from_arrow(two), 512)
+    assert got.schema().base_schema == want
+    pairs = [tuple(r) for r in got.to_pandas()[["id_a", "id_b"]].to_numpy()]
+    assert pairs == [tuple(two.column(0).to_pylist())]
+
+
+@pytest.mark.parametrize("family", range(3), ids=["minhash", "simhash", "embedding"])
+def test_pairs_run_no_execution_over_a_bare_read(ray_session, executions, tmp_path, family):
+    """Over a bare multi-file ``read_parquet`` the signing and explode maps
+    run in the direct producers: no Ray Data execution.  Over
+    ``from_arrow`` the keyed rows come from one execution.  The pairs are
+    the same."""
+    import ray.data as rd
+    import pyarrow.parquet as pq
+
+    from tests.conftest import _executions_of
+
+    score, run, table = _pair_families()[family]
+    paths = [str(tmp_path / f"part-{i}.parquet") for i in range(4)]
+    for path, part in zip(paths, np.array_split(np.arange(len(table)), 4)):
+        pq.write_table(table.take(pa.array(part)), path)
+    got = []
+    pairs = lambda ds: lambda: got.append(run(ds).to_pandas())  # noqa: E731
+    assert _executions_of(executions, pairs(rd.read_parquet(paths))) == 0
+    assert _executions_of(executions, pairs(rd.from_arrow(table))) == 1
+    direct, via_ray_data = (df.sort_values(["id_a", "id_b"]).reset_index(drop=True) for df in got)
+    assert len(direct) > 0
+    pd_testing = pytest.importorskip("pandas").testing
+    pd_testing.assert_frame_equal(direct, via_ray_data, check_exact=score != "cosine")
 
 
 def test_resolve_num_buckets_heuristic(ray_session):

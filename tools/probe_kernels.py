@@ -135,7 +135,7 @@ def probe_flagship(seed: int, root: str, k: int) -> dict:
     merger = build.make_bucket_merger(
         list(distinct.GROUP_COLS), list(distinct.SKETCH_COLS), list(distinct.EST_COLS)
     )
-    slices = build._sliced(partials, len(os.sched_getaffinity(0)))
+    slices = build._sliced(partials, len(os.sched_getaffinity(0)), build.GHASH_COL)
     return {
         "three_key_build_ms": 1e3 * _best(lambda: builder(tables[0]), k),
         "three_col_merge_ms": 1e3 * _best(lambda: merger(partials), k),

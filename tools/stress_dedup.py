@@ -12,7 +12,9 @@ vector plus 1% Gaussian noise, cosine ~0.99995) at id+10M for the first P
 ids, in 4 parquet files; then time streaming ``embedding_near_dup_pairs``
 and the checkpointed embedding runner.
 
-Every run reports planted-pair recall and its count of non-planted pairs.
+Every run reports its wall time, its peak RSS (the summed RSS of this
+process and its Ray workers, sampled by ``perfbench/host.PeakRss``),
+planted-pair recall and its count of non-planted pairs.
 A SimHash pair is found only within ``max_hamming`` = 3 bits, and replacing
 2 of 80 tokens moves a SimHash by more than that for most twins, so the
 SimHash recall is over the planted pairs whose SimHashes are within reach
@@ -40,6 +42,8 @@ P = int(sys.argv[2]) if len(sys.argv) > 2 else 500
 NCPU = int(sys.argv[3]) if len(sys.argv) > 3 else len(os.sched_getaffinity(0))
 
 import ray
+
+from perfbench.host import PeakRss
 
 ray.init(address="local", num_cpus=NCPU, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext
@@ -145,39 +149,53 @@ def recall_of(pairs, want=planted, among=planted) -> tuple[float, int]:
     return len(got & want) / max(len(want), 1), len(got - among)
 
 
-def timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, round(time.perf_counter() - t0, 1)
+RSS_MB = {}
 
 
-kept, t_exact = timed(lambda: exact_dedup_keep_ids(ds, "text", "doc_id").count())
+def timed(name, fn):
+    """``fn()`` and its wall seconds; its peak RSS goes to ``RSS_MB[name]``."""
+    with PeakRss() as rss:
+        t0 = time.perf_counter()
+        out = fn()
+        wall = round(time.perf_counter() - t0, 1)
+    RSS_MB[name] = round(rss.peak_mb)
+    return out, wall
 
-pairs, t_minhash = timed(lambda: minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.7).to_pandas())
+
+def crashed():
+    try:
+        ckpt("crash", fail_after=NUM_BUCKETS // 2)
+    except RuntimeError as e:
+        if "simulated crash" not in str(e):
+            raise
+        return
+    raise AssertionError("the simulated crash did not fire")
+
+
+kept, t_exact = timed("exact_dedup", lambda: exact_dedup_keep_ids(ds, "text", "doc_id").count())
+
+pairs, t_minhash = timed(
+    "minhash", lambda: minhash_lsh_pairs(ds, "text", "doc_id", threshold=0.7).to_pandas()
+)
 recall, extras = recall_of(pairs)
 
 ckpt = lambda out, **kw: minhash_dedup_checkpointed(  # noqa: E731
     files, os.path.join(work, out), threshold=0.7, num_buckets=NUM_BUCKETS, **kw
 )
-ckpt_pairs, t_ckpt = timed(lambda: ckpt("clean"))
+ckpt_pairs, t_ckpt = timed("ckpt_clean", lambda: ckpt("clean"))
 ckpt_recall, ckpt_extras = recall_of(ckpt_pairs.to_pandas())
 
-t0 = time.perf_counter()
-try:
-    ckpt("crash", fail_after=NUM_BUCKETS // 2)
-    raise AssertionError("the simulated crash did not fire")
-except RuntimeError as e:
-    if "simulated crash" not in str(e):
-        raise
-t_crash = round(time.perf_counter() - t0, 1)
-resumed, t_resume = timed(lambda: ckpt("crash"))
+_, t_crash = timed("ckpt_crash", crashed)
+resumed, t_resume = timed("ckpt_resume", lambda: ckpt("crash"))
 assert resumed.equals(ckpt_pairs), "the resumed pair set differs from the clean run's"
 
 sim_pairs, t_sim = timed(
+    "simhash",
     lambda: simhash_pairs(ds, "text", "doc_id", max_hamming=MAX_HAMMING).to_pandas()
 )
 sim_recall, sim_extras = recall_of(sim_pairs, sim_planted)
 sim_ckpt, t_sim_ckpt = timed(
+    "simhash_ckpt",
     lambda: simhash_dedup_checkpointed(
         files, os.path.join(work, "simhash"), max_hamming=MAX_HAMMING, num_buckets=NUM_BUCKETS
     ).to_pandas()
@@ -185,10 +203,12 @@ sim_ckpt, t_sim_ckpt = timed(
 sim_ckpt_recall, sim_ckpt_extras = recall_of(sim_ckpt, sim_planted)
 
 emb_pairs, t_emb = timed(
+    "embedding",
     lambda: embedding_near_dup_pairs(vec_ds, "embedding", "vec_id", dim=DIM).to_pandas()
 )
 emb_recall, emb_extras = recall_of(emb_pairs, vec_planted, vec_planted)
 emb_ckpt, t_emb_ckpt = timed(
+    "embedding_ckpt",
     lambda: embedding_dedup_checkpointed(
         vec_files, os.path.join(work, "embedding"), dim=DIM, num_buckets=NUM_BUCKETS
     ).to_pandas()
@@ -196,9 +216,20 @@ emb_ckpt, t_emb_ckpt = timed(
 emb_ckpt_recall, emb_ckpt_extras = recall_of(emb_ckpt, vec_planted, vec_planted)
 shutil.rmtree(work, ignore_errors=True)
 
+def with_rss(report: dict) -> dict:
+    """``report`` with each runner's peak RSS right after its wall time."""
+    out = {}
+    for key, value in report.items():
+        out[key] = value
+        name = key.removesuffix("_sec")
+        if name in RSS_MB:
+            out[f"{name}_peak_rss_mb"] = RSS_MB[name]
+    return out
+
+
 print(
     json.dumps(
-        {
+        with_rss({
             "docs": N + P,
             "num_cpus": NCPU,
             "exact_dedup_sec": t_exact,
@@ -227,7 +258,7 @@ print(
             "embedding_ckpt_sec": t_emb_ckpt,
             "embedding_ckpt_planted_recall": emb_ckpt_recall,
             "embedding_ckpt_non_planted_pairs": emb_ckpt_extras,
-        }
+        })
     )
 )
 ray.shutdown()
