@@ -18,7 +18,7 @@ Two hash families:
 * :func:`hash64_table` — the fast path for every other key: polars' vectorized
   64-bit xxhash over one column or a struct of columns (~60M rows/s/core),
   deterministic for a fixed seed; :func:`hash64_keys` hashes several keys
-  of one batch from one frame.
+  of one batch from one frame (the direct read's polars frame as it is).
 * :func:`splitmix64` — numpy-vectorized integer mixer (Steele et al. 2014,
   public domain constants) for derived hash streams (MinHash permutations,
   count-min rows, Bloom probes).
@@ -136,11 +136,14 @@ def hash64_table(
 
 
 def hash64_keys(
-    table: pa.Table | pa.RecordBatch, keys: list[tuple[list[str], int]]
+    table: pa.Table | pa.RecordBatch | pl.DataFrame, keys: list[tuple[list[str], int]]
 ) -> list[np.ndarray]:
     """:func:`hash64_table` of several ``(cols, seed)`` keys of one batch,
-    from one polars frame: the batch converts once and one ``select``
-    evaluates every key's hash expression."""
+    from one polars frame: an Arrow batch converts once (a polars frame is
+    hashed as it is) and one ``select`` evaluates every key's hash
+    expression."""
+    if not keys:
+        return []
     if isinstance(table, pa.RecordBatch):
         table = pa.Table.from_batches([table])
     cols = list(dict.fromkeys(c for key, _ in keys for c in key))
@@ -148,7 +151,8 @@ def hash64_keys(
         (pl.col(key[0]) if len(key) == 1 else pl.struct(key)).hash(seed=seed).alias(f"h{i}")
         for i, (key, seed) in enumerate(keys)
     ]
-    out = pl.from_arrow(table.select(cols)).select(exprs)
+    frame = table if isinstance(table, pl.DataFrame) else pl.from_arrow(table.select(cols))
+    out = frame.select(exprs)
     return [out[f"h{i}"].to_numpy().view(np.int64) for i in range(len(keys))]
 
 

@@ -30,6 +30,7 @@ run fused with each read task instead, see ``stages.build.producers``):
 from __future__ import annotations
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 
 from rayhll.core import batchbuild, batchmerge
@@ -66,7 +67,7 @@ class HashStage:
         return batch.append_column("content_raw64", pa.array(raw, type=pa.int64()))
 
 
-class MultiKeyBuild:
+class MultiKeyBuild(build_stage.FrameBuild):
     """One partial-sketch row per (batch, group) with all three key sketches.
 
     ``content`` uses the precomputed ``content_raw64`` column when present
@@ -75,6 +76,9 @@ class MultiKeyBuild:
     the fast vectorized hash.  A NULL ``content_raw64`` (a row of a file
     without the column, in blocks unified with one that has it) is absent:
     that row gets its sha256 value, the one :class:`HashStage` writes.
+    Batches come as polars frames (``stages.build.FrameBuild``): sha256
+    reads ``content`` back as Arrow, a copy of at most 32,768 rows at a
+    time.
     """
 
     def __init__(
@@ -94,21 +98,21 @@ class MultiKeyBuild:
         group = list(GROUP_COLS) if self.grouped else []
         return group + ["path", "repo", "commit", "content", "content_raw64"]
 
-    def _hashes(self, batch: pa.Table) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    def _hashes(self, frame: pl.DataFrame) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
         """The three keys' raw values and the group hash (``None`` when
-        ungrouped); every polars hash comes from one frame."""
+        ungrouped); every polars hash comes from one ``select``."""
         keys = {"path": ["path"], "repo_commit": ["repo", "commit"]}
         raws = {}
-        if "content_raw64" in batch.column_names:
-            raws["content"] = _content_raw64(batch)
+        if "content_raw64" in frame.columns:
+            raws["content"] = _content_raw64(frame)
         elif self.hash_content:
-            raws["content"] = hashing.sha256_raw64(batch.column("content"))
+            raws["content"] = build_stage.sha256_raw64(frame["content"])
         else:
             keys["content"] = ["content"]
         seeded = [(cols, hashing.DEFAULT_SEED) for cols in keys.values()]
         if self.grouped:
             seeded.append((list(GROUP_COLS), 0x6E0))
-        hashes = hashing.hash64_keys(batch, seeded)
+        hashes = hashing.hash64_keys(frame, seeded)
         raws.update(zip(keys, hashes))
         return raws, hashes[-1] if self.grouped else None
 
@@ -120,34 +124,32 @@ class MultiKeyBuild:
             out.append(sk.to_bytes())
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        raws, ghash = self._hashes(batch)
+    def build(self, frame: pl.DataFrame, types: pa.Schema) -> pa.Table:
+        raws, ghash = self._hashes(frame)
         if not self.grouped:
             blobs = self._sketch_row(raws, slice(None))
             cols = {c: pa.array([b], type=pa.binary()) for c, b in zip(SKETCH_COLS, blobs)}
-            cols["rows_in"] = pa.array([len(batch)], type=pa.int64())
+            cols["rows_in"] = pa.array([frame.height], type=pa.int64())
             return pa.table(cols)
         uniq, first_idx, counts, cols = batchbuild.build_grouped_columns(
             self.settings, ghash, [raws[k] for k in KEYS]
         )
-        out = batch.select(list(GROUP_COLS)).take(pa.array(first_idx))
+        out = build_stage.frame_rows(frame, list(GROUP_COLS), first_idx, types)
         for c, col in zip(SKETCH_COLS, cols):
             out = out.append_column(c, col)
         out = out.append_column("rows_in", pa.array(counts, type=pa.int64()))
         return build_stage.with_group_hash(out, uniq)
 
 
-def _content_raw64(batch: pa.Table) -> np.ndarray:
+def _content_raw64(frame: pl.DataFrame) -> np.ndarray:
     """``content_raw64`` as int64, each NULL replaced by the sha256 raw
     value of that row's ``content``."""
-    import pyarrow.compute as pc
-
-    col = batch.column("content_raw64")
-    if not col.null_count:
+    col = frame["content_raw64"].cast(pl.Int64)
+    if not col.null_count():
         return col.to_numpy()
-    absent = col.is_null().to_numpy(zero_copy_only=False)
-    raw = pc.fill_null(col.cast(pa.int64()), 0).to_numpy().copy()
-    raw[absent] = hashing.sha256_raw64(batch.column("content").filter(pa.array(absent)))
+    absent = col.is_null()
+    raw = col.fill_null(0).to_numpy().copy()
+    raw[absent.to_numpy()] = build_stage.sha256_raw64(frame["content"].filter(absent))
     return raw
 
 

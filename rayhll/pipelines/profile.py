@@ -11,6 +11,7 @@ way a data catalog populates per-column cardinality stats.
 
 from __future__ import annotations
 
+import polars as pl
 import pyarrow as pa
 
 from rayhll.core.settings import HllSettings
@@ -19,10 +20,12 @@ from rayhll.functions import hashing
 from rayhll.stages import build as build_stage
 
 
-class ProfileBuild:
+class ProfileBuild(build_stage.FrameBuild):
     """map_batches callable: one (column, sketch, rows_in) row per column of
     ``columns`` (each of the batch's own columns when None), with the
-    column's group hash for ``stages.build.make_bucket_merger``."""
+    column's group hash for ``stages.build.make_bucket_merger``.  Every
+    column's hash comes from one ``select`` of the batch's polars frame
+    (``stages.build.FrameBuild``)."""
 
     def __init__(self, columns: list[str] | None, settings: HllSettings | None = None):
         self.columns = list(columns) if columns else None
@@ -33,18 +36,19 @@ class ProfileBuild:
         """``columns``; ``None`` (every column) when profiling them all."""
         return self.columns
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        columns = batch.column_names if self.columns is None else self.columns
+    def build(self, frame: pl.DataFrame, types: pa.Schema) -> pa.Table:
+        columns = frame.columns if self.columns is None else self.columns
+        raws = hashing.hash64_keys(frame, [([c], hashing.DEFAULT_SEED) for c in columns])
         blobs = []
-        for c in columns:
+        for raw in raws:
             sk = HllSketch(self.settings)
-            sk.add_batch(hashing.hash64_table(batch, [c]))
+            sk.add_batch(raw)
             blobs.append(sk.to_bytes())
         out = pa.table(
             {
                 "col_name": pa.array(columns, type=pa.string()),
                 build_stage.SKETCH_COL: pa.array(blobs, type=pa.binary()),
-                build_stage.ROWS_COL: pa.array([len(batch)] * len(columns), type=pa.int64()),
+                build_stage.ROWS_COL: pa.array([frame.height] * len(columns), type=pa.int64()),
             }
         )
         ghash = hashing.hash64_table(out, ["col_name"], seed=build_stage.GROUP_HASH_SEED)

@@ -19,8 +19,10 @@ merge task's load is bounded by #groups × #blocks, not by the hottest
 group's row count.
 
 Over a bare ``read_parquet`` whose read tasks each hold at most one build
-batch (or fill the CPUs) they start no Ray Data execution, and a grouped
-result comes materialized (``stages.build._direct_plan``).
+batch (or fill the CPUs) they start no Ray Data execution and no Ray read
+task: plain Ray tasks read the files with polars straight into the frame
+the build hashes, and a grouped result comes materialized
+(``stages.build._direct_jobs``).
 
 All exchanges are storage-spec v1.0.0 bytes, so any stage's output is
 readable by postgresql-hll / java-hll and by every other stage.

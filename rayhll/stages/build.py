@@ -24,16 +24,22 @@ the wide operation is tiny by construction —
   column is the caller's (``GHASH_COL`` for every sketch merge) and so is
   the slice count (:func:`colocate`): ``pipelines.dedup`` slices keyed rows
   by ``key % S`` into S bucket tasks, then their pairs by ``id_a % B``.
-* A plan that is exactly a ``Datasource`` read and then this library's own
-  maps runs as plain Ray tasks, each reading and mapping one run of read
-  tasks in order, when that loses no parallelism (:func:`_direct_plan`);
-  any other plan runs through Ray Data.
-  A direct ``read_parquet`` decodes only the columns its first map declares
-  in ``input_columns`` (``None``: every column), unless the read has an
-  explicit ``schema=`` or a ``_block_udf`` (:func:`_projected`); a kept
-  column some files lack is NULL in their rows, as in Ray Data's unified
-  blocks.  The read batches keep their row boundaries, so the partials do
-  not change.
+* A plan that is exactly a plain ``read_parquet`` and then this library's
+  own maps runs as plain Ray tasks when that loses no parallelism
+  (:func:`_direct_plan`, :func:`_direct_jobs`); any other plan runs
+  through Ray Data.  A direct producer gets the file paths of the
+  source's own read tasks and the first map's ``input_columns``
+  (``None``: every column), and reads its files with polars, one batch at
+  a time, straight into the frames a :class:`FrameBuild` hashes
+  (:func:`read_batches`): no Ray read task and no Arrow-to-polars copy.
+  The batches are those ``map_batches`` over Ray's read would make, so the
+  partials do not change; a kept column some files lack is NULL in their
+  rows, as in Ray Data's unified blocks.  A read the frame reader does not
+  reproduce exactly (not on the local filesystem, ``schema=``,
+  ``filter=``, ``include_paths``, a column type outside strings, binary,
+  integers, floats, bool, dates, timestamps and lists of them, ...) runs
+  in Ray Data (:func:`_parquet_files`); hive partition values are filled
+  in from the paths, as Ray Data fills them.
 * Every merge is the associative union (reference semantics:
   python_hll/hll.py:491-691) of :mod:`rayhll.core.batchmerge`, straight
   from the serialized bytes: ``make_bucket_merger`` merges many groups'
@@ -47,11 +53,11 @@ partial sketch (register max is order-independent and duplicate-insensitive).
 
 from __future__ import annotations
 
-import copy
 import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
+import polars as pl
 import pyarrow as pa
 
 from rayhll.core import batchbuild, batchmerge
@@ -84,6 +90,9 @@ GROUP_HASH_SEED = 0x5EED_6800
 # runs a CPU's worth at a time, so memory does not grow with the input): its
 # keyed rows are this times its maps' growth, about 18x for MinHash bands.
 PRODUCER_BYTES = 128 << 20
+#: polars' Arrow export with the offset types Arrow kernels and
+#: ``hashing.sha256_digests`` read (``large_string``, not string views)
+OLDEST = pl.CompatLevel.oldest()
 
 
 def with_group_hash(table: pa.Table, ghash: np.ndarray) -> pa.Table:
@@ -102,13 +111,52 @@ def check_build_args(key_cols, hash_method: str) -> None:
         raise ValueError("sha256 hashing supports exactly one key column")
 
 
-class BuildPartials:
-    """Actor-pool callable: input Arrow batch -> one partial-sketch row per
-    group present in the batch (a single global row when ``group_cols`` is
-    empty).
+class FrameBuild:
+    """A build that hashes a polars frame: the base of the library's maps
+    that read only their ``input_columns`` (``None``: every column).
+
+    :meth:`build` makes the partial rows of one batch: a direct read's
+    polars frame as it was read, with the read's Arrow ``types``
+    (:func:`read_batches`).  ``__call__`` takes an Arrow batch (the Ray
+    Data path), converts its input columns to a frame once and builds it
+    typed by its own schema, so both paths run one build."""
+
+    input_columns: list[str] | None = None
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        names = batch.column_names
+        if self.input_columns is not None:
+            names = [c for c in dict.fromkeys(self.input_columns) if c in set(names)]
+        return self.build(pl.from_arrow(batch.select(names)), batch.schema)
+
+    def build(self, frame: pl.DataFrame, types: pa.Schema) -> pa.Table:
+        raise NotImplementedError
+
+
+def sha256_raw64(values: pl.Series) -> np.ndarray:
+    """``hashing.sha256_raw64`` of a frame's column, read back as Arrow
+    32,768 rows at a time, so the copy is never a whole large batch's."""
+    parts = [
+        hashing.sha256_raw64(values.slice(lo, 32768).to_arrow(compat_level=OLDEST))
+        for lo in range(0, len(values), 32768)
+    ]
+    return np.concatenate(parts) if parts else np.empty(0, np.int64)
+
+
+def frame_rows(frame: pl.DataFrame, cols: list[str], rows: np.ndarray, types: pa.Schema) -> pa.Table:
+    """The ``rows`` of ``frame``'s ``cols`` as an Arrow table, each column
+    cast to its type in ``types``, with its metadata (the groups' values in
+    the partial rows, as ``batch.select(cols).take(rows)`` gives them)."""
+    out = frame.select(pl.col(cols).gather(rows)).to_arrow(compat_level=OLDEST)
+    return out.cast(pa.schema([types.field(c) for c in cols], types.metadata))
+
+
+class BuildPartials(FrameBuild):
+    """Actor-pool callable: input batch -> one partial-sketch row per group
+    present in the batch (a single global row when ``group_cols`` is empty).
 
     Stateful setup (settings validation, derived constants) happens once per
-    actor in ``__init__``; ``__call__`` does only vectorized per-batch work.
+    actor in ``__init__``; a call does only vectorized per-batch work.
     """
 
     def __init__(
@@ -138,47 +186,40 @@ class BuildPartials:
         """The columns a batch must hold: the key and group columns."""
         return self.key_cols + self.group_cols
 
-    def _raw64(self, batch: pa.Table) -> np.ndarray:
-        if self.hash_method == "sha256":
-            return hashing.sha256_raw64(batch.column(self.key_cols[0]))
-        return hashing.hash64_table(batch, self.key_cols, seed=self.seed)
-
-    def _valid_mask(self, batch: pa.Table) -> np.ndarray | None:
+    def _valid_mask(self, frame: pl.DataFrame) -> np.ndarray | None:
         """Bool mask of rows whose key tuple has no NULL (None = all valid)."""
-        if not self.ignore_nulls:
+        nulls = [c for c in self.key_cols if frame[c].null_count()] if self.ignore_nulls else []
+        if not nulls:
             return None
-        import pyarrow.compute as pc
+        return frame.select(pl.all_horizontal(pl.col(nulls).is_not_null())).to_series().to_numpy()
 
-        mask: np.ndarray | None = None
-        for c in self.key_cols:
-            col = batch.column(c)
-            if col.null_count == 0:
-                continue
-            m = pc.is_valid(col).to_numpy(zero_copy_only=False)
-            mask = m if mask is None else (mask & m)
-        return mask
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        raw = self._raw64(batch)
-        valid = self._valid_mask(batch)
+    def build(self, frame: pl.DataFrame, types: pa.Schema) -> pa.Table:
+        keys = [] if self.hash_method == "sha256" else [(self.key_cols, self.seed)]
+        if self.group_cols:
+            keys.append((self.group_cols, GROUP_HASH_SEED))
+        hashes = hashing.hash64_keys(frame, keys)
+        if self.hash_method == "sha256":
+            raw = sha256_raw64(frame[self.key_cols[0]])
+        else:
+            raw = hashes[0]
+        valid = self._valid_mask(frame)
         if not self.group_cols:
             sk = HllSketch(self.settings)
             sk.add_batch(raw if valid is None else raw[valid])
             return pa.table(
                 {
                     SKETCH_COL: pa.array([sk.to_bytes()], type=pa.binary()),
-                    ROWS_COL: pa.array([len(batch)], type=pa.int64()),
+                    ROWS_COL: pa.array([frame.height], type=pa.int64()),
                 }
             )
         # Vectorized within-batch grouping: one composite hash of the group
         # columns -> codes; all per-group sketches built in one pass
         # (rayhll.core.batchbuild), python loop only over threshold-crossing
         # groups.
-        ghash = hashing.hash64_table(batch, self.group_cols, seed=GROUP_HASH_SEED)
         uniq, first_idx, counts, sketches = batchbuild.build_grouped_column(
-            self.settings, ghash, raw, valid=valid
+            self.settings, hashes[-1], raw, valid=valid
         )
-        out = batch.select(self.group_cols).take(pa.array(first_idx))
+        out = frame_rows(frame, self.group_cols, first_idx, types)
         out = out.append_column(SKETCH_COL, sketches)
         out = out.append_column(ROWS_COL, pa.array(counts, type=pa.int64()))
         # carry the group hash: the reduce slices and merges by it
@@ -215,8 +256,14 @@ def make_bucket_merger(
     sketch_cols: list[str] = (SKETCH_COL,),
     estimate_cols: list[str] | None = None,
     include_sketch: bool = True,
-):
-    """Build the reduce fn for the grouped aggregation.
+) -> "BucketMerger":
+    """Build the reduce fn for the grouped aggregation (:class:`BucketMerger`)."""
+    return BucketMerger(group_cols, sketch_cols, estimate_cols, include_sketch)
+
+
+class BucketMerger:
+    """The reduce fn of the grouped aggregation, a module-level callable (a
+    merge task unpickles it by reference, with no closure to serialize).
 
     Receives ALL partial rows of one slice (many groups) and merges
     and estimates every group's sketches vectorized, grouping the rows once
@@ -224,32 +271,36 @@ def make_bucket_merger(
     Emits one row per group: group cols, merged sketch(es), integer
     estimate(s), summed rows.
     """
-    estimate_cols = estimate_cols or [
-        ESTIMATE_COL if c == SKETCH_COL else f"estimate_{c}" for c in sketch_cols
-    ]
 
-    def merge_bucket(tbl: pa.Table) -> pa.Table:
+    def __init__(self, group_cols, sketch_cols, estimate_cols, include_sketch):
+        self.group_cols = list(group_cols)
+        self.sketch_cols = list(sketch_cols)
+        self.estimate_cols = estimate_cols or [
+            ESTIMATE_COL if c == SKETCH_COL else f"estimate_{c}" for c in sketch_cols
+        ]
+        self.include_sketch = include_sketch
+
+    def __call__(self, tbl: pa.Table) -> pa.Table:
+        pairs = list(zip(self.sketch_cols, self.estimate_cols))
         if not tbl.num_rows:
-            out = empty_groups(tbl, group_cols)
-            for sc, ec in zip(sketch_cols, estimate_cols):
-                if include_sketch:
+            out = empty_groups(tbl, self.group_cols)
+            for sc, ec in pairs:
+                if self.include_sketch:
                     out = out.append_column(sc, pa.array([], type=pa.binary()))
                 out = out.append_column(ec, pa.array([], type=pa.int64()))
             return out.append_column(ROWS_COL, pa.array([], type=pa.int64()))
-        cols = [tbl.column(sc) for sc in sketch_cols]
+        cols = [tbl.column(sc) for sc in self.sketch_cols]
         settings = [settings_from_bytes(col[0].as_py()) for col in cols]
         _, first_idx, inv, merged = batchmerge.merge_grouped_columns(
             settings, tbl.column(GHASH_COL).to_numpy(), cols
         )
-        out = tbl.select(group_cols).take(pa.array(first_idx))
-        for sc, ec, s, col in zip(sketch_cols, estimate_cols, settings, merged):
-            if include_sketch:
+        out = tbl.select(self.group_cols).take(pa.array(first_idx))
+        for (sc, ec), s, col in zip(pairs, settings, merged):
+            if self.include_sketch:
                 out = out.append_column(sc, col)
             out = out.append_column(ec, pa.array(batchmerge.cardinalities(s, col), type=pa.int64()))
         rows = np.bincount(inv, weights=tbl.column(ROWS_COL).to_numpy()).astype(np.int64)
         return out.append_column(ROWS_COL, pa.array(rows, type=pa.int64()))
-
-    return merge_bucket
 
 
 def empty_groups(tbl: pa.Table, group_cols: list[str]) -> pa.Table:
@@ -268,8 +319,8 @@ def merge_grouped(partials: "ray.data.Dataset", merger) -> "ray.data.Dataset":
     (:func:`reduce` of the :func:`producers` of ``partials`` in one slice per
     CPU).  The plan up to the partials runs when this is called; the result
     is a materialized dataset over the blocks the merge tasks return."""
-    slices = avail_cpus()
-    return dataset_of(reduce(producers(partials, slices), merger, slices, GHASH_COL))
+    cpus = avail_cpus()
+    return dataset_of(reduce(producers(partials, cpus, cpus), merger, cpus, GHASH_COL))
 
 
 def merge_to_row(partials: "ray.data.Dataset", merge) -> pa.Table:
@@ -282,12 +333,13 @@ def merge_to_row(partials: "ray.data.Dataset", merge) -> pa.Table:
     return ray.get(ref)
 
 
-def producers(ds: "ray.data.Dataset", slices: int) -> list:
+def producers(ds: "ray.data.Dataset", slices: int, cpus: int | None = None) -> list:
     """The :func:`reduce` jobs that yield the rows of ``ds`` for ``slices``
     slices: :func:`_direct_jobs`, else one split task per contiguous
     :func:`runs` of the blocks with rows, :func:`producer_count` of
-    ``min(slices, B)`` (the driver holds only their refs and metadata)."""
-    cpus = avail_cpus()
+    ``min(slices, B)`` (the driver holds only their refs and metadata).
+    B is ``cpus``, else :func:`avail_cpus`."""
+    cpus = cpus or avail_cpus()
     jobs = _direct_jobs(ds, cpus)
     if jobs is None:
         blocks = [
@@ -392,13 +444,15 @@ def _sliced(table: pa.Table, slices: int, key: str | None) -> list[pa.Table]:
 
 
 def _concat(*blocks) -> pa.Table:
-    """The rows of ``blocks`` in order, as one Arrow table; column-less
-    when none has rows."""
+    """The rows of ``blocks`` in order, as one Arrow table, each column
+    typed as its types in the blocks unify (``string`` and ``large_string``
+    partials of two files' groups: ``large_string``); column-less when none
+    has rows."""
     from ray.data.block import BlockAccessor
 
     tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
     tables = [t for t in tables if t.num_rows]
-    return pa.concat_tables(tables, promote_options="default") if tables else pa.table({})
+    return pa.concat_tables(tables, promote_options="permissive") if tables else pa.table({})
 
 
 def avail_cpus() -> int:
@@ -443,14 +497,16 @@ def _direct_plan(ds: "ray.data.Dataset"):
 
 
 def _direct_jobs(ds: "ray.data.Dataset", cpus: int):
-    """The producers of a :func:`_direct_plan` that :func:`_keeps_parallelism`
-    on ``cpus`` CPUs as :func:`reduce` jobs, else None: the read tasks Ray
-    Data would launch, cut into at most ``cpus`` contiguous :func:`runs` of
-    about equal bytes, one task per run, which reads and maps each of its read
-    tasks in order (:func:`_read_and_map`).  So each group's rows still
-    reach its merge in read-task order.  The read tasks come from the
-    source as :func:`_projected` to the first map's ``input_columns``; their
-    count, metadata and batch rows are the unprojected read's."""
+    """The producers of a :func:`_direct_plan` whose read
+    :func:`_parquet_files` reproduces and that :func:`_keeps_parallelism` on
+    ``cpus`` CPUs, as :func:`reduce` jobs, else None.  The read tasks are
+    the source's own (``get_read_tasks``: its file grouping and order, row
+    counts and sizes), cut into at most ``cpus`` contiguous :func:`runs` of
+    about equal bytes, one task per run (:func:`_read_and_build`), so each
+    group's rows still reach its merge in read-task order.  A job's
+    arguments are plain data: per read task, its columns' Arrow types and
+    per file its path, the kept columns it holds and its kept hive
+    partition values."""
     plan = _direct_plan(ds)
     if plan is None:
         return None
@@ -458,131 +514,238 @@ def _direct_jobs(ds: "ray.data.Dataset", cpus: int):
 
     read, maps = plan
     ctx, source = ds.context, read._datasource_or_legacy_reader
+    files = _parquet_files(source, getattr(maps[0]._fn, "input_columns", None))
+    if files is None:
+        return None
+    files, kept = files
     n, _, _ = _autodetect_parallelism(
         read._parallelism, ctx.target_max_block_size, ctx, source, read._mem_size
     )
-    columns = getattr(maps[0]._fn, "input_columns", None)
-    read_tasks = _projected(source, columns).get_read_tasks(n)
-    if not _keeps_parallelism(read_tasks, maps[0]._batch_size, ctx, cpus):
+    metas = [task.metadata for task in source.get_read_tasks(n)]
+    tasks = []
+    for paths in ([str(path) for path in md.input_files] for md in metas):
+        schema = _task_schema([files[path][0] for path in paths], kept)
+        if schema is None:
+            return None
+        tasks.append((schema, [(path, *files[path][1:]) for path in paths]))
+    rows, sizes = [md.num_rows for md in metas], [md.size_bytes for md in metas]
+    if not _keeps_parallelism(rows, sizes, maps[0]._batch_size, ctx, cpus):
         return None
     chain = [(op._fn, op._batch_size) for op in maps]
-    sizes = [rt.metadata.size_bytes for rt in read_tasks]
+    # pyarrow's own default when Ray sampled no batch size
+    read_rows = int(source._default_read_batch_size_rows or 2**17)
     return [
-        (_read_and_map, (ctx, run, chain), read._ray_remote_args)
-        for run in runs(read_tasks, sizes, producer_count(sizes, cpus))
+        (_read_and_build, (ctx, run, read_rows, chain), read._ray_remote_args)
+        for run in runs(tasks, sizes, producer_count(sizes, cpus))
     ]
 
 
-def _projected(source, columns):
-    """``source`` reading only the read's own columns that are in
-    ``columns``, in the read's order: a shallow copy of a
-    ``ParquetDatasource`` with its file columns (those some file holds) and
-    hive partition columns (by Ray's own rule, from the first file)
-    narrowed.  Without ``columns=`` on the read, its columns are every
-    file's (by the prefetched file metadata), unified as Ray Data unifies
-    blocks.  When some file lacks a kept file column, the files are read as
-    the kept columns' unified schema, so that file's rows hold NULL in it,
-    as in Ray Data's unified blocks.  ``source`` itself when ``columns`` is
-    None, the source is not Parquet, the read has an explicit ``schema=``
-    (files are read as that schema) or a ``_block_udf`` (it may read any
-    column), a file's metadata is missing, the file schemas do not unify,
-    nothing would be left out and every file holds every column, or a file
-    lacks a kept column and the read has both ``columns=`` and a
-    ``filter=``.  A file lacking a kept column under a ``filter=`` (which may
-    name a column outside the kept ones) without ``columns=`` keeps every
-    column, all read through the files' unified schema.  The sampled read
-    batch size and the file metadata are kept, so every read task yields
-    the same rows in the same batches."""
-    from ray import cloudpickle
-    from ray.data._internal.datasource.parquet_datasource import (
-        ParquetDatasource,
-        _infer_data_and_partition_columns,
+def _frame_type(t: pa.DataType) -> bool:
+    """Whether a column of Arrow type ``t`` reads into polars as it converts
+    from Arrow, and back unchanged: strings, binary, integers, floats, bool,
+    dates, timestamps, and lists of them (an embedding's
+    ``fixed_size_list<float>``)."""
+    if pa.types.is_list(t) or pa.types.is_large_list(t) or pa.types.is_fixed_size_list(t):
+        return _frame_type(t.value_type)
+    return (
+        pa.types.is_string(t)
+        or pa.types.is_large_string(t)
+        or pa.types.is_binary(t)
+        or pa.types.is_large_binary(t)
+        or pa.types.is_integer(t)
+        or pa.types.is_float32(t)
+        or pa.types.is_float64(t)
+        or pa.types.is_boolean(t)
+        or pa.types.is_date32(t)
+        or (pa.types.is_timestamp(t) and t.unit != "s")
     )
 
+
+def _parquet_files(source, columns):
+    """``(files, kept)`` for a Parquet read of local files: per file path,
+    the fields of the kept columns it has, the kept columns it holds, and
+    the values of the kept hive partition columns it does not hold (which
+    Ray Data adds after the file's columns); and the kept columns' schema
+    (each typed as the first file that has it types it).  The kept columns
+    are the read's (``columns=``, else those some file holds, then the
+    partition columns) that ``columns`` names (every one when None), in
+    the read's order.
+    None when the read is one the frame reader does not reproduce exactly,
+    so it runs in Ray Data: not Parquet; not on the local filesystem;
+    ``schema=``, ``_block_udf``, ``include_paths`` or any ``to_batches``
+    option (``filter=``); missing file metadata; files of different
+    partition columns; a kept column of a type :func:`_frame_type`
+    refuses, or one no file has; or every column kept from files whose
+    columns differ."""
+    import pyarrow.fs as pafs
+    from ray import cloudpickle
+    from ray.data._internal.datasource.parquet_datasource import ParquetDatasource
+    from ray.data.datasource.partitioning import PathPartitionParser
+
     if (
-        columns is None
-        or type(source) is not ParquetDatasource
+        type(source) is not ParquetDatasource
+        or not isinstance(source._filesystem, pafs.LocalFileSystem)
         or source._read_schema is not None
         or source._block_udf is not None
-        or not source._pq_fragments
-        or len(source._metadata) < len(source._pq_fragments)
+        or source._include_paths
+        or source._to_batches_kwargs
+        or not source._pq_paths
+        or len(source._metadata) < len(source._pq_paths)
         or any(getattr(md, "schema_pickled", None) is None for md in source._metadata)
     ):
-        return source
-    pickled = dict.fromkeys(md.schema_pickled for md in source._metadata)
-    files = [cloudpickle.loads(schema) for schema in pickled]
-    schema = source._inferred_schema
-    if source._data_columns is None:
-        try:
-            schema = pa.unify_schemas([schema, *files])
-        except (pa.ArrowInvalid, pa.ArrowTypeError):
-            return source
-    names = [c for c in schema.names if c in set(columns)]
-    held = set().union(*(f.names for f in files))
-    data = [c for c in names if c in held]
-    lacking = any(c not in f.names for f in files for c in data)
-    if lacking and source._to_batches_kwargs.get("filter") is not None:
-        if source._data_columns is not None:
-            return source
-        names = schema.names
-        data = [c for c in names if c in held]
-    if len(names) == len(schema.names) and not lacking:
-        return source
-    out = copy.copy(source)
-    out._data_columns, out._partition_columns = data, []
+        return None
+    parts = [{}] * len(source._pq_paths)
     if source._partitioning is not None:
-        first = source._pq_fragments[0].deserialize()
-        _, out._partition_columns = _infer_data_and_partition_columns(
-            names, first, source._partitioning
-        )
-    if lacking:
-        out._read_schema = pa.schema([schema.field(c) for c in data])
-    out._inferred_schema = pa.schema([schema.field(c) for c in names], schema.metadata)
-    return out
+        parts = [PathPartitionParser(source._partitioning)(path) for path in source._pq_paths]
+        if source._partition_columns is not None:
+            parts = [{k: v for k, v in p.items() if k in source._partition_columns} for p in parts]
+        if any(list(p) != list(parts[0]) for p in parts):
+            return None
+    pickled = dict.fromkeys(md.schema_pickled for md in source._metadata)
+    unpickled = {schema: cloudpickle.loads(schema) for schema in pickled}
+    schemas = [unpickled[md.schema_pickled] for md in source._metadata]
+    if source._data_columns is not None:
+        names = source._data_columns
+    elif columns is None:
+        if any(schema.names != schemas[0].names for schema in schemas):
+            return None
+        names = schemas[0].names
+    else:
+        names = list(dict.fromkeys(c for schema in schemas for c in schema.names))
+    names = list(dict.fromkeys([*names, *parts[0]]))
+    kept = [c for c in names if columns is None or c in set(columns)]
+    held = [pa.schema([s.field(c) for c in kept if c in s.names]) for s in schemas]
+    fills = [{k: v for k, v in p.items() if k in kept and k not in s.names} for p, s in zip(parts, schemas)]
+    typed = [  # a partition value's type is the one Ray Data's fill_column infers
+        pa.schema([*schema, *(pa.field(k, pa.infer_type([v])) for k, v in fill.items())])
+        for schema, fill in zip(held, fills)
+    ]
+    fields = [field for schema in typed for field in schema]
+    if not all(_frame_type(f.type) for f in fields) or {f.name for f in fields} != set(kept):
+        return None
+    first = {}
+    for f in fields:
+        first.setdefault(f.name, pa.field(f.name, f.type))
+    files = [(schema, names.names, fill) for schema, names, fill in zip(typed, held, fills)]
+    return dict(zip(source._pq_paths, files)), pa.schema([first[c] for c in kept])
 
 
-def _keeps_parallelism(read_tasks, batch_size, ctx, cpus: int) -> bool:
+def _task_schema(schemas: list, kept: pa.Schema):
+    """The Arrow types of one read task's rows, in ``kept``'s order: each
+    column's type in the task's file ``schemas`` (``kept``'s, for a column
+    none of them holds, whose rows are NULL), or None when two of them type
+    a column differently."""
+    types = {}
+    for field in (f for schema in schemas for f in schema):
+        if types.setdefault(field.name, field).type != field.type:
+            return None
+    return pa.schema([types.get(field.name, field) for field in kept])
+
+
+def _keeps_parallelism(rows: list, sizes: list, batch_size, ctx, cpus: int) -> bool:
     """Whether mapping each read task whole keeps the CPUs as busy as Ray Data,
     which maps a read task's output in tasks of ``batch_size`` rows (of one
-    block, split to twice the CPUs, when None): each read task's metadata
-    shows at most ``batch_size`` rows (or ``ctx.target_min_block_size``
-    bytes, Ray Data's smallest read block), or the read tasks fill the
-    ``cpus`` CPUs."""
-    if batch_size is None:
-        sizes, bound = [rt.metadata.size_bytes for rt in read_tasks], ctx.target_min_block_size
-    else:
-        sizes, bound = [rt.metadata.num_rows for rt in read_tasks], batch_size
-    if all(size is not None and size <= bound for size in sizes):
-        return True
-    return len(read_tasks) >= cpus
+    block, split to twice the CPUs, when None): each read task's ``rows``
+    are at most ``batch_size`` (its ``sizes`` at most
+    ``ctx.target_min_block_size`` bytes, Ray Data's smallest read block, when
+    None), or the read tasks fill the ``cpus`` CPUs."""
+    bounded, bound = (sizes, ctx.target_min_block_size) if batch_size is None else (rows, batch_size)
+    return all(size <= bound for size in bounded) or len(rows) >= cpus
 
 
-def _read_and_map(ctx, read_tasks, chain) -> pa.Table:
-    """The blocks of each of ``read_tasks`` in turn through ``chain``'s
-    ``(fn, batch_size)`` maps, batched per read task as ``map_batches``
-    does, under ``ctx``."""
+def _read_and_build(ctx, tasks: list, read_rows: int, chain) -> pa.Table:
+    """The rows of each read task of ``tasks`` in turn, read one batch at a
+    time (:func:`read_batches`) and mapped through ``chain``'s ``(fn,
+    batch_size)`` maps as ``map_batches`` maps one read task's rows, under
+    ``ctx``.  A :class:`FrameBuild` takes each batch as it is, with the
+    task's Arrow types; any other map gets it as an Arrow table of those
+    types."""
     from ray.data import DataContext
 
     prev = DataContext.get_current()
     DataContext._set_current(ctx)
     try:
+        (first, batch_size), rest = chain[0], chain[1:]
         tables = []
-        for read_task in read_tasks:
-            blocks = read_task()
-            for fn, batch_size in chain:
-                blocks = _mapped(fn, blocks, batch_size)
+        for schema, files in tasks:
+            blocks = []
+            for frame in read_batches(files, schema, batch_size, read_rows):
+                blocks.append(_call(first, frame, schema))
+                del frame  # the next batch is read with this one freed
+            for fn, size in rest:
+                blocks = [fn(batch) for batch in _batches(blocks, size)]
             tables.extend(blocks)
         return _concat(*tables)
     finally:
         DataContext._set_current(prev)
 
 
-def _mapped(fn, blocks, batch_size):
-    from ray.data._internal.block_batching.util import blocks_to_batches
-    from ray.data.block import BlockAccessor
+def read_batches(files: list, schema: pa.Schema, batch_size, read_rows: int | None = None):
+    """The rows of ``files`` (each a local Parquet file's path, the columns
+    of ``schema`` read from it, None: all, and the values of those it
+    holds none of, its hive partition values) as polars frames of
+    ``schema``'s columns, batched as ``map_batches`` batches one read task
+    of them: ``batch_size`` rows at a time across the files, or at None
+    ``read_rows`` rows at a time within each row group.  Each batch is read
+    when the one before it has been taken (:func:`read_piece`), so only one
+    is held."""
+    import pyarrow.parquet as pq
 
-    for batch in blocks_to_batches(iter(blocks), batch_size=batch_size):
-        yield fn(BlockAccessor.for_block(batch.data).to_batch_format("pyarrow"))
+    dtypes = pl.from_arrow(schema.empty_table()).schema
+    pieces, held = [], 0
+    for path, columns, fills in files:
+        columns = schema.names if columns is None else list(columns)
+        meta = pq.read_metadata(path)
+        if batch_size is None:
+            start = 0
+            for group in (meta.row_group(i).num_rows for i in range(meta.num_row_groups)):
+                for lo in range(start, start + group, read_rows):
+                    rows = min(read_rows, start + group - lo)
+                    yield read_piece(path, columns, fills, lo, rows, dtypes)
+                start += group
+            continue
+        lo = 0
+        while lo < meta.num_rows:
+            rows = min(batch_size - held, meta.num_rows - lo)
+            pieces.append(read_piece(path, columns, fills, lo, rows, dtypes))
+            held, lo = held + rows, lo + rows
+            if held == batch_size:
+                yield pl.concat(pieces) if len(pieces) > 1 else pieces[0]
+                pieces, held = [], 0
+    if pieces:
+        yield pl.concat(pieces) if len(pieces) > 1 else pieces[0]
+
+
+def read_piece(path: str, columns: list, fills: dict, start: int, rows: int, dtypes) -> pl.DataFrame:
+    """Rows ``start`` to ``start + rows`` of the Parquet file at ``path``,
+    decoding only its ``columns``, as a frame of ``dtypes`` (a polars
+    schema): another column is its value in ``fills``, else NULL, and a
+    column polars reads as another type than it converts from Arrow
+    (``date64``, stored as days) is cast to the converted type."""
+    frame = pl.DataFrame()  # selecting no column would read no row
+    if columns:
+        scan = pl.scan_parquet(path, hive_partitioning=False, glob=False)
+        frame = scan.select(columns).slice(start, rows).collect()
+    absent = [pl.repeat(fills.get(c), rows, dtype=dtypes[c]).alias(c) for c in dtypes if c not in columns]
+    frame = frame.with_columns(absent).select(list(dtypes))
+    return frame if frame.schema == dtypes else frame.cast(dtypes)
+
+
+def _call(fn, frame: "pl.DataFrame", schema: pa.Schema) -> pa.Table:
+    """``fn`` of one batch of the direct read: the frame itself for a
+    :class:`FrameBuild`, else the Arrow table of ``schema`` it holds."""
+    if isinstance(fn, FrameBuild):
+        return fn.build(frame, schema)
+    return fn(frame.to_arrow(compat_level=OLDEST).cast(schema))
+
+
+def _batches(blocks: list, batch_size) -> list:
+    """``blocks`` as ``map_batches`` batches them: each non-empty block
+    when ``batch_size`` is None, else ``batch_size`` rows at a time."""
+    if batch_size is None:
+        return [block for block in blocks if block.num_rows]
+    table = _concat(*blocks)
+    return [table.slice(lo, batch_size) for lo in range(0, table.num_rows, batch_size)]
 
 
 def dataset_of(blocks) -> "ray.data.Dataset":

@@ -331,8 +331,10 @@ def flagship_checkpointed(
 ):
     """Checkpointed flagship run: one partition per input parquet file.
 
-    Partial = grouped multi-key sketch rows for that file, read from only
-    the columns ``MultiKeyBuild`` declares; merge = ``stages.build.reduce``
+    Partial = grouped multi-key sketch rows for that file, read as polars
+    frames of only the columns ``MultiKeyBuild`` declares, 262,144 rows at a
+    time (``stages.build.read_batches``, as the direct path reads) and built
+    one at a time; merge = ``stages.build.reduce``
     over all partials, whose split tasks read the files (the driver reads
     none); result = per-(repo, lang) estimates.  Byte-deterministic across
     resumes.  The fingerprint covers the settings and the input file list
@@ -344,15 +346,15 @@ def flagship_checkpointed(
     settings = settings or HllSettings(11, 5)
 
     def partial_fn(path: str) -> pa.Table:
-        build = distinct.MultiKeyBuild(settings=settings, grouped=True)
-        f = pq.ParquetFile(path)
-        wanted = set(build.input_columns)
-        schema = pa.schema(
-            [field for field in f.schema_arrow if field.name in wanted], f.schema_arrow.metadata
-        )
-        batches = f.iter_batches(batch_size=262144, columns=schema.names)
-        parts = [build(pa.Table.from_batches([b])) for b in batches]
-        return pa.concat_tables(parts or [build(schema.empty_table())])
+        multi = distinct.MultiKeyBuild(settings=settings, grouped=True)
+        schema = pq.read_schema(path)
+        wanted = set(multi.input_columns)
+        schema = pa.schema([field for field in schema if field.name in wanted], schema.metadata)
+        parts = []
+        for frame in bs.read_batches([(path, None, {})], schema, 262144):
+            parts.append(multi.build(frame, schema))
+            del frame  # the next batch is read with this one freed
+        return pa.concat_tables(parts or [multi(schema.empty_table())])
 
     def merge_fn(paths: list[str]) -> pa.Table:
         import ray

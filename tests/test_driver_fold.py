@@ -205,8 +205,11 @@ def parquet_files(ray_session, tmp_path_factory):
 
 
 class _Launched(list):
-    """Read tasks in launch order; ``runs`` holds each direct producer's
-    read tasks and ``metadata`` the ref of its list of slice metadata."""
+    """Read tasks (``(schema, [(path, columns, fills), ...])``: the Arrow
+    types of the task's rows and each file with the columns read from it
+    and its hive partition values) in launch
+    order; ``runs`` holds each direct producer's read tasks and ``metadata``
+    the ref of its list of slice metadata."""
 
     def __init__(self):
         super().__init__()
@@ -222,7 +225,7 @@ class _Launched(list):
 @pytest.fixture()
 def launched(monkeypatch):
     """The read tasks the direct path launches, in launch order: every
-    read task of every producer's run."""
+    read task of every producer's run (``stages.build._read_and_build``)."""
     from rayhll.stages import build
 
     tasks = _Launched()
@@ -237,7 +240,7 @@ def launched(monkeypatch):
 
         def remote(self, slices, key, merge, make, *args):
             out = self.task.remote(slices, key, merge, make, *args)
-            if make is build._read_and_map:
+            if make is build._read_and_build:
                 tasks.extend(args[1])
                 tasks.runs.append(list(args[1]))
                 tasks.metadata.append(out[-1])
@@ -327,9 +330,9 @@ def test_direct_path_merges_like_ray_data(
 def test_direct_path_keeps_the_read_options(
     ray_session, monkeypatch, parquet_files, launched, read_kwargs, tasks
 ):
-    """The direct path runs the read's own tasks: as many as Ray Data would
-    launch for ``override_num_blocks``, each reading only the columns the
-    build hashes (all that ``columns`` names, here)."""
+    """The direct path groups the files into as many read tasks as Ray Data
+    would launch for ``override_num_blocks``, each reading only the columns
+    the build hashes (all that ``columns`` names, here)."""
     import ray.data as rd
 
     direct = rd.read_parquet(parquet_files, **read_kwargs)
@@ -337,14 +340,26 @@ def test_direct_path_keeps_the_read_options(
     _use_input(monkeypatch, lambda: direct)
     got = _grouped_approx_distinct()
     assert len(launched) == tasks
-    assert _columns_read(launched) == {("repo", "path")}
+    assert _reads_only(launched, ("repo", "path"))
     _use_input(monkeypatch, lambda: via_ray_data)
     assert got == _grouped_approx_distinct()
 
 
-def _columns_read(read_tasks) -> set:
-    """The column names of every block the read tasks yield."""
-    return {tuple(block.column_names) for rt in read_tasks for block in rt()}
+def _reads_only(read_tasks, columns) -> bool:
+    """Whether each read task's rows hold ``columns`` and each of its files
+    is told to decode exactly those of them it holds."""
+    return all(
+        tuple(schema.names) == tuple(columns)
+        and all(
+            tuple(told) == tuple(c for c in columns if c in pa.parquet.read_schema(path).names)
+            for path, told, _ in files
+        )
+        for schema, files in read_tasks
+    )
+
+
+def _paths(read_task) -> list[str]:
+    return [path for path, *_ in read_task[1]]
 
 
 ALL_COLUMNS = ("repo", "lang", "path", "commit", "content", "v")
@@ -361,47 +376,121 @@ COLUMNS_READ = {
 }
 
 
+def _corrupt_columns(path: str, columns) -> None:
+    """Overwrite every chunk of ``columns`` in the Parquet file at ``path``
+    with bytes no reader can decode."""
+    meta = pa.parquet.read_metadata(path)
+    with open(path, "r+b") as f:
+        for r in range(meta.num_row_groups):
+            for chunk in (meta.row_group(r).column(i) for i in range(meta.num_columns)):
+                if chunk.path_in_schema in columns:
+                    has_dict = chunk.has_dictionary_page
+                    f.seek(chunk.dictionary_page_offset if has_dict else chunk.data_page_offset)
+                    f.write(b"\xff" * chunk.total_compressed_size)
+
+
+def _within(fn, timeout: float = 120):
+    """What ``fn()`` returns or raises, within ``timeout`` seconds."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(fn())
+        except Exception as e:  # the outcome under test
+            outcome.append(e)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=timeout)
+    assert not caller.is_alive()
+    return outcome[0]
+
+
 @pytest.mark.parametrize("entry", DIRECT_ENTRY_POINTS, ids=lambda f: f.__name__.strip("_"))
 def test_direct_read_decodes_only_the_columns_the_build_reads(
-    ray_session, monkeypatch, parquet_files, launched, entry
+    ray_session, monkeypatch, tmp_path, parquet_files, launched, entry
 ):
     """Each build's ``input_columns`` narrow the Parquet read; a caller's
-    ``build_partial`` and a profile of every column still read them all."""
+    ``build_partial`` and a profile of every column still read them all.
+    Each producer is told to decode only those columns, and decodes no
+    other: every other column's chunks are made undecodable after the read
+    is planned, and the bytes do not change."""
+    import shutil
+
     import ray.data as rd
 
-    _use_input(monkeypatch, lambda: rd.read_parquet(parquet_files))
-    entry()
+    _use_input(monkeypatch, lambda: rd.read_parquet(parquet_files).materialize())
+    want = entry()
+    files = [shutil.copy(f, tmp_path) for f in parquet_files]
+    direct = rd.read_parquet(files)
+    unread = set(ALL_COLUMNS) - set(COLUMNS_READ[entry])
+    for f in files:
+        _corrupt_columns(f, unread)
+    if unread:
+        with pytest.raises(OSError):
+            pa.parquet.read_table(files[0])
+    _use_input(monkeypatch, lambda: direct)
+    assert _within(entry) == want
     assert len(launched) == len(parquet_files)
-    assert _columns_read(launched) == {COLUMNS_READ[entry]}
+    assert _reads_only(launched, COLUMNS_READ[entry])
 
 
 def _direct_equals_ray_data(monkeypatch, launched, make, entry, columns):
     """``entry`` over ``make()`` runs direct, reading ``columns``, and gives
-    the bytes of the Ray Data path over the same read, materialized."""
+    the bytes of the Ray Data path over the same read, materialized; the
+    result and the direct read tasks."""
     direct, via_ray_data = make(), make().materialize()
     _use_input(monkeypatch, lambda: direct)
     got = entry()
-    assert launched and _columns_read(launched) == {columns}
+    assert launched and _reads_only(launched, columns)
+    read_tasks = list(launched)
     launched.clear()
     _use_input(monkeypatch, lambda: via_ray_data)
     assert got == entry()
     assert not launched
-    return got
+    return got, read_tasks
+
+
+def _ray_data_runs_it(monkeypatch, launched, executions, make, entry):
+    """``entry`` over ``make()``, a read the direct reader does not
+    reproduce, runs in Ray Data (one execution, no direct producer) and
+    gives the bytes of the Ray Data path over the same read, materialized."""
+    from tests.conftest import _executions_of
+
+    direct, via_ray_data = make(), make().materialize()
+    got = []
+    _use_input(monkeypatch, lambda: direct)
+    assert _executions_of(executions, lambda: got.append(entry())) == 1
+    assert not launched
+    _use_input(monkeypatch, lambda: via_ray_data)
+    assert got == [entry()]
+
+
+def _repo_by_repo():
+    """Reads only ``repo``; ``rows_in`` counts each group's rows."""
+    from rayhll import ray_agg
+
+    out = ray_agg.grouped_approx_distinct(_input(), ["repo"], ["repo"], include_sketch=True)
+    return _sorted(out, ["repo"])
 
 
 @pytest.mark.parametrize(
-    "entry, columns",
+    "entry, read_kwargs, columns",
     [
-        (_grouped_approx_distinct, ("path", "repo")),
-        (_flagship_grouped, ("lang", "path", "commit", "content", "repo")),
+        (_repo_by_repo, {}, ("repo",)),
+        (_grouped_approx_distinct, {}, ("path", "repo")),
+        (_grouped_approx_distinct, dict(columns=["repo", "path"]), ("path", "repo")),
+        (_flagship_grouped, {}, ("lang", "path", "commit", "content", "repo")),
     ],
-    ids=["grouped_approx_distinct", "flagship_grouped"],
+    ids=["only_the_partition_column", "grouped_approx_distinct", "columns", "flagship_grouped"],
 )
 def test_projection_keeps_hive_partition_columns(
-    ray_session, monkeypatch, tmp_path, parquet_files, launched, entry, columns
+    ray_session, monkeypatch, tmp_path, parquet_files, launched, entry, read_kwargs, columns
 ):
-    """``repo`` is a hive partition column, filled in from the path after
-    the projected file columns."""
+    """``repo`` is a hive partition column: the direct reader decodes the
+    files' kept columns and fills ``repo`` in from each path, after them,
+    as Ray Data does (also when ``columns=`` names it first, and when it
+    decodes no column of the files), and the bytes are Ray Data's."""
     import pyarrow.dataset as pads
     import ray.data as rd
 
@@ -409,27 +498,35 @@ def test_projection_keeps_hive_partition_columns(
     pads.write_dataset(
         table, tmp_path, format="parquet", partitioning=["repo"], partitioning_flavor="hive"
     )
-    _direct_equals_ray_data(
-        monkeypatch, launched, lambda: rd.read_parquet(str(tmp_path)), entry, columns
-    )
+    make = lambda: rd.read_parquet(str(tmp_path), **read_kwargs)  # noqa: E731
+    _, read_tasks = _direct_equals_ray_data(monkeypatch, launched, make, entry, columns)
+    assert {tuple(fills.items()) for _, files in read_tasks for *_, fills in files} == {
+        (("repo", f"r{i}"),) for i in range(4)
+    }
 
 
-def test_projection_keeps_a_pushed_down_filter(ray_session, monkeypatch, parquet_files, launched):
-    """The filter reads ``v``, which the build does not hash."""
+def test_projection_keeps_a_pushed_down_filter(
+    ray_session, monkeypatch, parquet_files, launched, executions
+):
+    """The filter reads ``v``, which the build does not hash: a pushed-down
+    ``filter=`` runs in Ray Data, which applies it."""
     import pyarrow.dataset as pads
     import ray.data as rd
     from ray.data._internal import util
 
-    # a filtered read task has no row count, so direct only if the tasks fill the CPUs
+    # a filtered read task has no row count: let the tasks fill the CPUs
     monkeypatch.setattr(util, "_estimate_avail_cpus", lambda placement_group: len(parquet_files))
     make = lambda: rd.read_parquet(parquet_files, filter=pads.field("v") >= 1500)  # noqa: E731
-    _direct_equals_ray_data(monkeypatch, launched, make, _grouped_approx_distinct, ("repo", "path"))
+    _ray_data_runs_it(monkeypatch, launched, executions, make, _grouped_approx_distinct)
 
 
 def test_projection_keeps_include_paths(
-    ray_session, monkeypatch, tmp_path, parquet_files, launched
+    ray_session, monkeypatch, tmp_path, parquet_files, launched, executions
 ):
-    """``path`` is each row's file, added after the projected columns."""
+    """``path`` is each row's file: ``include_paths`` runs in Ray Data.
+    Over files that hold a ``path`` column of their own, Ray Data's reader
+    fails, and so does the same entry point over the bare read, where the
+    direct reader used to leave the file's column out and succeed."""
     import ray.data as rd
 
     files = []
@@ -437,7 +534,215 @@ def test_projection_keeps_include_paths(
         files.append(str(tmp_path / f"part-{i}.parquet"))
         pa.parquet.write_table(pa.parquet.read_table(f).drop_columns(["path"]), files[-1])
     make = lambda: rd.read_parquet(files, include_paths=True)  # noqa: E731
-    _direct_equals_ray_data(monkeypatch, launched, make, _grouped_approx_distinct, ("repo", "path"))
+    _ray_data_runs_it(monkeypatch, launched, executions, make, _grouped_approx_distinct)
+
+    def repo_count(ds) -> None:
+        from rayhll import ray_agg
+
+        ray_agg.approx_distinct_sketch(ds, ["repo"])
+
+    for make in (
+        lambda: rd.read_parquet(parquet_files, include_paths=True),
+        lambda: rd.read_parquet(parquet_files, include_paths=True).materialize(),
+    ):
+        with pytest.raises(AssertionError):  # Ray's fill_column("path")
+            repo_count(make())
+    assert not launched
+
+
+def _matrix_table(rng, rows: int, key=None, group=None) -> pa.Table:
+    """``g`` (group) and ``k`` (key) columns, strings unless ``group`` /
+    ``key`` map the values to other arrays, and a ``v`` column."""
+    g = [f"g{i}" for i in rng.integers(0, 6, rows)]
+    k = [f"k{i}" for i in rng.integers(0, 400, rows)]
+    return pa.table(
+        {
+            "g": group(g) if group else pa.array(g),
+            "k": key(k) if key else pa.array(k),
+            "v": pa.array(rng.integers(0, 50, rows)),
+        }
+    )
+
+
+def _with_nulls(values: list) -> pa.Array:
+    return pa.array([None if i % 7 == 3 else v for i, v in enumerate(values)])
+
+
+def _same_block(table: pa.Table) -> pa.Table:
+    """A read's ``_block_udf`` that leaves each block as it is."""
+    return table
+
+
+#: case -> (per-file column makers, write kwargs, read kwargs, direct):
+#: ``direct`` whether the direct reader reads it
+READER_CASES = {
+    "string_vs_large_string": (
+        [{}, dict(group=lambda g: pa.array(g, pa.large_string()),
+                  key=lambda k: pa.array(k, pa.large_string()))], {}, {}, True),
+    "int_keys_binary_groups": (
+        [dict(key=lambda k: pa.array([int(x[1:]) for x in k]),
+              group=lambda g: pa.array([x.encode() for x in g]))] * 2, {}, {}, True),
+    "binary_keys_int_groups": (
+        [dict(key=lambda k: pa.array([x.encode() for x in k]),
+              group=lambda g: pa.array([int(x[1:]) for x in g], pa.int32()))] * 2, {}, {}, True),
+    "list_keys_fixed_size_list_groups": (
+        [dict(key=lambda k: pa.array([[int(x[1:]), None] for x in k], pa.list_(pa.int64())),
+              group=lambda g: pa.array([[x, "y"] for x in g], pa.list_(pa.string(), 2)))] * 2,
+         {}, {}, True),
+    "nulls_in_keys_and_groups": ([dict(key=_with_nulls, group=_with_nulls)] * 2, {}, {}, True),
+    "dictionary_groups": (
+        [dict(group=lambda g: pa.array(g).dictionary_encode())] * 2, {}, {}, False),
+    "timestamp_groups": (
+        [dict(group=lambda g: pa.array([int(x[1:]) for x in g]).cast(pa.timestamp("s")))] * 2,
+        {}, {}, True),
+    "timestamp_tz_keys": (
+        [dict(key=lambda k: pa.array([int(x[1:]) * 10**12 for x in k]).cast(
+            pa.timestamp("ns", tz="America/New_York")))] * 2, {}, {}, True),
+    "date_groups": (
+        [dict(group=lambda g: pa.array([int(x[1:]) for x in g], pa.int32()).cast(pa.date32()))]
+        * 2, {}, {}, True),
+    "date64_groups": (
+        [dict(group=lambda g: pa.array([int(x[1:]) * 86400000 for x in g]).cast(pa.date64()))]
+        * 2, {}, {}, True),
+    "file_lacking_a_kept_column": ([{}, dict(group=None)], {}, {}, True),
+    "row_groups": ([{}] * 2, dict(row_group_size=300), {}, True),
+    "schema": ([{}] * 2, {}, dict(schema="first"), False),
+    "block_udf": ([{}] * 2, {}, dict(_block_udf=_same_block), False),
+    "include_paths": ([{}] * 2, {}, dict(include_paths=True), False),
+    "filter": ([{}] * 2, {}, dict(filter="v"), False),
+    "shuffled_files": ([{}] * 2, {}, dict(shuffle="files"), True),
+    "non_local_filesystem": ([{}] * 2, {}, dict(filesystem="subtree"), False),
+    "hive_partitions": ([{}] * 2, {}, dict(hive=True), True),
+    "csv": ([{}] * 2, {}, dict(csv=True), False),
+}
+
+
+def _matrix_read(tmp_path, case: str):
+    """Functions making the case's read of two 1,000-row files and the read
+    whose Ray read tasks yield the rows the direct reader gives it: the
+    read itself, or for files of different columns, the files read as their
+    unified schema (a kept column a file lacks is NULL in its rows)."""
+    import os
+
+    import pyarrow.csv
+    import pyarrow.dataset as pads
+    import pyarrow.fs
+    import ray.data as rd
+
+    makers, write_kwargs, read_kwargs, _ = READER_CASES[case]
+    read_kwargs = dict(read_kwargs)
+    rng = np.random.default_rng(11)
+    files = []
+    for i, makers_i in enumerate(makers):
+        table = _matrix_table(rng, 1000, **{c: m for c, m in makers_i.items() if m})
+        table = table.drop_columns([c[0] for c, m in makers_i.items() if m is None])
+        if read_kwargs.pop("csv", False):
+            files.append(str(tmp_path / f"part-{i}.csv"))
+            pyarrow.csv.write_csv(table, files[-1])
+            read_kwargs["csv"] = True
+            continue
+        if read_kwargs.get("hive"):
+            table = table.append_column("h", pa.array([f"x{i}"] * table.num_rows))
+            pads.write_dataset(
+                table, tmp_path, format="parquet", partitioning=["h"],
+                partitioning_flavor="hive", existing_data_behavior="overwrite_or_ignore",
+                basename_template=f"part-{i}-{{i}}.parquet",
+            )
+            continue
+        files.append(str(tmp_path / f"part-{i}.parquet"))
+        pa.parquet.write_table(table, files[-1], **write_kwargs)
+    if read_kwargs.pop("csv", False):
+        make = lambda: rd.read_csv(files)  # noqa: E731
+        return make, make
+    if read_kwargs.pop("hive", False):
+        make = lambda: rd.read_parquet(str(tmp_path))  # noqa: E731
+        return make, make
+    if read_kwargs.get("schema") == "first":
+        read_kwargs["schema"] = pa.parquet.read_schema(files[0])
+    if read_kwargs.get("filter") == "v":
+        read_kwargs["filter"] = pads.field("v") >= 10
+    schemas = [pa.parquet.read_schema(f) for f in files]
+    if read_kwargs.get("filesystem") == "subtree":
+        read_kwargs["filesystem"] = pyarrow.fs.SubTreeFileSystem(str(tmp_path), pyarrow.fs.LocalFileSystem())
+        files = [os.path.basename(f) for f in files]
+    make = lambda: rd.read_parquet(files, **read_kwargs)  # noqa: E731
+    if all(schema.names == schemas[0].names for schema in schemas):
+        return make, make
+    unified = pa.unify_schemas(schemas)
+    return make, lambda: rd.read_parquet(files, schema=unified)
+
+
+def _partial_rows(ds, direct: bool) -> pa.Table:
+    """The partial rows of ``ds`` (a read and one build map), sorted, built
+    here: by the direct producers' jobs, or by the map over Ray's own read
+    tasks, each batched alone by Ray's batcher (``map_batches`` fused with
+    the read)."""
+    from ray.data._internal.block_batching.util import blocks_to_batches
+    from ray.data._internal.util import _autodetect_parallelism
+
+    from rayhll.stages import build
+
+    if direct:
+        tables = [make(*args) for make, args, _ in build._direct_jobs(ds, 2)]
+    else:
+        read, [op] = build._direct_plan(ds)
+        ctx, source = ds.context, read._datasource_or_legacy_reader
+        n, _, _ = _autodetect_parallelism(
+            read._parallelism, ctx.target_max_block_size, ctx, source, read._mem_size
+        )
+        tables = [
+            op._fn(batch.data)
+            for rt in source.get_read_tasks(n)
+            for batch in blocks_to_batches(rt(), batch_size=op._batch_size)
+        ]
+    table = build._concat(*tables)
+    return table.sort_by([(c, "ascending") for c in ("_ghash", "sketch", "rows_in")])
+
+
+@pytest.mark.parametrize("case", READER_CASES)
+def test_direct_reader_matches_ray_data(ray_session, monkeypatch, tmp_path, launched, case):
+    """Direct reader vs Ray Data reader, one case of the matrix each: the
+    cases the direct reader reads give, per build, the partial rows of the
+    map over Ray's read tasks (the same batches: ``batch_size`` slices of
+    each read task, or at None the reader's batches, cut at row groups),
+    and every case merges to the bytes of Ray Data over the materialized
+    read (for a file lacking a kept column, both over the files read as
+    their unified schema); the others run in Ray Data.  Two CPUs: the two read tasks fill
+    them, so a read task may hold several batches."""
+    from rayhll import ray_agg
+    from rayhll.pipelines.profile import ProfileBuild
+    from rayhll.stages import build
+
+    _with_cpus(monkeypatch, 2)
+    make, same = _matrix_read(tmp_path, case)
+    direct = READER_CASES[case][-1]
+    maps = [
+        (build.BuildPartials(["k"], ["g"]), 128),
+        (build.BuildPartials(["k"], ["g"], settings=ray_agg.EXACT_MODE), None),
+        (ProfileBuild(["g", "k"]), None),
+    ]
+    for fn, batch_size in maps:
+        def mapped(read):
+            return read().map_batches(
+                fn, batch_format="pyarrow", zero_copy_batch=True, batch_size=batch_size
+            )
+
+        assert (build._direct_jobs(mapped(make), 2) is not None) == direct
+        if direct:
+            assert _partial_rows(mapped(make), True).equals(_partial_rows(mapped(same), False))
+    for batch_size in (128, None):
+        def entry():
+            out = ray_agg.grouped_approx_distinct(
+                _input(), ["g"], ["k"], batch_size=batch_size, include_sketch=True
+            )
+            return _sorted(out, ["rows_in", "sketch"])
+
+        _use_input(monkeypatch, make)
+        launched.clear()
+        got = entry()
+        assert bool(launched) == direct
+        _use_input(monkeypatch, lambda: same().materialize())
+        assert got == entry()
 
 
 @pytest.mark.parametrize("hashed_first", [True, False], ids=["hashed-first", "hashed-second"])
@@ -485,24 +790,24 @@ def test_content_raw64_in_only_some_files(
     want = entry()
     launched.clear()
     make = lambda: rd.read_parquet(one)  # noqa: E731
-    assert _direct_equals_ray_data(monkeypatch, launched, make, entry, columns) == want
+    assert _direct_equals_ray_data(monkeypatch, launched, make, entry, columns)[0] == want
 
 
 def test_filter_over_files_lacking_a_kept_column_reads_them_whole(
-    ray_session, monkeypatch, tmp_path, launched
+    ray_session, monkeypatch, tmp_path, launched, executions
 ):
     """The second file lacks ``content_raw64``, and the filter names
-    ``lang``, which ``flagship_global`` does not read: a read schema of the
-    kept columns would leave the filter's column out, so each file is read
-    whole through the files' unified schema (NULL ``content_raw64`` in the
-    second), and both paths give the same estimates, with or without
-    ``hash_content``."""
+    ``lang``, which ``flagship_global`` does not read: the filtered read runs
+    in Ray Data, whose unified blocks give the second file NULL
+    ``content_raw64``, and both reads give the same estimates, with or
+    without ``hash_content``."""
     import pyarrow.dataset as pads
     import ray.data as rd
 
     from rayhll.pipelines import distinct
     from rayhll.pipelines.distinct import HashStage
     from rayhll.sources.synth import synth_code_batch
+    from tests.conftest import _executions_of
 
     table = HashStage()(synth_code_batch(np.arange(2000), 2000)).drop_columns(["content_sha256"])
     files = [str(tmp_path / f"part-{i}.parquet") for i in range(2)]
@@ -511,22 +816,23 @@ def test_filter_over_files_lacking_a_kept_column_reads_them_whole(
     make = lambda: rd.read_parquet(files, filter=pads.field("lang") != "rust")  # noqa: E731
     _with_cpus(monkeypatch, len(files))  # a filtered read's row counts are unknown
     for hash_content in (True, False):
-        launched.clear()
         direct, via_ray_data = make(), make().materialize()
-        got = distinct.flagship_global(direct, hash_content=hash_content)
-        assert _columns_read(launched) == {tuple(table.column_names)}
-        launched.clear()
-        assert got == distinct.flagship_global(via_ray_data, hash_content=hash_content)
+        got = []
+        run = lambda: got.append(distinct.flagship_global(direct, hash_content=hash_content))  # noqa: E731
+        assert _executions_of(executions, run) == 1
+        assert got == [distinct.flagship_global(via_ray_data, hash_content=hash_content)]
         assert not launched
 
 
-def test_explicit_schema_reads_every_column(ray_session, monkeypatch, parquet_files, launched):
-    """Files are read as the given schema, so the read is not narrowed."""
+def test_explicit_schema_reads_every_column(
+    ray_session, monkeypatch, parquet_files, launched, executions
+):
+    """Files are read as the given schema: the read runs in Ray Data."""
     import ray.data as rd
 
     schema = pa.parquet.read_schema(parquet_files[0])
     make = lambda: rd.read_parquet(parquet_files, schema=schema)  # noqa: E731
-    _direct_equals_ray_data(monkeypatch, launched, make, _grouped_approx_distinct, ALL_COLUMNS)
+    _ray_data_runs_it(monkeypatch, launched, executions, make, _grouped_approx_distinct)
 
 
 def test_failed_read_task_raises_to_the_caller(
@@ -538,7 +844,6 @@ def test_failed_read_task_raises_to_the_caller(
     read after the first, in the same task."""
     import os
     import shutil
-    import threading
 
     import ray.data as rd
 
@@ -552,21 +857,51 @@ def test_failed_read_task_raises_to_the_caller(
         files = [shutil.copy(f, copies) for f in parquet_files]
         ds = rd.read_parquet(files)
         os.remove(files[1])
-        outcome = []
-
-        def run():
-            try:
-                outcome.append(ray_agg.approx_distinct_sketch(ds, ["path"]))
-            except Exception as e:  # the outcome under test
-                outcome.append(e)
-
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=120)
-        assert not caller.is_alive()
-        assert len(outcome) == 1 and isinstance(outcome[0], FileNotFoundError)
+        assert isinstance(_within(lambda: ray_agg.approx_distinct_sketch(ds, ["path"])), FileNotFoundError)
         assert len(launched) == len(files)
         assert [len(run) for run in launched.runs] == run_lengths
+
+
+@pytest.mark.parametrize("batch_size", [128, 700, None])
+def test_read_batches_reads_one_batch_at_a_time(monkeypatch, tmp_path, batch_size):
+    """Two 1,000-row files of 300-row row groups, the second lacking ``g``:
+    the batches are ``batch_size`` rows across the files (at None, 100-row
+    reads within each row group), with the rows of the files in order, and
+    each is read only when the one before it has been taken, in pieces of
+    the file's own columns, none longer than a batch."""
+    from rayhll.stages import build
+
+    rng = np.random.default_rng(3)
+    tables = [_matrix_table(rng, 1000), _matrix_table(rng, 1000).drop_columns(["g"])]
+    files = [str(tmp_path / f"part-{i}.parquet") for i in range(2)]
+    for table, f in zip(tables, files):
+        pa.parquet.write_table(table, f, row_group_size=300)
+    schema = tables[0].schema.remove(tables[0].schema.get_field_index("v"))
+    read, pieces = build.read_piece, []
+
+    def logged(path, columns, fills, start, rows, dtypes):
+        pieces.append((path, tuple(columns), start, rows))
+        return read(path, columns, fills, start, rows, dtypes)
+
+    monkeypatch.setattr(build, "read_piece", logged)
+    tasks = [(f, [c for c in ("g", "k") if c in t.column_names], {}) for f, t in zip(files, tables)]
+    batches, taken = [], []
+    for frame in build.read_batches(tasks, schema, batch_size, read_rows=100):
+        batches.append(frame)
+        taken.append(sum(rows for *_, rows in pieces))
+    sizes = [frame.height for frame in batches]
+    if batch_size is None:
+        assert sizes == [100, 100, 100] * 3 + [100] + ([100, 100, 100] * 3 + [100])
+    else:
+        assert sizes == [batch_size] * (2000 // batch_size) + ([2000 % batch_size] if 2000 % batch_size else [])
+    assert taken == list(np.cumsum(sizes))
+    assert {(path, columns) for path, columns, *_ in pieces} == {(f, tuple(c)) for f, c, _ in tasks}
+    assert max(rows for *_, rows in pieces) <= (batch_size or 100)
+    want = pa.concat_tables(
+        [tables[0].select(["g", "k"]), tables[1].select(["k"]).add_column(0, "g", pa.nulls(1000, pa.string()))]
+    )
+    got = pa.concat_tables(frame.to_arrow(compat_level=build.OLDEST).cast(schema) for frame in batches)
+    assert got.equals(want.cast(schema))
 
 
 #: the read task sizes of a seed-601 ``corpus`` read
@@ -596,21 +931,25 @@ def test_runs_cut_at_the_nearest_boundary(sizes, n, lengths):
     assert [i for run in got for i in run] == list(range(len(sizes)))
 
 
-class _Logged:
-    """A read task that appends its producer's run index and its file to
-    ``log`` when it runs."""
+def _logged_read_and_build(log: str, *args):
+    """``stages.build._read_and_build(*args)``, appending the producer's task
+    id and the file to ``log`` each time it reads a piece of a file."""
+    import ray
 
-    def __init__(self, read_task, log: str, run: int):
-        self.read_task, self.log, self.run = read_task, log, run
+    from rayhll.stages import build
 
-    @property
-    def metadata(self):
-        return self.read_task.metadata
+    read = build.read_piece
 
-    def __call__(self):
-        with open(self.log, "a") as f:
-            f.write(f"{self.run} {self.metadata.input_files[0]}\n")
-        return self.read_task()
+    def logged(path, *rest):
+        with open(log, "a") as f:
+            f.write(f"{ray.get_runtime_context().get_task_id()} {path}\n")
+        return read(path, *rest)
+
+    build.read_piece = logged
+    try:
+        return build._read_and_build(*args)
+    finally:
+        build.read_piece = read
 
 
 @pytest.fixture(scope="module")
@@ -624,30 +963,22 @@ def test_direct_producers_are_runs_of_read_tasks(
     ray_session, monkeypatch, tmp_path, eight_files, launched, entry
 ):
     """R = 8 read tasks at B = 1, 2 and 4: min(R, B) producer tasks, each
-    reading its contiguous run of read tasks in order, and every read task
-    once.  The bytes are those of the Ray Data path over the materialized
+    reading its contiguous run of read tasks in order (logged from inside
+    the producer each time it reads), and every read task once.  The bytes are those of the Ray Data path over the materialized
     read at every B.  ``grouped_merge_family`` maps with a caller's UDF, so
     it stays in Ray Data."""
+    import functools
+
     import ray.data as rd
 
     from rayhll.stages import build
 
-    log, reduce = tmp_path / "reads.log", build.reduce
-
-    def logged(jobs, merge, slices, key):
-        jobs = [
-            (make, (args[0], [_Logged(rt, str(log), i) for rt in args[1]], args[2]), options)
-            if make is build._read_and_map
-            else (make, args, options)
-            for i, (make, args, options) in enumerate(jobs)
-        ]
-        return reduce(jobs, merge, slices, key)
-
+    log = tmp_path / "reads.log"
     _use_input(monkeypatch, lambda: rd.read_parquet(eight_files).materialize())
     want = entry()
     direct = rd.read_parquet(eight_files)
     _use_input(monkeypatch, lambda: direct)
-    monkeypatch.setattr(build, "reduce", logged)
+    monkeypatch.setattr(build, "_read_and_build", functools.partial(_logged_read_and_build, str(log)))
     for cpus in (1, 2, 4):
         _with_cpus(monkeypatch, cpus)
         launched.clear()
@@ -657,15 +988,13 @@ def test_direct_producers_are_runs_of_read_tasks(
             assert not launched
             continue
         assert len(launched.runs) == min(len(eight_files), cpus)
-        assert [rt.metadata.input_files for rt in launched] == [[f] for f in eight_files]
-        reads = [line.split() for line in log.read_text().splitlines()]
-        runs = [
-            [str(i), f]
-            for i, run in enumerate(launched.runs)
-            for rt in run
-            for f in rt.metadata.input_files
-        ]
-        assert sorted(reads, key=lambda read: int(read[0])) == runs
+        assert [_paths(rt) for rt in launched] == [[f] for f in eight_files]
+        reads = {}
+        for task, f in (line.split() for line in log.read_text().splitlines()):
+            if reads.setdefault(task, [None])[-1] != f:
+                reads[task].append(f)
+        runs = [[f for rt in run for f in _paths(rt)] for run in launched.runs]
+        assert sorted(read[1:] for read in reads.values()) == sorted(runs)
 
 
 #: a block budget small enough that each read task yields many blocks

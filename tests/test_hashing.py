@@ -168,3 +168,17 @@ def test_multikey_build_hashes_equal_separate_hash64_table_calls(grouped):
         assert np.array_equal(ghash, hashing.hash64_table(table, ["repo", "lang"], seed=0x6E0))
     else:
         assert ghash is None
+
+
+@pytest.mark.parametrize("rows", [0, 5, 32768, 70001])
+def test_frame_column_in_pieces(rows):
+    """``stages.build.sha256_raw64`` of a polars column, converted to Arrow
+    32,768 rows at a time: the raw values of the whole column at once."""
+    import polars as pl
+
+    from rayhll.stages import build
+
+    values = [VALUES[i % len(VALUES)] for i in range(rows)]
+    got = build.sha256_raw64(pl.Series("content", values, dtype=pl.String))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, hashing.sha256_raw64(pa.array(values, pa.string())))

@@ -30,7 +30,8 @@ import sys
 import tempfile
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 os.environ.setdefault("POLARS_MAX_THREADS", "1")
 
 import numpy as np
@@ -45,7 +46,14 @@ import ray
 
 from perfbench.host import PeakRss
 
-ray.init(address="local", num_cpus=NCPU, include_dashboard=False, logging_level="ERROR")
+ray.init(
+    address="local",
+    num_cpus=NCPU,
+    include_dashboard=False,
+    logging_level="ERROR",
+    # the workers import this checkout's rayhll, wherever the script is run from
+    runtime_env={"env_vars": {"PYTHONPATH": os.pathsep.join(filter(None, [ROOT, os.environ.get("PYTHONPATH")]))}},
+)
 from ray.data import DataContext
 
 DataContext.get_current().enable_progress_bars = False

@@ -9,7 +9,8 @@ import os
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
 os.environ.setdefault("POLARS_MAX_THREADS", "1")
 
 rows = int(sys.argv[1]) if len(sys.argv) > 1 else 20_000_000
@@ -17,7 +18,14 @@ ncpu = int(sys.argv[2]) if len(sys.argv) > 2 else 32
 
 import ray
 
-ray.init(address="local", num_cpus=ncpu, include_dashboard=False, logging_level="ERROR")
+ray.init(
+    address="local",
+    num_cpus=ncpu,
+    include_dashboard=False,
+    logging_level="ERROR",
+    # the workers import this checkout's rayhll, wherever the script is run from
+    runtime_env={"env_vars": {"PYTHONPATH": os.pathsep.join(filter(None, [ROOT, os.environ.get("PYTHONPATH")]))}},
+)
 from ray.data import DataContext
 
 ctx = DataContext.get_current()
